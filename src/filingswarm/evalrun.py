@@ -48,6 +48,7 @@ from .vindex import (
     build_table_description_index,
     knn,
     r_precision,
+    scope_positions,
     to_embedding_text,
 )
 
@@ -162,22 +163,25 @@ def retrieval_units(instances: list[QuestionInstance],
 def build_scope_indexes(view: ReconciledView, embedder, registry: SchemaRegistry,
                         kinds: tuple[str, ...] = SCOPE_KINDS) -> dict[str, FlatIndex]:
     """One flat index per scope label: 'global', 'agent:<filing>',
-    'table:<table_id>'."""
+    'table:<table_id>'. Every record is embedded once, for the global
+    index; the narrower scopes select their rows from it."""
+    unknown = [kind for kind in kinds if kind not in SCOPE_KINDS]
+    if unknown:
+        raise ValueError(f"unknown scope kind {unknown[0]!r}")
+    whole = build_index(view, IndexScope.global_(), embedder)
+    positions = scope_positions(view)
     out: dict[str, FlatIndex] = {}
     for kind in kinds:
         if kind == "global":
-            scope = IndexScope.global_()
-            out[scope.label()] = build_index(view, scope, embedder)
+            out[whole.scope.label()] = whole
         elif kind == "agent":
             for ft in FilingType:
                 scope = IndexScope.agent(ft)
-                out[scope.label()] = build_index(view, scope, embedder)
-        elif kind == "table":
+                out[scope.label()] = whole.select(scope, positions.get(scope, []))
+        else:
             for schema in registry.all_tables():
                 scope = IndexScope.table(schema.table_id)
-                out[scope.label()] = build_index(view, scope, embedder)
-        else:
-            raise ValueError(f"unknown scope kind {kind!r}")
+                out[scope.label()] = whole.select(scope, positions.get(scope, []))
     return out
 
 

@@ -29,7 +29,7 @@ from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatRequest, FixtureMissError, GatewayError
 from filingswarm.plans import ListValue, Scalar, TableValue
 from filingswarm.routing import route_generative
-from filingswarm.vindex import HashFeatureEmbedder
+from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index
 
 
 @pytest.fixture(scope="module")
@@ -153,10 +153,34 @@ def test_scope_index_labels_cover_every_level(small_view, registry):
             == indexes["table:thirteenf_holdings"].record_ids)
 
 
+class _CountingEmbedder(HashFeatureEmbedder):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.batches = 0
+
+    def embed_batch(self, texts):
+        self.batches += 1
+        return super().embed_batch(texts)
+
+
+def test_scope_indexes_equal_separate_builds_from_one_embedding(small_view, registry):
+    embedder = _CountingEmbedder(16)
+    indexes = build_scope_indexes(small_view, embedder, registry)
+    assert embedder.batches == 1
+    for label, index in indexes.items():
+        alone = build_index(small_view, IndexScope.parse(label), HashFeatureEmbedder(16))
+        assert index.scope == alone.scope
+        assert index.record_ids == alone.record_ids
+        assert index.vectors.tobytes() == alone.vectors.tobytes()
+    tables_only = build_scope_indexes(small_view, embedder, registry, kinds=("table",))
+    assert set(tables_only) == {f"table:{s.table_id}" for s in registry.all_tables()}
+
+
 def test_scope_index_unknown_kind_rejected(small_view, registry):
+    embedder = _CountingEmbedder(8)
     with pytest.raises(ValueError, match="unknown scope kind"):
-        build_scope_indexes(small_view, HashFeatureEmbedder(8), registry,
-                            kinds=("global", "bogus"))
+        build_scope_indexes(small_view, embedder, registry, kinds=("global", "bogus"))
+    assert embedder.batches == 0
 
 
 def test_retrieval_ablation_narrower_scope_never_hurts(bench, small_view, registry):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import re
+import zlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filingswarm import vindex
 from filingswarm.vindex import (
     FlatIndex,
     HashFeatureEmbedder,
@@ -23,6 +28,7 @@ from filingswarm.vindex import (
     recall_at_k,
     save_index,
 )
+from perfbench.gates import naive_knn
 
 
 def make_index(ids_vectors, dim, scope=None):
@@ -77,6 +83,59 @@ def test_knn_guards():
         knn(index, np.zeros(3, dtype=np.float32), k=1)
     empty = FlatIndex(scope=IndexScope.global_(), dim=2)
     assert knn(empty, np.zeros(2, dtype=np.float32), k=1) == []
+
+
+@st.composite
+def _knn_case(draw):
+    """An index, a query and k. Rows sit at magnitudes from 1e-30 to 1e25
+    (products beyond float32 range take the float64 fallback) or share one
+    large offset coordinate with small residuals; some rows repeat exactly,
+    and ids are shuffled so that ties break on them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 9))
+    k = draw(st.one_of(st.integers(1, n), st.just(n), st.integers(n, n + 3)))
+    rng = np.random.default_rng(seed)
+    residuals = rng.standard_normal((n + 1, dim))
+    if draw(st.booleans()):
+        vectors = residuals * 10.0 ** rng.uniform(-30, 25, size=(n + 1, 1))
+    else:
+        vectors = residuals * 10.0 ** draw(st.floats(-3, 1))
+        vectors[:, rng.integers(dim)] += 10.0 ** draw(st.floats(3, 18))
+    for _ in range(draw(st.integers(0, n - 1))):
+        vectors[rng.integers(n)] = vectors[rng.integers(n)]
+    ids = [f"r{i:02d}" for i in rng.permutation(n)]
+    index = FlatIndex(scope=IndexScope.global_(), dim=dim, record_ids=ids,
+                      vectors=vectors[:n].astype(np.float32))
+    query = vectors[rng.integers(n)] if draw(st.booleans()) else vectors[n]
+    return index, query.astype(np.float32), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_knn_case())
+def test_knn_equals_naive_scan_at_any_magnitude(case):
+    index, query, k = case
+    assert knn(index, query, k) == naive_knn(index.vectors, index.record_ids, query, k)
+
+
+def test_knn_float64_fallback_on_float32_overflow():
+    vectors = np.array([[3e20, 0.0], [3e20, 1e15], [-3e20, 0.0]], dtype=np.float32)
+    index = make_index([("a", vectors[0]), ("b", vectors[1]), ("c", vectors[2])], 2)
+    query = np.array([3e20, 2e15], dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(vectors @ query).all()
+    result = knn(index, query, 2)
+    assert [rid for rid, _ in result] == ["b", "a"]
+    assert result == naive_knn(index.vectors, index.record_ids, query, 2)
+
+
+def test_index_is_immutable_with_cached_norms():
+    index = make_index([("a", [3.0, 4.0]), ("b", [1.0, 0.0])], 2)
+    assert index.sq_norms.tolist() == [25.0, 1.0]
+    with pytest.raises(ValueError):
+        index.vectors[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        index.vectors = np.zeros((2, 2), dtype=np.float32)
 
 
 # --- scopes and index builds -------------------------------------------------
@@ -164,7 +223,66 @@ def test_snapshot_detects_truncation_and_bad_magic(small_view, tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("where", ["header", "vector block", "vector block, whole floats",
+                                   "id table"])
+def test_truncated_snapshot_raises_index_error(small_view, tmp_path, where):
+    embedder = HashFeatureEmbedder(8)
+    index = build_index(small_view, IndexScope.parse("table:adv_entity"), embedder)
+    path = tmp_path / "t.idx"
+    save_index(index, path, embedder.fingerprint)
+    blob = path.read_bytes()
+    vec_start = blob.index(b"\n", len(b"FSIDX1\n")) + 1
+    cut = {"header": vec_start - 10,
+           "vector block": vec_start + 10,
+           "vector block, whole floats": vec_start + 8,
+           "id table": len(blob) - 1}[where]
+    path.write_bytes(blob[:cut])
+    with pytest.raises(IndexError_, match="truncated"):
+        load_index(path)
+
+
 # --- embedders ---------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def _loop_embed(text: str, dim: int) -> np.ndarray:
+    """Reference: the per-text loop over regex tokens."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in _TOKEN_RE.findall(text.lower()):
+        crc = zlib.crc32(token.encode("utf-8"))
+        vec[crc % dim] += 1.0 if (crc >> 16) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm
+    return vec.astype(np.float32)
+
+
+_AWKWARD = ["\u0130", "\u212a", "\u0301", "_", "7", "42", " ", "", "\ud800", "\u00b2",
+            "ß", "Ⅻ", "ǅ", "ﬃ", "A", "z"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.one_of(
+           st.text(),
+           st.lists(st.one_of(st.sampled_from(_AWKWARD), st.characters())).map("".join)),
+           max_size=12),
+       dim=st.sampled_from([1, 2, 7, 64]),
+       chunk=st.integers(1, 5))
+def test_hash_embed_batch_is_bit_identical_to_the_loop(texts, dim, chunk):
+    embedder = HashFeatureEmbedder(dim)
+    with mock.patch.object(vindex, "_EMBED_CHUNK", chunk):
+        batch = embedder.embed_batch(texts)
+    assert batch.shape == (len(texts), dim) and batch.dtype == np.float32
+    for row, text in zip(batch, texts):
+        assert np.array_equal(row.view(np.uint32), _loop_embed(text, dim).view(np.uint32))
+        assert np.array_equal(embedder.embed(text).view(np.uint32), row.view(np.uint32))
+
+
+def test_hash_embedder_text_without_tokens_is_zero():
+    batch = HashFeatureEmbedder(16).embed_batch(["", "__ -- ??", "\u00e9\u00b2", "\ud800"])
+    assert not batch.any()
+
 
 def test_hash_embedder_unit_norm_and_fingerprint():
     embedder = HashFeatureEmbedder(32)
