@@ -8,6 +8,8 @@ greatest accession_id wins, which keeps the view deterministic.
 """
 from __future__ import annotations
 
+from typing import Any
+
 from .records import CorpusStore, FilingRecord
 
 
@@ -19,7 +21,8 @@ class ReconciledView:
     """Effective records after amendment reconciliation.
 
     Immutable; safe for concurrent readers. ``records`` preserves the store's
-    insertion order restricted to visible accessions.
+    insertion order restricted to visible accessions. The equality posting
+    lists of ``eq_index`` are built on first use and cached.
     """
 
     def __init__(self, store: CorpusStore, visible_accessions: set[str]):
@@ -33,12 +36,31 @@ class ReconciledView:
         self.by_table: dict[str, list[FilingRecord]] = {}
         for r in self.records:
             self.by_table.setdefault(r.table_id, []).append(r)
+        self._eq_index: dict[tuple[str, str], dict[Any, list[FilingRecord]]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
 
     def table_records(self, table_id: str) -> list[FilingRecord]:
         return self.by_table.get(table_id, [])
+
+    def eq_index(self, table_id: str, field: str) -> dict[Any, list[FilingRecord]]:
+        """Map from each value of ``field`` to the table's records holding it,
+        in table order. A missing field is keyed as None; records whose value
+        is unhashable are left out, so look up only hashable values."""
+        key = (table_id, field)
+        index = self._eq_index.get(key)
+        if index is None:
+            index = {}
+            for r in self.table_records(table_id):
+                try:
+                    index.setdefault(r.fields.get(field), []).append(r)
+                except TypeError:
+                    continue
+            # Published whole by one assignment: a concurrent first caller
+            # either sees nothing and builds an equal map, or sees this one.
+            self._eq_index[key] = index
+        return index
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self.by_record_id

@@ -221,5 +221,5 @@ def to_embedding_text(record: FilingRecord) -> str:
     omitted. The text is a pure function of (table_id, non-null fields), so
     equal rows of the same table always render identically.
     """
-    kept = {k: v for k, v in sorted(record.fields.items()) if v is not None}
+    kept = {k: v for k, v in record.fields.items() if v is not None}
     return json.dumps({"fields": kept, "table": record.table_id}, sort_keys=True)

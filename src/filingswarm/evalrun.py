@@ -199,10 +199,8 @@ def run_retrieval_ablation(instances: list[QuestionInstance], view: ReconciledVi
     """R-Precision per scope level, split by filing and aggregated."""
     units = retrieval_units(instances, view)
     indexes = build_scope_indexes(view, embedder, registry, kinds)
-    query_vecs = {}
-    for unit in units:
-        if unit.query_text not in query_vecs:
-            query_vecs[unit.query_text] = embedder.embed(unit.query_text)
+    texts = list(dict.fromkeys(unit.query_text for unit in units))
+    query_vecs = dict(zip(texts, embedder.embed_batch(texts))) if texts else {}
 
     scopes_out: dict[str, dict] = {}
     per_unit: dict[str, list[float]] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import threading
 from dataclasses import dataclass, replace
@@ -132,20 +133,47 @@ def decompose(query: Query, gateway) -> SubQuerySet:
 class LongTermMemory:
     """Query-text-keyed plan store. Keys are case- and whitespace-insensitive.
     With a path, every store appends a JSON line; loading keeps the last
-    entry per key, and compact() rewrites the file to one line per key."""
+    entry per key, and compact() rewrites the file to one line per key.
+
+    A final line without its newline that does not parse is what a crash
+    mid-append leaves: loading cuts it from the journal and counts it in
+    ``torn_lines``. A bad line anywhere else raises ValueError."""
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._plans: dict[str, Plan] = {}
         self._lock = threading.Lock()
+        self.torn_lines = 0
         if self.path is not None and self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    doc = json.loads(line)
-                    self._plans[doc["key"]] = plan_from_dict(doc["plan"])
+            self._load()
+
+    def _load(self) -> None:
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        lines = data.split(b"\n")
+        tail = lines.pop()  # empty when the journal ends with a newline
+        for lineno, line in enumerate(lines, 1):
+            if line.strip():
+                self._load_line(line, lineno)
+        if not tail.strip():
+            return
+        try:
+            json.loads(tail)
+        except ValueError:  # JSONDecodeError, or UTF-8 cut mid-character
+            self.torn_lines += 1
+            os.truncate(self.path, len(data) - len(tail))
+            return
+        self._load_line(tail, len(lines) + 1)
+        with open(self.path, "ab") as fh:  # so the next append starts a line
+            fh.write(b"\n")
+
+    def _load_line(self, line: bytes, lineno: int) -> None:
+        try:
+            doc = json.loads(line)
+            self._plans[doc["key"]] = plan_from_dict(doc["plan"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"memory journal {self.path} line {lineno} is corrupt: {exc!r}") from exc
 
     @staticmethod
     def normalize(text: str) -> str:
@@ -172,10 +200,20 @@ class LongTermMemory:
         with self._lock:
             if self.path is None:
                 return
-            with open(self.path, "w", encoding="utf-8") as fh:
-                for key in sorted(self._plans):
-                    doc = {"key": key, "plan": plan_to_dict(self._plans[key])}
-                    fh.write(json.dumps(doc, sort_keys=True) + "\n")
+            # Written beside the journal and renamed over it, so a crash
+            # leaves either the old journal or the new one.
+            tmp = self.path.with_name(self.path.name + ".compact")
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    for key in sorted(self._plans):
+                        doc = {"key": key, "plan": plan_to_dict(self._plans[key])}
+                        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
     def __len__(self) -> int:
         with self._lock:

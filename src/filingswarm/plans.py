@@ -22,6 +22,10 @@ Execution semantics, fixed here because they matter for scoring:
 - Return coerces: scalar stays Scalar, a single-column table becomes a
   ListValue, anything else a TableValue.
 - supporting_record_ids is the union of every Retrieve step's matches.
+
+A Retrieve narrows on its eq filters through the view's equality index
+(``ReconciledView.eq_index``) and re-checks every filter, so its matches and
+their order are exactly those of a full table scan.
 """
 from __future__ import annotations
 
@@ -461,9 +465,32 @@ def _matches(value: Any, flt: Filter) -> bool:
     return True
 
 
+def _is_index_key(value: Any) -> bool:
+    """Whether a dict lookup of ``value`` finds every value equal to it:
+    it must be hashable and equal to itself, which excludes NaN."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return value == value
+
+
 def matching_records(view: ReconciledView, step: Retrieve) -> list:
-    """Records a retrieve step would touch, before column projection."""
-    return [r for r in view.table_records(step.table)
+    """Records a retrieve step would touch, before column projection, in
+    table order.
+
+    Candidates are the shortest equality posting list among the eq filters
+    whose value is an index key. Equal JSON scalars hash equal, and an
+    unhashable record value never equals a hashable one, so no match is
+    lost; every filter is then re-checked on each candidate."""
+    candidates = view.table_records(step.table)
+    for f in step.filters:
+        if f.op != "eq" or not _is_index_key(f.value):
+            continue
+        posting = view.eq_index(step.table, f.field).get(f.value, [])
+        if len(posting) < len(candidates):
+            candidates = posting
+    return [r for r in candidates
             if all(_matches(r.fields.get(f.field), f) for f in step.filters)]
 
 
@@ -486,10 +513,9 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
             schema = registry.table(s.table)
             cols = s.columns if s.columns is not None else tuple(schema.field_names)
             out = _Rows(tuple(cols))
-            for record in view.table_records(s.table):
-                if all(_matches(record.fields.get(f.field), f) for f in s.filters):
-                    support.add(record.record_id)
-                    out.rows.append({c: record.fields.get(c) for c in cols})
+            for record in matching_records(view, s):
+                support.add(record.record_id)
+                out.rows.append({c: record.fields.get(c) for c in cols})
             values[s.step_id] = out
         elif isinstance(s, Aggregate):
             rows_in: _Rows = values[s.input_step]

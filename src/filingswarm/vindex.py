@@ -440,7 +440,7 @@ def load_index(path: str | Path) -> tuple[FlatIndex, str]:
     header_end = blob.find(b"\n", len(_MAGIC))
     if header_end < 0:
         raise IndexError_("snapshot truncated in its header")
-    header = json.loads(blob[len(_MAGIC):header_end].decode("utf-8"))
+    header = _parse_header(blob[len(_MAGIC):header_end])
     dim = header["dim"]
     count = header["count"]
     vec_bytes = count * dim * 4
@@ -452,7 +452,29 @@ def load_index(path: str | Path) -> tuple[FlatIndex, str]:
     ids_blob = blob[vec_start + vec_bytes:]
     if len(ids_blob) != header["ids_bytes"]:
         raise IndexError_("snapshot truncated")
-    record_ids = ids_blob.decode("utf-8").split("\n") if ids_blob else []
-    index = FlatIndex(scope=IndexScope.parse(header["scope"]), dim=dim,
+    try:
+        record_ids = ids_blob.decode("utf-8").split("\n") if ids_blob else []
+    except UnicodeDecodeError as exc:
+        raise IndexError_(f"snapshot id table is not UTF-8: {exc}") from None
+    index = FlatIndex(scope=header["scope"], dim=dim,
                       record_ids=record_ids, vectors=vectors)
     return index, header["embedder"]
+
+
+def _parse_header(raw: bytes) -> dict:
+    """The snapshot header, checked field by field; ``scope`` is parsed."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise IndexError_(f"snapshot header is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise IndexError_("snapshot header is not a JSON object")
+    for name in ("dim", "count", "ids_bytes"):
+        value = header.get(name)
+        if type(value) is not int or value < 0:
+            raise IndexError_(f"snapshot header {name} must be a non-negative integer")
+    for name in ("scope", "embedder"):
+        if not isinstance(header.get(name), str):
+            raise IndexError_(f"snapshot header {name} must be a string")
+    header["scope"] = IndexScope.parse(header["scope"])
+    return header

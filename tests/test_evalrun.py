@@ -183,6 +183,14 @@ def test_scope_index_unknown_kind_rejected(small_view, registry):
     assert embedder.batches == 0
 
 
+def test_retrieval_ablation_embeds_queries_in_one_batch(bench, small_view, registry):
+    embedder = _CountingEmbedder(64)
+    report = run_retrieval_ablation(bench, small_view, embedder, registry)
+    assert embedder.batches == 2  # the records, then the distinct query texts
+    assert report == run_retrieval_ablation(bench, small_view,
+                                            HashFeatureEmbedder(64), registry)
+
+
 def test_retrieval_ablation_narrower_scope_never_hurts(bench, small_view, registry):
     report = run_retrieval_ablation(bench, small_view,
                                     HashFeatureEmbedder(64), registry)

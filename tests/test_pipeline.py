@@ -6,6 +6,8 @@ failure-path guarantees use small scripted providers instead.
 """
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatResponse, FixtureMissError
+from filingswarm import pipeline
 from filingswarm.pipeline import (
     Finding,
     LongTermMemory,
@@ -196,6 +199,83 @@ def test_memory_persists_appends_and_compacts(tmp_path):
     reloaded.compact()
     assert len(path.read_text().splitlines()) == 2
     assert LongTermMemory(path).lookup("q").steps[0].table == "adv_brokers"
+
+
+def _journal(tmp_path, n=3):
+    path = tmp_path / "memory.jsonl"
+    memory = LongTermMemory(path)
+    for i in range(n):
+        memory.store(f"q{i}", _tiny_plan())
+    return path
+
+
+@pytest.mark.parametrize("cut", [1, 10, -2, -1])
+def test_memory_skips_and_cuts_a_torn_final_line(tmp_path, cut):
+    path = _journal(tmp_path)
+    whole = path.read_bytes()
+    last_start = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+    path.write_bytes(whole[:last_start + cut] if cut > 0 else whole[:cut - 1])
+    memory = LongTermMemory(path)
+    assert memory.torn_lines == 1
+    assert len(memory) == 2 and memory.lookup("q2") is None
+    assert path.read_bytes() == whole[:last_start]
+    memory.store("q3", _tiny_plan())
+    again = LongTermMemory(path)
+    assert again.torn_lines == 0
+    assert {k for k in ("q0", "q1", "q2", "q3") if again.lookup(k)} == {"q0", "q1", "q3"}
+
+
+def test_memory_keeps_a_whole_final_line_without_its_newline(tmp_path):
+    path = _journal(tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])
+    memory = LongTermMemory(path)
+    assert memory.torn_lines == 0 and len(memory) == 3
+    memory.store("q3", _tiny_plan())
+    assert len(LongTermMemory(path)) == 4
+
+
+@pytest.mark.parametrize("damage", [b"{not json", b'{"key": "q9"}', b"\xff\xfe", b"[1]"])
+def test_memory_raises_on_a_bad_line_mid_file(tmp_path, damage):
+    path = _journal(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = damage
+    path.write_bytes(b"\n".join(lines))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="line 2 is corrupt"):
+        LongTermMemory(path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_memory_compact_leaves_the_old_or_the_new_journal(tmp_path, monkeypatch, fail_at):
+    path = _journal(tmp_path)
+    memory = LongTermMemory(path)
+    memory.store("q0", _tiny_plan("adv_brokers"))
+    old = path.read_bytes()
+    real_plan_to_dict = pipeline.plan_to_dict
+    calls = []
+
+    def second_line_fails(plan):
+        calls.append(plan)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_plan_to_dict(plan)
+
+    if fail_at == "write":
+        monkeypatch.setattr(pipeline, "plan_to_dict", second_line_fails)
+    else:
+        monkeypatch.setattr(pipeline.os, "replace", mock.Mock(side_effect=OSError("crash")))
+    with pytest.raises(OSError):
+        memory.compact()
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.jsonl"]
+
+    memory.compact()
+    new = path.read_bytes()
+    assert len(new.splitlines()) == 3 and new != old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.jsonl"]
+    assert LongTermMemory(path).lookup("q0").steps[0].table == "adv_brokers"
 
 
 # ---------------------------------------------------------------------------

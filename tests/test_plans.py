@@ -4,14 +4,17 @@ All expected numbers are computed by hand from the micro corpus below.
 """
 from __future__ import annotations
 
+import sys
+import threading
 from datetime import date
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filingswarm.corpus.records import CorpusStore, FilingRecord
-from filingswarm.corpus.reconcile import reconcile
+from filingswarm.corpus.reconcile import ReconciledView, reconcile
 from filingswarm.corpus.schema import FilingType, load_default_registry
 from filingswarm.plans import (
     Aggregate,
@@ -34,6 +37,7 @@ from filingswarm.plans import (
     plan_to_json,
     validate_plan,
 )
+from filingswarm.plans import _matches
 
 REGISTRY = load_default_registry()
 P1 = date(2023, 3, 31)
@@ -460,3 +464,117 @@ def test_random_linear_plans_round_trip(functions, op):
     steps.append(Return(step_id="ret", input_step=prev_scalar))
     plan = Plan(tuple(steps))
     assert plan_from_json(plan_to_json(plan)) == plan
+
+
+# --- retrieve pushdown -------------------------------------------------------
+
+def _scan(view, step):
+    """Reference: the plain table scan every retrieve used to run."""
+    return [r for r in view.table_records(step.table)
+            if all(_matches(r.fields.get(f.field), f) for f in step.filters)]
+
+
+class _RecordingView(ReconciledView):
+    """Notes every (table, field) whose equality index is consulted."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked_up = []
+
+    def eq_index(self, table_id, field):
+        self.looked_up.append((table_id, field))
+        return super().eq_index(table_id, field)
+
+
+_MISSING = object()
+_NAN = float("nan")
+_FIELDS = ("a", "b", "c")
+# JSON values whose equality is easy to get wrong through a dict: 1, 1.0 and
+# True are equal and hash alike, NaN equals nothing (a shared NaN object is
+# still found by identity), lists are unhashable.
+_VALUES = st.one_of(
+    st.sampled_from([None, 0, 1, 1.0, True, False, 0.0, -1, 2.5, "x", "X", "xy", "",
+                     _NAN, [1], [1, 2], [], ["x"]]),
+    st.floats(allow_nan=True, allow_infinity=False, width=16),
+    st.integers(-2, 2),
+    st.text(alphabet="xyX", max_size=2))
+
+
+def _free_view(rows, cls=ReconciledView):
+    """A view over records that skip schema validation: the rows in table
+    "t", a field left out where the row holds _MISSING, and one record of
+    another table that no step on "t" may return."""
+    records = [
+        FilingRecord(record_id=f"R{i}", accession_id="ACC", filing_type=FilingType.NCEN,
+                     table_id="t", filer_id="F", period=P1, is_amendment=False,
+                     amends=None,
+                     fields={k: v for k, v in row.items() if v is not _MISSING})
+        for i, row in enumerate(rows)]
+    records.append(FilingRecord(record_id="OTHER", accession_id="ACC",
+                                filing_type=FilingType.NCEN, table_id="u", filer_id="F",
+                                period=P1, is_amendment=False, amends=None,
+                                fields={"a": 1}))
+    store = SimpleNamespace(registry=REGISTRY, records=records)
+    return cls(store, {"ACC"})
+
+
+_filters = st.one_of(  # eq listed twice, so most steps use the index
+    st.builds(Filter, st.sampled_from(_FIELDS), st.just("eq"), _VALUES),
+    st.builds(Filter, st.sampled_from(_FIELDS), st.just("eq"), _VALUES),
+    st.builds(Filter, st.sampled_from(_FIELDS), st.just("contains"),
+              st.sampled_from(["x", "X", "1", "", "tru", "nan"])),
+    st.builds(Filter, st.sampled_from(_FIELDS), st.just("range"),
+              st.tuples(st.sampled_from([None, 0, 1, "x", -0.5]),
+                        st.sampled_from([None, 1, 2.5, "xy", True]))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries(
+           {f: st.one_of(st.just(_MISSING), _VALUES) for f in _FIELDS}), max_size=12),
+       steps=st.lists(st.lists(_filters, max_size=4), min_size=1, max_size=4))
+def test_matching_records_equals_plain_scan(rows, steps):
+    view = _free_view(rows, _RecordingView)
+    for filters in steps:
+        step = Retrieve("r1", FilingType.NCEN, "t", tuple(filters))
+        got = matching_records(view, step)
+        assert [r.record_id for r in got] == [r.record_id for r in _scan(view, step)]
+        # Only eq values that a dict lookup finds in full may use the index;
+        # a step with none of them scans the table.
+        usable = {("t", f.field) for f in filters
+                  if f.op == "eq" and not isinstance(f.value, list) and f.value == f.value}
+        assert set(view.looked_up) <= usable
+        view.looked_up.clear()
+
+
+def test_concurrent_first_lookups_match_the_scan():
+    rows = [{"a": i % 7, "b": f"v{i % 5}", "c": None if i % 3 else i} for i in range(3000)]
+    step = Retrieve("r1", FilingType.NCEN, "t",
+                    (Filter("a", "eq", 3), Filter("b", "eq", "v2"), Filter("c", "eq", None)))
+    expected = [r.record_id for r in _scan(_free_view(rows), step)]
+    assert expected
+    n_threads = 8
+
+    def first_calls_on_fresh_view():
+        view = _free_view(rows)
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def worker(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [r.record_id for r in matching_records(view, step)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        return results
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert first_calls_on_fresh_view() == [expected] * n_threads
+    finally:
+        sys.setswitchinterval(old)

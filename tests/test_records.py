@@ -134,10 +134,12 @@ def test_export_ingest_round_trip_synthetic(registry, small_store, tmp_path):
 
 
 def test_embedding_text_sorted_and_null_free():
-    record = make_record(fields={"advisor_name": "Zeta", "advisor_id": "A",
+    record = make_record(fields={"advisor_name": "Zéta", "advisor_id": "A",
                                  "regulatory_aum": None,
                                  "period": PERIOD.isoformat()})
     text = to_embedding_text(record)
+    assert text == ('{"fields": {"advisor_id": "A", "advisor_name": "Z\\u00e9ta", '
+                    '"period": "%s"}, "table": "adv_entity"}' % PERIOD.isoformat())
     doc = json.loads(text)
     assert list(doc) == ["fields", "table"]
     assert "regulatory_aum" not in doc["fields"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import zlib
 from unittest import mock
@@ -223,8 +224,44 @@ def test_snapshot_detects_truncation_and_bad_magic(small_view, tmp_path):
         load_index(path)
 
 
-@pytest.mark.parametrize("where", ["header", "vector block", "vector block, whole floats",
-                                   "id table"])
+def _with_header(blob, vec_start, **changes):
+    """The snapshot with header fields replaced, or removed where None."""
+    header = json.loads(blob[len(b"FSIDX1\n"):vec_start - 1])
+    for name, value in changes.items():
+        if value is None:
+            del header[name]
+        else:
+            header[name] = value
+    return b"FSIDX1\n" + json.dumps(header).encode() + blob[vec_start - 1:]
+
+
+_DAMAGE = {
+    "header": (lambda b, v: b[:v - 10], "truncated"),
+    "vector block": (lambda b, v: b[:v + 10], "truncated"),
+    "vector block, whole floats": (lambda b, v: b[:v + 8], "truncated"),
+    "id table": (lambda b, v: b[:-1], "truncated"),
+    "header not JSON": (lambda b, v: b[:8] + b"#" + b[9:], "not UTF-8 JSON"),
+    "header not UTF-8": (lambda b, v: b[:8] + b"\xff" + b[9:], "not UTF-8 JSON"),
+    "header not an object": (lambda b, v: b"FSIDX1\n[1, 2]" + b[v - 1:], "not a JSON object"),
+    "dim missing": (lambda b, v: _with_header(b, v, dim=None), "dim"),
+    "dim a string": (lambda b, v: _with_header(b, v, dim="8"), "dim"),
+    "dim a bool": (lambda b, v: _with_header(b, v, dim=True), "dim"),
+    "count missing": (lambda b, v: _with_header(b, v, count=None), "count"),
+    "count negative": (lambda b, v: _with_header(b, v, count=-1), "count"),
+    "count a float": (lambda b, v: _with_header(b, v, count=2.0), "count"),
+    "ids_bytes missing": (lambda b, v: _with_header(b, v, ids_bytes=None), "ids_bytes"),
+    "ids_bytes a list": (lambda b, v: _with_header(b, v, ids_bytes=[3]), "ids_bytes"),
+    "scope missing": (lambda b, v: _with_header(b, v, scope=None), "scope"),
+    "scope a number": (lambda b, v: _with_header(b, v, scope=7), "scope"),
+    "scope unknown kind": (lambda b, v: _with_header(b, v, scope="shelf:x"), "scope kind"),
+    "scope without key": (lambda b, v: _with_header(b, v, scope="table"), "requires a key"),
+    "embedder missing": (lambda b, v: _with_header(b, v, embedder=None), "embedder"),
+    "embedder a list": (lambda b, v: _with_header(b, v, embedder=["h"]), "embedder"),
+    "id table not UTF-8": (lambda b, v: b[:-1] + b"\xff", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("where", list(_DAMAGE))
 def test_truncated_snapshot_raises_index_error(small_view, tmp_path, where):
     embedder = HashFeatureEmbedder(8)
     index = build_index(small_view, IndexScope.parse("table:adv_entity"), embedder)
@@ -232,12 +269,9 @@ def test_truncated_snapshot_raises_index_error(small_view, tmp_path, where):
     save_index(index, path, embedder.fingerprint)
     blob = path.read_bytes()
     vec_start = blob.index(b"\n", len(b"FSIDX1\n")) + 1
-    cut = {"header": vec_start - 10,
-           "vector block": vec_start + 10,
-           "vector block, whole floats": vec_start + 8,
-           "id table": len(blob) - 1}[where]
-    path.write_bytes(blob[:cut])
-    with pytest.raises(IndexError_, match="truncated"):
+    damage, message = _DAMAGE[where]
+    path.write_bytes(damage(blob, vec_start))
+    with pytest.raises(IndexError_, match=message):
         load_index(path)
 
 
