@@ -102,15 +102,22 @@ def reconcile(store: CorpusStore) -> ReconciledView:
         amends_of[acc] = target
         amended_by.setdefault(target, []).append(acc)
 
-    # Cycle check: follow amends pointers from every amendment.
+    # Cycle check: follow amends pointers from every amendment until a root
+    # or an accession already proven to reach one, so each link is walked
+    # once. A walk that meets its own path has found a cycle through that
+    # accession.
+    grounded: set[str] = set()
     for start in amends_of:
-        seen = {start}
-        node = start
-        while node in amends_of:
-            node = amends_of[node]
-            if node in seen:
+        path = [start]
+        on_path = {start}
+        node = amends_of[start]
+        while node in amends_of and node not in grounded:
+            if node in on_path:
                 raise ReconciliationError(f"cyclic amendment chain through accession {node}")
-            seen.add(node)
+            path.append(node)
+            on_path.add(node)
+            node = amends_of[node]
+        grounded.update(path)
 
     visible: set[str] = set()
     for acc in store.by_accession:

@@ -1,39 +1,2 @@
 """Completion provider gateway: one abstraction over rule-based, scripted,
 and remote text-generation backends."""
-from .deterministic import DeterministicProvider
-from .providers import (
-    Provider,
-    RecordingProvider,
-    RemoteProvider,
-    ScriptedProvider,
-    classify_quality,
-    load_fixtures,
-    save_fixtures,
-)
-from .types import (
-    ChatRequest,
-    ChatResponse,
-    FixtureMissError,
-    GatewayError,
-    RateLimitError,
-    RemoteError,
-    request_digest,
-)
-
-__all__ = [
-    "ChatRequest",
-    "ChatResponse",
-    "DeterministicProvider",
-    "FixtureMissError",
-    "GatewayError",
-    "Provider",
-    "RateLimitError",
-    "RecordingProvider",
-    "RemoteError",
-    "RemoteProvider",
-    "ScriptedProvider",
-    "classify_quality",
-    "load_fixtures",
-    "request_digest",
-    "save_fixtures",
-]

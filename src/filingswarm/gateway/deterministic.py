@@ -6,15 +6,19 @@ recognizes get full routing and planning treatment; anything else falls back
 to keyword scoring, and scoreless prompts get a refusal the callers treat as
 a parse failure. The rules are intentionally coupled to the default schema
 registry; this provider is the offline analyst for that corpus domain, not a
-general model.
+general model. It plans a recognized stem with the question bench's canonical
+plan, except the annual-report stem, whose wording it can only guess at
+without reading the corpus.
 """
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass
 
+from ..corpus.schema import FilingType
+from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
+from ..questbench import TEMPLATES
 from .types import ChatRequest, ChatResponse, GatewayError
 
 REFUSAL = "none of these"
@@ -34,20 +38,26 @@ _FILLERS = (
 _FILLER_RE = re.compile(r"\b(?:" + "|".join(re.escape(f) for f in _FILLERS) + r")\b[,]?",
                         re.IGNORECASE)
 
-# (template id, phrases that must all appear, ordered (agent, table) routes)
-_TEMPLATES: tuple[tuple[str, tuple[str, ...], tuple[tuple[str, str], ...]], ...] = (
-    ("E0", ("cash equity position",), (("13F", "thirteenf_holdings"),)),
-    ("E1", ("option position",), (("13F", "thirteenf_holdings"),)),
-    ("E2", ("regulatory aum",), (("ADV", "adv_entity"),)),
-    ("E3", ("funds managed by",), (("NCEN", "ncen_fund_registry"),)),
-    ("E4", ("prime broker",), (("ADV", "adv_brokers"),)),
-    ("E5", ("country-level aum",), (("NCEN", "ncen_fund_registry"), ("NPORT", "nport_holdings"))),
-    ("E6", ("money market net assets",), (("NCEN", "ncen_fund_registry"), ("NMFP", "nmfp_fund_info"))),
-    ("H0", ("holdings of instrument type",), (("NPORT", "nport_fund_info"), ("NPORT", "nport_holdings"))),
-    ("H1", ("counterparty split",), (("NCEN", "ncen_fund_registry"), ("NPORT", "nport_derivatives"))),
-    ("H2", ("custom basket",), (("NPORT", "nport_fund_info"), ("NPORT", "nport_derivatives"))),
-    ("H3", ("total assets", "annual report"), (("NCSR", "ncsr_statement_items"),)),
+# (template id, phrases that must all appear)
+_TEMPLATES: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("E0", ("cash equity position",)),
+    ("E1", ("option position",)),
+    ("E2", ("regulatory aum",)),
+    ("E3", ("funds managed by",)),
+    ("E4", ("prime broker",)),
+    ("E5", ("country-level aum",)),
+    ("E6", ("money market net assets",)),
+    ("H0", ("holdings of instrument type",)),
+    ("H1", ("counterparty split",)),
+    ("H2", ("custom basket",)),
+    ("H3", ("total assets", "annual report")),
 )
+
+# ordered (agent, table) gold routes of each template
+_ROUTES: dict[str, tuple[tuple[str, str], ...]] = {
+    template_id: tuple((r.agent.value, r.table) for r in TEMPLATES[template_id].gold_routes)
+    for template_id, _ in _TEMPLATES
+}
 
 _AGENT_KEYWORDS: dict[str, tuple[tuple[str, int], ...]] = {
     "13F": (("institutional manager", 3), ("13f", 2), ("equity position", 2),
@@ -160,11 +170,11 @@ def _parse_prompt(content: str) -> _Prompt:
                    draft_plan, findings)
 
 
-def _match_template(query: str) -> tuple[str, tuple[tuple[str, str], ...]] | None:
+def _match_template(query: str) -> str | None:
     low = query.lower()
-    for template_id, phrases, routes in _TEMPLATES:
+    for template_id, phrases in _TEMPLATES:
         if all(p in low for p in phrases):
-            return template_id, routes
+            return template_id
     return None
 
 
@@ -188,6 +198,19 @@ def _slots(query: str) -> dict[str, str]:
         if m:
             out[name] = m.group(1)
     return out
+
+
+def _guess_total_assets(slots: dict[str, str]) -> Plan:
+    """H3 without the corpus: the annual-report line items are labeled
+    inconsistently across filers; a substring guess is the best a rule can
+    do here, and it does not survive every label style."""
+    return Plan((
+        Retrieve("r1", FilingType.NCSR, "ncsr_statement_items", (
+            Filter("fund_name", "eq", slots["fund"]),
+            Filter("period", "eq", slots["period"]),
+            Filter("label", "contains", "total assets"))),
+        Aggregate("a1", "r1", "sum", value_field="value_usd"),
+        Return("ret", "a1")))
 
 
 class DeterministicProvider:
@@ -231,11 +254,10 @@ class DeterministicProvider:
     # -- decomposition -----------------------------------------------------
 
     def _do_decompose(self, prompt: _Prompt) -> str:
-        matched = _match_template(prompt.query)
+        template_id = _match_template(prompt.query)
         slots = _slots(prompt.query)
         period = slots.get("period", "")
-        if matched and period:
-            template_id = matched[0]
+        if template_id and period:
             helper = {
                 "E5": 'Resolve the fund identifiers registered to manager "{m}" in the fund census for period {p}.',
                 "E6": 'Resolve the money market funds registered to advisor "{a}" for period {p}.',
@@ -267,9 +289,9 @@ class DeterministicProvider:
         return scored[idx][0]
 
     def _do_route_agent(self, prompt: _Prompt) -> str:
-        matched = _match_template(prompt.query)
-        if matched:
-            routes = matched[1]
+        template_id = _match_template(prompt.query)
+        if template_id:
+            routes = _ROUTES[template_id]
             if prompt.covered < len(routes):
                 agent = routes[prompt.covered][0]
                 for cand in prompt.candidates:
@@ -279,9 +301,9 @@ class DeterministicProvider:
         return self._ranked_with_persona(scored, prompt.covered, prompt.persona)
 
     def _do_route_table(self, prompt: _Prompt) -> str:
-        matched = _match_template(prompt.query)
-        if matched:
-            routes = matched[1]
+        template_id = _match_template(prompt.query)
+        if template_id:
+            routes = _ROUTES[template_id]
             if prompt.covered < len(routes):
                 table = routes[prompt.covered][1]
                 if table in prompt.candidates:
@@ -292,176 +314,26 @@ class DeterministicProvider:
     # -- planning ----------------------------------------------------------
 
     def _do_plan(self, prompt: _Prompt) -> str:
-        matched = _match_template(prompt.query)
+        template_id = _match_template(prompt.query)
+        if template_id is None:
+            return "CANNOT PLAN"
         slots = _slots(prompt.query)
-        if not matched or "period" not in slots:
+        if template_id == "E5" and "manager" in slots:
+            # the E5 stem names its advisor "manager"
+            slots["advisor"] = slots["manager"]
+        try:
+            if template_id == "H3":
+                plan = _guess_total_assets(slots)
+            else:
+                plan = TEMPLATES[template_id].plan(None, slots)
+        except KeyError:  # a slot the template needs is not in the text
             return "CANNOT PLAN"
-        builder = getattr(self, f"_plan_{matched[0]}", None)
-        if builder is None:
-            return "CANNOT PLAN"
-        plan = builder(slots)
-        if plan is None:
-            return "CANNOT PLAN"
-        return json.dumps(plan, sort_keys=True)
+        return plan_to_json(plan)
 
     def _do_replan(self, prompt: _Prompt) -> str:
         if prompt.draft_plan:
             return prompt.draft_plan
         return "CANNOT PLAN"
-
-    @staticmethod
-    def _retrieve(step_id: str, agent: str, table: str, filters: list,
-                  columns: list[str] | None = None) -> dict:
-        doc = {"id": step_id, "kind": "retrieve", "agent": agent, "table": table,
-               "filters": filters}
-        if columns is not None:
-            doc["columns"] = columns
-        return doc
-
-    def _plan_E0(self, slots: dict[str, str]) -> dict | None:
-        if "manager" not in slots:
-            return None
-        return {"steps": [
-            self._retrieve("r1", "13F", "thirteenf_holdings", [
-                ["manager_name", "eq", slots["manager"]],
-                ["period", "eq", slots["period"]],
-                ["security_class", "eq", "COM"]]),
-            {"id": "a1", "kind": "aggregate", "input": "r1", "function": "sum",
-             "value_field": "value_usd"},
-            {"id": "ret", "kind": "return", "input": "a1"}]}
-
-    def _plan_E1(self, slots: dict[str, str]) -> dict | None:
-        if "manager" not in slots:
-            return None
-        return {"steps": [
-            self._retrieve("r1", "13F", "thirteenf_holdings", [
-                ["manager_name", "eq", slots["manager"]],
-                ["period", "eq", slots["period"]],
-                ["security_class", "contains", "OPT"]]),
-            {"id": "a1", "kind": "aggregate", "input": "r1", "function": "sum",
-             "value_field": "value_usd"},
-            {"id": "ret", "kind": "return", "input": "a1"}]}
-
-    def _plan_E2(self, slots: dict[str, str]) -> dict | None:
-        if "advisor" not in slots:
-            return None
-        return {"steps": [
-            self._retrieve("r1", "ADV", "adv_entity", [
-                ["advisor_name", "eq", slots["advisor"]],
-                ["period", "eq", slots["period"]]]),
-            {"id": "a1", "kind": "aggregate", "input": "r1", "function": "sum",
-             "value_field": "regulatory_aum"},
-            {"id": "ret", "kind": "return", "input": "a1"}]}
-
-    def _plan_E3(self, slots: dict[str, str]) -> dict | None:
-        if "advisor" not in slots:
-            return None
-        return {"steps": [
-            self._retrieve("r1", "NCEN", "ncen_fund_registry", [
-                ["advisor_name", "eq", slots["advisor"]],
-                ["period", "eq", slots["period"]]], ["fund_name"]),
-            {"id": "ret", "kind": "return", "input": "r1"}]}
-
-    def _plan_E4(self, slots: dict[str, str]) -> dict | None:
-        if "advisor" not in slots:
-            return None
-        return {"steps": [
-            self._retrieve("r1", "ADV", "adv_brokers", [
-                ["advisor_name", "eq", slots["advisor"]],
-                ["relation", "eq", "prime broker"],
-                ["period", "eq", slots["period"]]], ["broker_name"]),
-            {"id": "ret", "kind": "return", "input": "r1"}]}
-
-    def _plan_E5(self, slots: dict[str, str]) -> dict | None:
-        name = slots.get("manager") or slots.get("advisor")
-        if not name:
-            return None
-        p = slots["period"]
-        return {"steps": [
-            self._retrieve("r1", "NCEN", "ncen_fund_registry", [
-                ["advisor_name", "eq", name], ["period", "eq", p]], ["fund_id"]),
-            self._retrieve("r2", "NPORT", "nport_holdings", [
-                ["period", "eq", p]], ["fund_id", "country", "value_usd"]),
-            {"id": "j1", "kind": "join", "left": "r1", "right": "r2", "on": ["fund_id"]},
-            {"id": "g1", "kind": "aggregate", "input": "j1", "function": "groupby-sum",
-             "group_fields": ["country"], "value_field": "value_usd"},
-            {"id": "ret", "kind": "return", "input": "g1"}]}
-
-    def _plan_E6(self, slots: dict[str, str]) -> dict | None:
-        if "advisor" not in slots:
-            return None
-        p = slots["period"]
-        return {"steps": [
-            self._retrieve("r1", "NCEN", "ncen_fund_registry", [
-                ["advisor_name", "eq", slots["advisor"]],
-                ["fund_type", "eq", "money market"],
-                ["period", "eq", p]], ["fund_id", "fund_name"]),
-            self._retrieve("r2", "NMFP", "nmfp_fund_info", [
-                ["period", "eq", p]], ["fund_id", "net_assets"]),
-            {"id": "j1", "kind": "join", "left": "r1", "right": "r2", "on": ["fund_id"]},
-            {"id": "g1", "kind": "aggregate", "input": "j1", "function": "groupby-sum",
-             "group_fields": ["fund_name"], "value_field": "net_assets"},
-            {"id": "ret", "kind": "return", "input": "g1"}]}
-
-    def _plan_H0(self, slots: dict[str, str]) -> dict | None:
-        if "fund" not in slots or "instrument" not in slots:
-            return None
-        p = slots["period"]
-        return {"steps": [
-            self._retrieve("r1", "NPORT", "nport_fund_info", [
-                ["fund_name", "eq", slots["fund"]], ["period", "eq", p]], ["fund_id"]),
-            self._retrieve("r2", "NPORT", "nport_holdings", [
-                ["instrument_type", "eq", slots["instrument"]],
-                ["period", "eq", p]],
-                ["fund_id", "issuer_name", "cusip", "country", "value_usd", "shares"]),
-            {"id": "j1", "kind": "join", "left": "r1", "right": "r2", "on": ["fund_id"]},
-            {"id": "ret", "kind": "return", "input": "j1"}]}
-
-    def _plan_H1(self, slots: dict[str, str]) -> dict | None:
-        if "advisor" not in slots:
-            return None
-        p = slots["period"]
-        return {"steps": [
-            self._retrieve("r1", "NCEN", "ncen_fund_registry", [
-                ["advisor_name", "eq", slots["advisor"]],
-                ["period", "eq", p]], ["fund_id"]),
-            self._retrieve("r2", "NPORT", "nport_derivatives", [
-                ["period", "eq", p]], ["fund_id", "counterparty_name", "notional_value"]),
-            {"id": "j1", "kind": "join", "left": "r1", "right": "r2", "on": ["fund_id"]},
-            {"id": "g1", "kind": "aggregate", "input": "j1", "function": "groupby-sum",
-             "group_fields": ["counterparty_name"], "value_field": "notional_value"},
-            {"id": "ret", "kind": "return", "input": "g1"}]}
-
-    def _plan_H2(self, slots: dict[str, str]) -> dict | None:
-        if "fund" not in slots or "cutoff" not in slots:
-            return None
-        p = slots["period"]
-        return {"steps": [
-            self._retrieve("r1", "NPORT", "nport_fund_info", [
-                ["fund_name", "eq", slots["fund"]], ["period", "eq", p]], ["fund_id"]),
-            self._retrieve("r2", "NPORT", "nport_derivatives", [
-                ["derivative_type", "eq", "custom basket"],
-                ["expiration_date", "range", [None, slots["cutoff"]]],
-                ["period", "eq", p]],
-                ["fund_id", "derivative_type", "counterparty_name", "underlying",
-                 "notional_value", "expiration_date"]),
-            {"id": "j1", "kind": "join", "left": "r1", "right": "r2", "on": ["fund_id"]},
-            {"id": "ret", "kind": "return", "input": "j1"}]}
-
-    def _plan_H3(self, slots: dict[str, str]) -> dict | None:
-        # The annual-report line items are labeled inconsistently across
-        # filers; a substring guess is the best a rule can do here, and it
-        # does not survive every label style.
-        if "fund" not in slots:
-            return None
-        return {"steps": [
-            self._retrieve("r1", "NCSR", "ncsr_statement_items", [
-                ["fund_name", "eq", slots["fund"]],
-                ["period", "eq", slots["period"]],
-                ["label", "contains", "total assets"]]),
-            {"id": "a1", "kind": "aggregate", "input": "r1", "function": "sum",
-             "value_field": "value_usd"},
-            {"id": "ret", "kind": "return", "input": "a1"}]}
 
     # -- variegation -------------------------------------------------------
 

@@ -325,6 +325,7 @@ def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
     records the draft filters actually match, which fields are populated,
     and (given a table index) what a semantic neighborhood search turns up."""
     findings = []
+    query_vector = None  # embedded on the first indexed step, then reused
     for step in plan.steps:
         if not isinstance(step, Retrieve):
             continue
@@ -340,8 +341,10 @@ def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
         neighbors: tuple[str, ...] = ()
         if (table_indexes is not None and embedder is not None
                 and query_text and step.table in table_indexes):
+            if query_vector is None:
+                query_vector = embedder.embed(query_text)
             index = table_indexes[step.table]
-            hits = knn(index, embedder.embed(query_text), min(k, len(index.record_ids)))
+            hits = knn(index, query_vector, min(k, len(index.record_ids)))
             neighbors = tuple(record_id for record_id, _ in hits)
         findings.append(Finding(
             agent=step.agent,

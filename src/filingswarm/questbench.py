@@ -61,7 +61,9 @@ class QuestionTemplate:
     gold_routes: tuple[Route, ...]
     candidates: Callable[[ReconciledView], list[dict]]
     solve: Callable[[ReconciledView, dict], tuple[Answer, frozenset[str]]]
-    plan: Callable[[ReconciledView, dict], Plan]
+    # Only H3 reads the view, for the filer's label wording; the other
+    # templates plan from the slots alone and accept None.
+    plan: Callable[[ReconciledView | None, dict], Plan]
 
 
 @dataclass(frozen=True)
@@ -502,10 +504,6 @@ def _plan_h3(view: ReconciledView, slots: dict) -> Plan:
         Return("ret", "a1")))
 
 
-def _route(ft: FilingType, table: str) -> Route:
-    return Route(ft, table)
-
-
 TEMPLATES: dict[str, QuestionTemplate] = {}
 
 
@@ -516,7 +514,7 @@ def _register(template: QuestionTemplate) -> None:
 _register(QuestionTemplate(
     "E0", "easy",
     'Get the aggregate cash equity positions for manager "{manager}" for period {period}.',
-    "float", (_route(FilingType.THIRTEEN_F, _TF),),
+    "float", (Route(FilingType.THIRTEEN_F, _TF),),
     lambda view: _cands_positions(view, want_option=False),
     lambda view, slots: _solve_positions(view, slots, want_option=False),
     lambda view, slots: _plan_positions(slots, want_option=False)))
@@ -524,7 +522,7 @@ _register(QuestionTemplate(
 _register(QuestionTemplate(
     "E1", "easy",
     'Get the aggregate option positions for manager "{manager}" for period {period}.',
-    "float", (_route(FilingType.THIRTEEN_F, _TF),),
+    "float", (Route(FilingType.THIRTEEN_F, _TF),),
     lambda view: _cands_positions(view, want_option=True),
     lambda view, slots: _solve_positions(view, slots, want_option=True),
     lambda view, slots: _plan_positions(slots, want_option=True)))
@@ -532,65 +530,65 @@ _register(QuestionTemplate(
 _register(QuestionTemplate(
     "E2", "easy",
     'Get the regulatory AUM for advisor "{advisor}" for period {period}.',
-    "float", (_route(FilingType.ADV, "adv_entity"),),
+    "float", (Route(FilingType.ADV, "adv_entity"),),
     _cands_e2, _solve_e2, _plan_e2))
 
 _register(QuestionTemplate(
     "E3", "easy",
     'Get all funds managed by investment advisor "{advisor}" for period {period}.',
-    "list", (_route(FilingType.NCEN, "ncen_fund_registry"),),
+    "list", (Route(FilingType.NCEN, "ncen_fund_registry"),),
     _cands_e3, _solve_e3, _plan_e3))
 
 _register(QuestionTemplate(
     "E4", "easy",
     'Get all prime brokers for advisor "{advisor}" for period {period}.',
-    "list", (_route(FilingType.ADV, "adv_brokers"),),
+    "list", (Route(FilingType.ADV, "adv_brokers"),),
     _cands_e4, _solve_e4, _plan_e4))
 
 _register(QuestionTemplate(
     "E5", "easy",
     'Get the country-level AUM for manager "{advisor}" for period {period}.',
     "dataframe",
-    (_route(FilingType.NCEN, "ncen_fund_registry"),
-     _route(FilingType.NPORT, "nport_holdings")),
+    (Route(FilingType.NCEN, "ncen_fund_registry"),
+     Route(FilingType.NPORT, "nport_holdings")),
     _cands_e5, _solve_e5, _plan_e5))
 
 _register(QuestionTemplate(
     "E6", "easy",
     'Get the money market net assets per fund for advisor "{advisor}" for period {period}.',
     "dataframe",
-    (_route(FilingType.NCEN, "ncen_fund_registry"),
-     _route(FilingType.NMFP, "nmfp_fund_info")),
+    (Route(FilingType.NCEN, "ncen_fund_registry"),
+     Route(FilingType.NMFP, "nmfp_fund_info")),
     _cands_e6, _solve_e6, _plan_e6))
 
 _register(QuestionTemplate(
     "H0", "hard",
     'Get all holdings of instrument type "{instrument}" for fund "{fund}" for period {period}.',
     "dataframe",
-    (_route(FilingType.NPORT, "nport_fund_info"),
-     _route(FilingType.NPORT, "nport_holdings")),
+    (Route(FilingType.NPORT, "nport_fund_info"),
+     Route(FilingType.NPORT, "nport_holdings")),
     _cands_h0, _solve_h0, _plan_h0))
 
 _register(QuestionTemplate(
     "H1", "hard",
     'Calculate the counterparty split for advisor "{advisor}" for period {period}.',
     "dataframe",
-    (_route(FilingType.NCEN, "ncen_fund_registry"),
-     _route(FilingType.NPORT, "nport_derivatives")),
+    (Route(FilingType.NCEN, "ncen_fund_registry"),
+     Route(FilingType.NPORT, "nport_derivatives")),
     _cands_h1, _solve_h1, _plan_h1))
 
 _register(QuestionTemplate(
     "H2", "hard",
     'Identify custom baskets expiring on or before {cutoff} for fund "{fund}" for period {period}.',
     "dataframe",
-    (_route(FilingType.NPORT, "nport_fund_info"),
-     _route(FilingType.NPORT, "nport_derivatives")),
+    (Route(FilingType.NPORT, "nport_fund_info"),
+     Route(FilingType.NPORT, "nport_derivatives")),
     _cands_h2, _solve_h2, _plan_h2))
 
 _register(QuestionTemplate(
     "H3", "hard",
     'Get the total assets from the annual report for fund "{fund}" for period {period}.',
-    "float", (_route(FilingType.NCSR, "ncsr_statement_items"),),
+    "float", (Route(FilingType.NCSR, "ncsr_statement_items"),),
     _cands_h3, _solve_h3, _plan_h3))
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import filingswarm
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.prompts import (
     build_classify_request,
@@ -28,7 +33,8 @@ from filingswarm.gateway.types import (
     GatewayError,
     request_digest,
 )
-from filingswarm.plans import plan_from_json, validate_plan
+from filingswarm.plans import Filter, plan_from_json, validate_plan
+from filingswarm.questbench import ALL_IDS, canonical_plan
 
 E2 = 'Get the regulatory AUM for advisor "Test Advisors LLC" for period 2023-03-31.'
 
@@ -210,6 +216,54 @@ def test_plan_reply_refuses_unknown_question():
     det = DeterministicProvider()
     reply = det.complete(build_plan_request(["Write me a poem."])).content
     assert "CANNOT PLAN" in reply
+
+
+@pytest.mark.parametrize("template_id", [t for t in ALL_IDS if t != "H3"])
+def test_plan_reply_is_the_canonical_plan(template_id, bench, small_view):
+    det = DeterministicProvider()
+    instances = [inst for inst in bench if inst.template_id == template_id]
+    assert instances
+    for inst in instances:
+        reply = det.complete(build_plan_request([inst.text])).content
+        assert plan_from_json(reply).steps == canonical_plan(inst, small_view).steps
+
+
+def test_plan_reply_guesses_the_annual_report_label(bench, small_view, registry):
+    det = DeterministicProvider()
+    instances = [inst for inst in bench if inst.template_id == "H3"]
+    assert instances
+    for inst in instances:
+        plan = plan_from_json(det.complete(build_plan_request([inst.text])).content)
+        validate_plan(plan, registry)
+        assert Filter("label", "contains", "total assets") in plan.steps[0].filters
+        assert plan.steps != canonical_plan(inst, small_view).steps
+
+
+def test_plan_reply_reads_the_e5_manager_as_the_advisor():
+    text = ('Get the country-level AUM for manager "Summit Advisors" '
+            'for period 2024-06-30.')
+    plan = plan_from_json(DeterministicProvider().complete(
+        build_plan_request([text])).content)
+    assert Filter("advisor_name", "eq", "Summit Advisors") in plan.steps[0].filters
+
+
+def test_plan_reply_refuses_a_question_without_its_slot():
+    text = "Get the aggregate cash equity positions for period 2023-03-31."
+    reply = DeterministicProvider().complete(build_plan_request([text])).content
+    assert reply == "CANNOT PLAN"
+
+
+@pytest.mark.parametrize("first", ["filingswarm.questbench",
+                                   "filingswarm.gateway.deterministic"])
+def test_questbench_and_the_provider_import_in_either_order(first):
+    package_root = str(Path(filingswarm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (f"import {first}; import filingswarm.questbench, "
+            "filingswarm.gateway.deterministic")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_replan_echoes_a_plan(registry):

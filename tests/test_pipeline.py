@@ -380,6 +380,43 @@ def test_findings_include_semantic_neighbors_when_indexed(registry, small_view):
     assert set(neighbors) <= set(index.record_ids)
 
 
+class _CountingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+def test_findings_embed_the_query_once_per_call(registry, small_view):
+    embedder = HashFeatureEmbedder(32)
+    steps = (Retrieve("r1", FilingType.parse("13F"), "thirteenf_holdings"),
+             Retrieve("r2", FilingType.parse("ADV"), "adv_entity"))
+    indexes = {s.table: build_index(small_view, IndexScope.table(s.table), embedder)
+               for s in steps}
+    expected = tuple(
+        finding for step in steps
+        for finding in gather_swarm_intelligence(
+            Plan((step, Return("ret", step.step_id))), small_view, registry,
+            query_text="option positions", table_indexes=indexes,
+            embedder=embedder, k=5))
+    counting = _CountingEmbedder(embedder)
+    findings = gather_swarm_intelligence(
+        Plan(steps + (Return("ret", "r1"),)), small_view, registry,
+        query_text="option positions", table_indexes=indexes,
+        embedder=counting, k=5)
+    assert counting.calls == 1
+    assert findings == expected
+    assert all(len(f.semantic_neighbor_ids) == 5 for f in findings)
+
+    gather_swarm_intelligence(
+        Plan(steps + (Return("ret", "r1"),)), small_view, registry,
+        query_text="option positions", table_indexes={}, embedder=counting)
+    assert counting.calls == 1  # no step has a table index
+
+
 def test_findings_lines_format():
     finding = Finding(
         agent=FilingType.parse("13F"), table_id="thirteenf_holdings",

@@ -2,6 +2,7 @@
 and rejection of malformed chains."""
 from __future__ import annotations
 
+import re
 from datetime import date
 
 import pytest
@@ -149,3 +150,59 @@ def test_reconcile_is_deterministic():
     b = reconcile(build(records))
     assert [r.record_id for r in a.records] == [r.record_id for r in b.records]
     assert a.visible_accessions == b.visible_accessions
+
+
+# --- property: random amends maps with self-links, branches and cycles -------
+
+def reference_visible(amends):
+    """A leaf accession is visible when it wins the greatest-accession
+    tie-break at every link up to its root."""
+    amenders = {}
+    for acc, target in amends.items():
+        if target is not None:
+            amenders.setdefault(target, []).append(acc)
+    visible = set()
+    for acc in amends:
+        if acc in amenders:
+            continue  # superseded
+        node = acc
+        while amends[node] is not None and node == max(amenders[amends[node]]):
+            node = amends[node]
+        if amends[node] is None:
+            visible.add(acc)
+    return visible
+
+
+def cycle_members(amends):
+    members = set()
+    for acc in amends:
+        node = amends[acc]
+        for _ in range(len(amends)):
+            if node is None:
+                break
+            if node == acc:
+                members.add(acc)
+                break
+            node = amends[node]
+    return members
+
+
+amends_maps = st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.one_of(st.none(), st.integers(0, n - 1)), min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(amends_maps)
+def test_random_amends_maps_reconcile_or_name_a_cycle(targets):
+    amends = {f"ACC{i}": None if t is None else f"ACC{t}"
+              for i, t in enumerate(targets)}
+    store = build([adv_record(f"R{i}", acc, amends=target)
+                   for i, (acc, target) in enumerate(amends.items())])
+    members = cycle_members(amends)
+    if members:
+        with pytest.raises(ReconciliationError, match="cyclic") as exc:
+            reconcile(store)
+        assert re.search(r"accession (\S+)$", str(exc.value)).group(1) in members
+    else:
+        view = reconcile(store)
+        assert {r.accession_id for r in view.records} == reference_visible(amends)
