@@ -102,22 +102,15 @@ def reconcile(store: CorpusStore) -> ReconciledView:
         amends_of[acc] = target
         amended_by.setdefault(target, []).append(acc)
 
-    # Cycle check: follow amends pointers from every amendment until a root
-    # or an accession already proven to reach one, so each link is walked
-    # once. A walk that meets its own path has found a cycle through that
-    # accession.
-    grounded: set[str] = set()
+    # Cycle check: follow amends pointers from every amendment.
     for start in amends_of:
-        path = [start]
-        on_path = {start}
-        node = amends_of[start]
-        while node in amends_of and node not in grounded:
-            if node in on_path:
-                raise ReconciliationError(f"cyclic amendment chain through accession {node}")
-            path.append(node)
-            on_path.add(node)
+        seen = {start}
+        node = start
+        while node in amends_of:
             node = amends_of[node]
-        grounded.update(path)
+            if node in seen:
+                raise ReconciliationError(f"cyclic amendment chain through accession {node}")
+            seen.add(node)
 
     visible: set[str] = set()
     for acc in store.by_accession:

@@ -53,12 +53,6 @@ _TEMPLATES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("H3", ("total assets", "annual report")),
 )
 
-# ordered (agent, table) gold routes of each template
-_ROUTES: dict[str, tuple[tuple[str, str], ...]] = {
-    template_id: tuple((r.agent.value, r.table) for r in TEMPLATES[template_id].gold_routes)
-    for template_id, _ in _TEMPLATES
-}
-
 _AGENT_KEYWORDS: dict[str, tuple[tuple[str, int], ...]] = {
     "13F": (("institutional manager", 3), ("13f", 2), ("equity position", 2),
             ("option", 1), ("shares", 1)),
@@ -291,9 +285,9 @@ class DeterministicProvider:
     def _do_route_agent(self, prompt: _Prompt) -> str:
         template_id = _match_template(prompt.query)
         if template_id:
-            routes = _ROUTES[template_id]
+            routes = TEMPLATES[template_id].gold_routes
             if prompt.covered < len(routes):
-                agent = routes[prompt.covered][0]
+                agent = routes[prompt.covered].agent.value
                 for cand in prompt.candidates:
                     if cand.upper().replace("-", "") == agent.upper().replace("-", ""):
                         return cand
@@ -303,9 +297,9 @@ class DeterministicProvider:
     def _do_route_table(self, prompt: _Prompt) -> str:
         template_id = _match_template(prompt.query)
         if template_id:
-            routes = _ROUTES[template_id]
+            routes = TEMPLATES[template_id].gold_routes
             if prompt.covered < len(routes):
-                table = routes[prompt.covered][1]
+                table = routes[prompt.covered].table
                 if table in prompt.candidates:
                     return table
         scored = _score(prompt.query, _TABLE_KEYWORDS, prompt.candidates)
