@@ -17,6 +17,7 @@ from filingswarm.gateway.prompts import (
     build_replan_request,
     build_rewrite_request,
     build_route_agent_request,
+    build_route_table_request,
     build_variegate_request,
 )
 from filingswarm.gateway.providers import (
@@ -29,12 +30,15 @@ from filingswarm.gateway.providers import (
 )
 from filingswarm.gateway.types import (
     ChatRequest,
+    ChatResponse,
     FixtureMissError,
     GatewayError,
     request_digest,
 )
+from filingswarm.pipeline import Query, SubQuery, SubQuerySet, draft_plan
 from filingswarm.plans import Filter, plan_from_json, validate_plan
 from filingswarm.questbench import ALL_IDS, canonical_plan
+from filingswarm.routing import route_generative
 
 E2 = 'Get the regulatory AUM for advisor "Test Advisors LLC" for period 2023-03-31.'
 
@@ -297,3 +301,97 @@ def test_response_metadata_present():
     assert response.provider_id
     assert response.latency >= 0.0
     assert response.from_cache is False
+
+
+# --- wire format ---------------------------------------------------------------
+# Scripted fixtures are keyed by request digest, so any change to these bytes
+# breaks replay of every recorded transcript.
+
+HELPER = 'Resolve the fund identifier for fund "Alpha Fund" for period 2023-03-31.'
+COVERED = [("ADV", "adv_entity")]
+HISTORY = ["member 0 round 0: ADV/adv_brokers"]
+Q = f"QUERY: {E2}"
+
+WIRE = {
+    "classify": (Q, "classify", 512,
+                 "2ab9e4a22aa89e9040d0adb798d86c01a9bdcadf9edc356e73fbb262fe1e7831"),
+    "rewrite": (Q, "rewrite", 512,
+                "770080e2e43490e3885ac6ab72b76c2927fdd8b011f1c34cd41f6bc2eaada738"),
+    "decompose": (Q, "decompose", 512,
+                  "c6d381ff2479a52854682216e09d93778ff8a066a51d89d5d6bde9d8023d2879"),
+    "route_agent": (
+        f"PERSONA: contrarian checker\n{Q}\nCANDIDATES: 13F | NCSR | ADV\n"
+        "ALREADY: agent=ADV table=adv_entity\nHISTORY:\n- member 0 round 0: ADV/adv_brokers",
+        "route_agent", 512,
+        "ee07dbf49ec6e67789f934578b2352a6f403af22b963c7b548967a7c55f9c725"),
+    "route_table": (
+        f"PERSONA: contrarian checker\n{Q}\nAGENT: ADV\nCANDIDATES: adv_entity | adv_brokers\n"
+        "ALREADY: agent=ADV table=adv_entity\nHISTORY:\n- member 0 round 0: ADV/adv_brokers",
+        "route_table", 512,
+        "cbc7803f0124bfeffe3ba98ddaf15a2333ce1f56a77062d7832a6c9e4558c69a"),
+    "plan": (f"{Q}\nQUERY: {HELPER}", "plan", 2048,
+             "56a27196f2c92c763dd1d175899addbd4b0b3ab1035dd403eebc046d4736aa5b"),
+    "replan": (f'{Q}\nDRAFT_PLAN: {{"steps": []}}\nFINDINGS:\n'
+               "- ADV/adv_entity step r1: 2 records match", "replan", 2048,
+               "0b938f3d7b7b77dbe6e95364aac58cd39df7f5abab01e80249104803bb8f30d9"),
+    "variegate": (f"{Q}\nVARIANT: 2", "variegate", 512,
+                  "e55f66bad2726bfeff58fa458e7c580b6f46af67ad5ab7f5226f622d152f16d9"),
+    "route_retry": (
+        "That reply is not one of the candidates. "
+        "Reply with exactly one candidate name and nothing else.", "route_agent", 512,
+        "c6566afdb788e3ed8df0c003c049e6d4c17137cd476df8c4cfaefca2dd39a7e7"),
+    "plan_retry": (
+        "That plan was rejected (planner declined). "
+        "Reply with only a valid JSON step array.", "plan", 2048,
+        "885e0b3234debbe1d0d2dc73cd2423e33218ed8d1be08a8013f9e5fb77744ec2"),
+}
+
+
+class _Capture:
+    """Replies from a script and keeps every request it was sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return ChatResponse(self.replies.pop(0), "capture")
+
+
+def _wire_request(name, registry):
+    builders = {
+        "classify": lambda: build_classify_request(E2),
+        "rewrite": lambda: build_rewrite_request(E2),
+        "decompose": lambda: build_decompose_request(E2),
+        "route_agent": lambda: build_route_agent_request(
+            E2, ["13F", "NCSR", "ADV"], COVERED, persona="contrarian checker",
+            history=HISTORY),
+        "route_table": lambda: build_route_table_request(
+            E2, "ADV", ["adv_entity", "adv_brokers"], COVERED,
+            persona="contrarian checker", history=HISTORY),
+        "plan": lambda: build_plan_request([E2, HELPER]),
+        "replan": lambda: build_replan_request(
+            E2, '{"steps": []}', ["ADV/adv_entity step r1: 2 records match"]),
+        "variegate": lambda: build_variegate_request(E2, 2),
+    }
+    if name in builders:
+        return builders[name]()
+    if name == "route_retry":
+        capture = _Capture(["hmm, tricky one", "ADV", "adv_entity"])
+        route_generative(E2, capture, registry)
+    else:
+        capture = _Capture(["CANNOT PLAN", json.dumps({"steps": [
+            {"id": "r1", "kind": "retrieve", "agent": "ADV", "table": "adv_entity",
+             "filters": []},
+            {"id": "ret", "kind": "return", "input": "r1"}]})])
+        draft_plan(SubQuerySet(Query(E2, "user", (E2,)), (SubQuery(0, E2),)),
+                   capture, registry)
+    return capture.requests[1]
+
+
+@pytest.mark.parametrize("name", sorted(WIRE))
+def test_wire_format_is_pinned(name, registry):
+    request = _wire_request(name, registry)
+    assert (request.last_user_content(), request.tag, request.max_tokens,
+            request_digest(request)) == WIRE[name]
