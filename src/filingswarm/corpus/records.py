@@ -43,9 +43,6 @@ class FilingRecord:
                 f"record {self.record_id}: amends must be present iff is_amendment is true"
             )
 
-    def field_value(self, name: str) -> Any:
-        return self.fields.get(name)
-
 
 def validate_record(record: FilingRecord, registry: SchemaRegistry) -> None:
     """Check a record's fields against its table schema."""

@@ -24,6 +24,7 @@ import numpy as np
 from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType, SchemaRegistry
 from .gateway.deterministic import REFUSAL
+from .gateway.prompts import parse_prompt
 from .gateway.providers import RecordingProvider
 from .gateway.types import ChatRequest, ChatResponse, FixtureMissError, GatewayError
 from .pipeline import LongTermMemory, PipelineConfig, run_pipeline
@@ -406,18 +407,9 @@ class GoldProvider:
         return self._by_text.get(LongTermMemory.normalize(query))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        lines = request.last_user_content().splitlines()
-        query = ""
-        covered = 0
-        draft = ""
-        for line in lines:
-            if line.startswith("QUERY: ") and not query:
-                query = line[len("QUERY: "):]
-            elif line.startswith("ALREADY: "):
-                covered += 1
-            elif line.startswith("DRAFT_PLAN: "):
-                draft = line[len("DRAFT_PLAN: "):]
-        content = self._dispatch(request.tag, query, covered, draft)
+        prompt = parse_prompt(request.last_user_content())
+        query = prompt.queries[0] if prompt.queries else ""
+        content = self._dispatch(request.tag, query, prompt.covered, prompt.draft_plan)
         return ChatResponse(content=content, provider_id=self.provider_id)
 
     def _dispatch(self, tag: str, query: str, covered: int, draft: str) -> str:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
 
 from ..corpus.schema import FilingType
 from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
 from ..questbench import TEMPLATES
+from .prompts import Prompt, parse_prompt
 from .types import ChatRequest, ChatResponse, GatewayError
 
 REFUSAL = "none of these"
@@ -118,52 +118,6 @@ _RE_PERIOD = re.compile(r'period\s+(\d{4}-\d{2}-\d{2})', re.IGNORECASE)
 _RE_CUTOFF = re.compile(r'(?:before|by)\s+(\d{4}-\d{2}-\d{2})', re.IGNORECASE)
 
 
-@dataclass
-class _Prompt:
-    query: str
-    candidates: list[str]
-    covered: int
-    persona: str
-    variant: int
-    draft_plan: str
-    findings: list[str]
-
-
-def _parse_prompt(content: str) -> _Prompt:
-    queries: list[str] = []
-    candidates: list[str] = []
-    covered = 0
-    persona = ""
-    variant = 1
-    draft_plan = ""
-    findings: list[str] = []
-    in_findings = False
-    for line in content.splitlines():
-        if line.startswith("QUERY: "):
-            queries.append(line[len("QUERY: "):])
-            in_findings = False
-        elif line.startswith("CANDIDATES: "):
-            candidates = [c.strip() for c in line[len("CANDIDATES: "):].split("|")]
-            in_findings = False
-        elif line.startswith("ALREADY: "):
-            covered += 1
-        elif line.startswith("PERSONA: "):
-            persona = line[len("PERSONA: "):]
-        elif line.startswith("VARIANT: "):
-            try:
-                variant = int(line[len("VARIANT: "):])
-            except ValueError:
-                variant = 1
-        elif line.startswith("DRAFT_PLAN: "):
-            draft_plan = line[len("DRAFT_PLAN: "):]
-        elif line.startswith("FINDINGS:"):
-            in_findings = True
-        elif in_findings and line.startswith("- "):
-            findings.append(line[2:])
-    return _Prompt(" ".join(queries), candidates, covered, persona, variant,
-                   draft_plan, findings)
-
-
 def _match_template(query: str) -> str | None:
     low = query.lower()
     for template_id, phrases in _TEMPLATES:
@@ -212,29 +166,29 @@ class DeterministicProvider:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         start = time.perf_counter()
-        prompt = _parse_prompt(request.last_user_content())
+        prompt = parse_prompt(request.last_user_content())
         handler = getattr(self, f"_do_{request.tag}", None)
         if handler is None:
             raise GatewayError(f"no rule for tag {request.tag!r}")
-        content = handler(prompt)
+        content = handler(" ".join(prompt.queries), prompt)
         return ChatResponse(content=content, provider_id=self.provider_id,
                             latency=time.perf_counter() - start)
 
     # -- screening ---------------------------------------------------------
 
-    def _do_classify(self, prompt: _Prompt) -> str:
-        low = prompt.query.lower()
-        has_cue = _CUE_RE.search(prompt.query) is not None
+    def _do_classify(self, query: str, prompt: Prompt) -> str:
+        low = query.lower()
+        has_cue = _CUE_RE.search(query) is not None
         domain = any(phrase in low
                      for rules in _AGENT_KEYWORDS.values()
                      for phrase, _ in rules)
-        domain = domain or _match_template(prompt.query) is not None
+        domain = domain or _match_template(query) is not None
         if has_cue and domain:
             return "non_hallucinatory 0.97"
         return "hallucinatory 0.88"
 
-    def _do_rewrite(self, prompt: _Prompt) -> str:
-        text = _FILLER_RE.sub(" ", prompt.query)
+    def _do_rewrite(self, query: str, prompt: Prompt) -> str:
+        text = _FILLER_RE.sub(" ", query)
         text = " ".join(text.split()).strip(" ,")
         if not text:
             return "Get"
@@ -247,9 +201,9 @@ class DeterministicProvider:
 
     # -- decomposition -----------------------------------------------------
 
-    def _do_decompose(self, prompt: _Prompt) -> str:
-        template_id = _match_template(prompt.query)
-        slots = _slots(prompt.query)
+    def _do_decompose(self, query: str, prompt: Prompt) -> str:
+        template_id = _match_template(query)
+        slots = _slots(query)
         period = slots.get("period", "")
         if template_id and period:
             helper = {
@@ -260,15 +214,11 @@ class DeterministicProvider:
                 "H2": 'Resolve the fund identifier for fund "{f}" for period {p}.',
             }.get(template_id)
             if helper:
-                try:
-                    second = helper.format(m=slots.get("manager", ""),
-                                           a=slots.get("advisor", ""),
-                                           f=slots.get("fund", ""), p=period)
-                except (KeyError, IndexError):
-                    second = None
-                if second:
-                    return f"{prompt.query}\n{second}"
-        return prompt.query
+                second = helper.format(m=slots.get("manager", ""),
+                                       a=slots.get("advisor", ""),
+                                       f=slots.get("fund", ""), p=period)
+                return f"{query}\n{second}"
+        return query
 
     # -- routing -----------------------------------------------------------
 
@@ -282,8 +232,8 @@ class DeterministicProvider:
             idx = 0
         return scored[idx][0]
 
-    def _do_route_agent(self, prompt: _Prompt) -> str:
-        template_id = _match_template(prompt.query)
+    def _do_route_agent(self, query: str, prompt: Prompt) -> str:
+        template_id = _match_template(query)
         if template_id:
             routes = TEMPLATES[template_id].gold_routes
             if prompt.covered < len(routes):
@@ -291,27 +241,27 @@ class DeterministicProvider:
                 for cand in prompt.candidates:
                     if cand.upper().replace("-", "") == agent.upper().replace("-", ""):
                         return cand
-        scored = _score(prompt.query, _AGENT_KEYWORDS, prompt.candidates)
+        scored = _score(query, _AGENT_KEYWORDS, prompt.candidates)
         return self._ranked_with_persona(scored, prompt.covered, prompt.persona)
 
-    def _do_route_table(self, prompt: _Prompt) -> str:
-        template_id = _match_template(prompt.query)
+    def _do_route_table(self, query: str, prompt: Prompt) -> str:
+        template_id = _match_template(query)
         if template_id:
             routes = TEMPLATES[template_id].gold_routes
             if prompt.covered < len(routes):
                 table = routes[prompt.covered].table
                 if table in prompt.candidates:
                     return table
-        scored = _score(prompt.query, _TABLE_KEYWORDS, prompt.candidates)
+        scored = _score(query, _TABLE_KEYWORDS, prompt.candidates)
         return self._ranked_with_persona(scored, 0, prompt.persona)
 
     # -- planning ----------------------------------------------------------
 
-    def _do_plan(self, prompt: _Prompt) -> str:
-        template_id = _match_template(prompt.query)
+    def _do_plan(self, query: str, prompt: Prompt) -> str:
+        template_id = _match_template(query)
         if template_id is None:
             return "CANNOT PLAN"
-        slots = _slots(prompt.query)
+        slots = _slots(query)
         if template_id == "E5" and "manager" in slots:
             # the E5 stem names its advisor "manager"
             slots["advisor"] = slots["manager"]
@@ -324,15 +274,15 @@ class DeterministicProvider:
             return "CANNOT PLAN"
         return plan_to_json(plan)
 
-    def _do_replan(self, prompt: _Prompt) -> str:
+    def _do_replan(self, query: str, prompt: Prompt) -> str:
         if prompt.draft_plan:
             return prompt.draft_plan
         return "CANNOT PLAN"
 
     # -- variegation -------------------------------------------------------
 
-    def _do_variegate(self, prompt: _Prompt) -> str:
-        text = prompt.query
+    def _do_variegate(self, query: str, prompt: Prompt) -> str:
+        text = query
         if prompt.variant % 2 == 1:
             return self._mild_paraphrase(text)
         swapped = text

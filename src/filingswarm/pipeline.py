@@ -22,10 +22,11 @@ from .gateway.prompts import (
     build_decompose_request,
     build_plan_request,
     build_replan_request,
+    build_reprompt,
     build_rewrite_request,
 )
 from .gateway.providers import classify_quality
-from .gateway.types import ChatRequest, FixtureMissError, GatewayError
+from .gateway.types import FixtureMissError, GatewayError
 from .plans import (
     Answer,
     ExecutionError,
@@ -287,14 +288,9 @@ def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
             plan = _parse_plan_reply(content, registry)
         except (PlanError, ValueError) as exc:
             last_error = str(exc)
-            request = ChatRequest(
-                system_prompt=request.system_prompt,
-                messages=request.messages + (
-                    ("assistant", content),
-                    ("user", f"That plan was rejected ({exc}). Reply with only "
-                             "a valid JSON step array.")),
-                max_tokens=request.max_tokens,
-                tag=request.tag)
+            request = build_reprompt(request, content,
+                                     f"That plan was rejected ({exc}). Reply with only "
+                                     "a valid JSON step array.")
             continue
         plan = replace(plan, provenance="draft", source_subquery=parent.text)
         return DraftResult(plan, False, attempts, False)

@@ -24,7 +24,11 @@ import random
 from dataclasses import dataclass, field
 
 from .corpus.schema import FilingType, SchemaRegistry
-from .gateway.prompts import build_route_agent_request, build_route_table_request
+from .gateway.prompts import (
+    build_reprompt,
+    build_route_agent_request,
+    build_route_table_request,
+)
 from .gateway.types import ChatRequest, FixtureMissError, GatewayError
 from .vindex import FlatIndex, knn
 
@@ -152,17 +156,9 @@ def _closed_choice(provider, request: ChatRequest, candidates: list[str]) -> str
     hit = by_norm.get(_normalize_reply(reply).lower())
     if hit is not None:
         return hit
-    retry = ChatRequest(
-        system_prompt=request.system_prompt,
-        messages=request.messages + (
-            ("assistant", reply),
-            ("user", "That reply is not one of the candidates. "
-                     "Reply with exactly one candidate name and nothing else."),
-        ),
-        temperature=request.temperature,
-        max_tokens=request.max_tokens,
-        tag=request.tag,
-    )
+    retry = build_reprompt(request, reply,
+                           "That reply is not one of the candidates. "
+                           "Reply with exactly one candidate name and nothing else.")
     reply = provider.complete(retry).content
     return by_norm.get(_normalize_reply(reply).lower())
 

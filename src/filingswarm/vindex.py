@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import requests
 
 from .corpus.records import to_embedding_text
 from .corpus.reconcile import ReconciledView
@@ -170,40 +169,6 @@ class MappingEmbedder:
         for i, text in enumerate(texts):
             out[i] = self.embed(text)
         return out
-
-
-class RemoteEmbedder:
-    """External embedding API client; same minimal wire shape as the
-    completion endpoint family: {model, input} in, data[i].embedding out."""
-
-    kind = "remote"
-
-    def __init__(self, endpoint: str, model: str, dim: int,
-                 timeout: float = 30.0, session: requests.Session | None = None):
-        self.endpoint = endpoint
-        self.model = model
-        self.dim = dim
-        self.timeout = timeout
-        self.session = session or requests.Session()
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.kind}:{self.model}:{self.dim}"
-
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        resp = self.session.post(self.endpoint,
-                                 json={"model": self.model, "input": list(texts)},
-                                 timeout=self.timeout)
-        resp.raise_for_status()
-        data = resp.json()["data"]
-        out = np.asarray([row["embedding"] for row in data], dtype=np.float32)
-        if out.shape != (len(texts), self.dim):
-            raise IndexError_(f"endpoint returned shape {out.shape}, "
-                              f"expected {(len(texts), self.dim)}")
-        return out
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filingswarm
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.prompts import (
+    Prompt,
     build_classify_request,
     build_decompose_request,
     build_plan_request,
@@ -19,6 +22,7 @@ from filingswarm.gateway.prompts import (
     build_route_agent_request,
     build_route_table_request,
     build_variegate_request,
+    parse_prompt,
 )
 from filingswarm.gateway.providers import (
     RecordingProvider,
@@ -395,3 +399,48 @@ def test_wire_format_is_pinned(name, registry):
     request = _wire_request(name, registry)
     assert (request.last_user_content(), request.tag, request.max_tokens,
             request_digest(request)) == WIRE[name]
+
+
+# Text on one line: none of the boundaries str.splitlines breaks at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_line = st.text(st.characters(exclude_characters=_LINE_BREAKS,
+                              exclude_categories=("Cs",)), max_size=40)
+_candidate = st.text(st.characters(exclude_characters=_LINE_BREAKS + "|",
+                                   exclude_categories=("Cs",)),
+                     min_size=1, max_size=20).map(str.strip).filter(bool)
+
+
+def _parsed(request):
+    return parse_prompt(request.last_user_content())
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=_line)
+def test_single_query_requests_round_trip(query):
+    expected = Prompt([query], [], 0, "", 1, "", [])
+    for build in (build_classify_request, build_rewrite_request, build_decompose_request):
+        assert _parsed(build(query)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=_line, agent=_line, candidates=st.lists(_candidate, min_size=1, max_size=6),
+       covered=st.lists(st.tuples(_line, _line), max_size=4),
+       persona=st.one_of(st.none(), _line), history=st.lists(_line, max_size=4))
+def test_route_requests_round_trip(query, agent, candidates, covered, persona, history):
+    expected = Prompt([query], candidates, len(covered), persona or "", 1, "", [])
+    assert _parsed(build_route_agent_request(
+        query, candidates, covered, persona=persona, history=history)) == expected
+    assert _parsed(build_route_table_request(
+        query, agent, candidates, covered, persona=persona, history=history)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries=st.lists(_line, max_size=4), query=_line, plan_json=_line,
+       findings=st.lists(_line, max_size=5), variant=st.integers())
+def test_plan_replan_and_variegate_requests_round_trip(queries, query, plan_json,
+                                                      findings, variant):
+    assert _parsed(build_plan_request(queries)) == Prompt(queries, [], 0, "", 1, "", [])
+    assert _parsed(build_replan_request(query, plan_json, findings)) == Prompt(
+        [query], [], 0, "", 1, plan_json, findings)
+    assert _parsed(build_variegate_request(query, variant)) == Prompt(
+        [query], [], 0, "", variant, "", [])

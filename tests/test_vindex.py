@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filingswarm
 from filingswarm import vindex
 from filingswarm.vindex import (
     FlatIndex,
@@ -378,3 +383,14 @@ def test_r_precision_equals_precision_and_recall_at_r(data):
     rp = r_precision(retrieved, relevant)
     assert rp == precision_at_k(retrieved, relevant, r)
     assert rp == recall_at_k(retrieved, relevant, r)
+
+
+def test_importing_vindex_does_not_import_requests():
+    package_root = str(Path(filingswarm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, filingswarm.vindex; print('requests' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
