@@ -8,7 +8,8 @@ greatest accession_id wins, which keeps the view deterministic.
 """
 from __future__ import annotations
 
-from typing import Any
+import threading
+from typing import Any, Callable, Hashable, Sized, TypeVar
 
 from .records import CorpusStore, FilingRecord
 
@@ -17,12 +18,17 @@ class ReconciliationError(ValueError):
     pass
 
 
+_Held = TypeVar("_Held", bound=Sized)
+
+
 class ReconciledView:
     """Effective records after amendment reconciliation.
 
     Immutable; safe for concurrent readers. ``records`` preserves the store's
-    insertion order restricted to visible accessions. The equality posting
-    lists of ``eq_index`` are built on first use and cached.
+    insertion order restricted to visible accessions. Two caches fill on
+    first use and never need invalidating, because the records never
+    change: the equality posting lists of ``eq_index``, and ``memo``, which
+    keeps derived results such as the plan executor's retrieve selections.
     """
 
     def __init__(self, store: CorpusStore, visible_accessions: set[str]):
@@ -37,6 +43,9 @@ class ReconciledView:
         for r in self.records:
             self.by_table.setdefault(r.table_id, []).append(r)
         self._eq_index: dict[tuple[str, str], dict[Any, list[FilingRecord]]] = {}
+        self._memo: dict[Hashable, Sized] = {}
+        self._memo_used = 0
+        self._memo_admit = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -61,6 +70,29 @@ class ReconciledView:
             # either sees nothing and builds an equal map, or sees this one.
             self._eq_index[key] = index
         return index
+
+    def memo(self, key: Hashable, build: Callable[[], _Held]) -> _Held:
+        """``build()``, kept under ``key`` so later calls return the same value.
+
+        A value costs one slot plus one per item it holds (``len``), and the
+        memo admits values while the slots in use stay within the view's
+        record count; past that, ``build()`` runs on every miss. A hit takes
+        no lock: each value is published whole by one dict assignment. Only
+        admission locks, to keep the slot count exact, so a concurrent first
+        caller may build a value that is then dropped for the admitted one."""
+        value = self._memo.get(key)
+        if value is not None:
+            return value
+        value = build()
+        cost = 1 + len(value)
+        with self._memo_admit:
+            held = self._memo.get(key)
+            if held is not None:
+                return held
+            if self._memo_used + cost <= len(self.records):
+                self._memo_used += cost
+                self._memo[key] = value
+        return value
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self.by_record_id

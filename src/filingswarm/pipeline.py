@@ -36,11 +36,11 @@ from .plans import (
     Retrieve,
     Return,
     execute_plan,
-    matching_records,
     plan_from_dict,
     plan_from_json,
     plan_to_dict,
     plan_to_json,
+    select_records,
     validate_plan,
 )
 from .routing import route_generative
@@ -325,15 +325,10 @@ def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
     for step in plan.steps:
         if not isinstance(step, Retrieve):
             continue
-        matched = matching_records(view, step)
-        schema = registry.table(step.table)
-        coverage = []
-        for field_name in schema.field_names:
-            if matched:
-                filled = sum(1 for r in matched if r.fields.get(field_name) is not None)
-                coverage.append((field_name, round(filled / len(matched), 3)))
-            else:
-                coverage.append((field_name, 0.0))
+        matched = select_records(view, step)
+        coverage = tuple(
+            (name, round(matched.filled(name) / len(matched), 3) if matched else 0.0)
+            for name in registry.table(step.table).field_names)
         neighbors: tuple[str, ...] = ()
         if (table_indexes is not None and embedder is not None
                 and query_text and step.table in table_indexes):
@@ -347,8 +342,8 @@ def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
             table_id=step.table,
             step_id=step.step_id,
             matched_record_count=len(matched),
-            sample_record_ids=tuple(r.record_id for r in matched[:10]),
-            field_coverage=tuple(coverage),
+            sample_record_ids=matched.record_ids()[:10],
+            field_coverage=coverage,
             semantic_neighbor_ids=neighbors))
     return tuple(findings)
 

@@ -25,16 +25,33 @@ Execution semantics, fixed here because they matter for scoring:
 
 A Retrieve narrows on its eq filters through the view's equality index
 (``ReconciledView.eq_index``) and re-checks every filter, so its matches and
-their order are exactly those of a full table scan.
+their order are exactly those of a full table scan. ``select_records``
+matches each ``(table, filters)`` once per view: the resulting ``Selection``
+is kept in the view's bounded memo (``ReconciledView.memo``, which admits
+selections while they hold no more record references than the view has
+records) and is shared by the investigate stage and the executor. A step is
+memoized only when every filter value is a JSON scalar (None, bool, int,
+float, str) or a range pair of them, and the key holds each value's
+``repr``: values that compare equal but match differently, such as ``1``,
+``1.0`` and ``True`` under contains, or ``0.0`` and ``-0.0``, never share an
+entry. Other steps are matched on every call.
+
+The executor works on columns. A Selection cuts each column tuple, and each
+column's not-None count, on first use; a Retrieve takes its projection from
+those tuples, aggregates read one column, groupby-sum and Join zip columns,
+and only the returned table is zipped back into rows.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from functools import partial
+from operator import is_not
+from typing import Any, Mapping
 
 from .corpus.reconcile import ReconciledView
+from .corpus.records import FilingRecord
 from .corpus.schema import FilingType, SchemaError, SchemaRegistry
 
 FILTER_OPS = ("eq", "contains", "range")
@@ -349,8 +366,9 @@ def _toposort(plan: Plan) -> list[PlanStep]:
     return order
 
 
-def validate_plan(plan: Plan, registry: SchemaRegistry) -> None:
-    """Raise PlanError unless the plan is a well-typed executable DAG."""
+def validate_plan(plan: Plan, registry: SchemaRegistry) -> list[PlanStep]:
+    """Raise PlanError unless the plan is a well-typed executable DAG;
+    return its steps in execution order."""
     order = _toposort(plan)
     returns = [s for s in plan.steps if isinstance(s, Return)]
     if len(returns) != 1:
@@ -433,16 +451,11 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> None:
         raise PlanError(f"unconsumed steps: {', '.join(sorted(dangling))}")
     if ret.step_id in consumed:
         raise PlanError("return step cannot feed another step")
+    return order
 
 
 # ---------------------------------------------------------------------------
 # Execution
-
-@dataclass
-class _Rows:
-    columns: tuple[str, ...]
-    rows: list[dict[str, Any]] = field(default_factory=list)
-
 
 def _matches(value: Any, flt: Filter) -> bool:
     if flt.op == "eq":
@@ -475,14 +488,89 @@ def _is_index_key(value: Any) -> bool:
     return value == value
 
 
-def matching_records(view: ReconciledView, step: Retrieve) -> list:
-    """Records a retrieve step would touch, before column projection, in
-    table order.
+# _present(v) is ``v is not None``; map and filter run it without a Python frame.
+_present = partial(is_not, None)
+_JSON_SCALARS = (type(None), bool, int, float, str)
 
-    Candidates are the shortest equality posting list among the eq filters
-    whose value is an index key. Equal JSON scalars hash equal, and an
-    unhashable record value never equals a hashable one, so no match is
-    lost; every filter is then re-checked on each candidate."""
+
+def _key_index(cols: list[tuple]) -> dict[tuple, list[int]]:
+    """Each key tuple across ``cols`` that holds no None, mapped to its
+    positions in order."""
+    index: dict[tuple, list[int]] = {}
+    for at, key in enumerate(zip(*cols)):
+        if all(map(_present, key)):
+            index.setdefault(key, []).append(at)
+    return index
+
+
+class Selection:
+    """The records one retrieve step matches, in table order. Each column
+    tuple, not-None count, join key index and the record ids are cut on
+    first use and kept, so a selection shared through the view's memo does
+    its per-row work once. Each cut is published whole by one dict
+    assignment; a concurrent first caller may compute an equal one."""
+
+    __slots__ = ("records", "_columns", "_filled", "_key_indexes", "_record_ids")
+
+    def __init__(self, records: list[FilingRecord]):
+        self.records = tuple(records)
+        self._columns: dict[str, tuple] = {}
+        self._filled: dict[str, int] = {}
+        self._key_indexes: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
+        self._record_ids: tuple[str, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def column(self, name: str) -> tuple:
+        """Each record's value of ``name`` (None when missing)."""
+        col = self._columns.get(name)
+        if col is None:
+            col = tuple([r.fields.get(name) for r in self.records])
+            self._columns[name] = col
+        return col
+
+    def filled(self, name: str) -> int:
+        """How many records hold a value other than None for ``name``."""
+        count = self._filled.get(name)
+        if count is None:
+            count = sum(map(_present, self.column(name)))
+            self._filled[name] = count
+        return count
+
+    def key_index(self, fields: tuple[str, ...]) -> dict[tuple, list[int]]:
+        """``_key_index`` over the columns ``fields``."""
+        index = self._key_indexes.get(fields)
+        if index is None:
+            index = _key_index([self.column(f) for f in fields])
+            self._key_indexes[fields] = index
+        return index
+
+    def record_ids(self) -> tuple[str, ...]:
+        ids = self._record_ids
+        if ids is None:
+            ids = self._record_ids = tuple([r.record_id for r in self.records])
+        return ids
+
+
+def _memo_key(step: Retrieve) -> tuple | None:
+    """The view-memo key of a step, or None when a filter value is not a JSON
+    scalar or a range pair of them. Each value is keyed by its ``repr``,
+    which keeps apart values that compare equal but match differently."""
+    key: list = [step.table]
+    for f in step.filters:
+        values = f.value if f.op == "range" else (f.value,)
+        if not all(type(v) in _JSON_SCALARS for v in values):
+            return None
+        key.append((f.field, f.op, repr(f.value)))
+    return tuple(key)
+
+
+def _match(view: ReconciledView, step: Retrieve) -> Selection:
+    """The retrieve loop. Candidates are the shortest equality posting list
+    among the eq filters whose value is an index key. Equal JSON scalars
+    hash equal, and an unhashable record value never equals a hashable one,
+    so no match is lost; every filter is then re-checked on each candidate."""
     candidates = view.table_records(step.table)
     for f in step.filters:
         if f.op != "eq" or not _is_index_key(f.value):
@@ -490,64 +578,107 @@ def matching_records(view: ReconciledView, step: Retrieve) -> list:
         posting = view.eq_index(step.table, f.field).get(f.value, [])
         if len(posting) < len(candidates):
             candidates = posting
-    return [r for r in candidates
-            if all(_matches(r.fields.get(f.field), f) for f in step.filters)]
+    return Selection([r for r in candidates
+                      if all(_matches(r.fields.get(f.field), f) for f in step.filters)])
 
 
-def _group_key(row: dict[str, Any], fields: tuple[str, ...]) -> tuple:
+def select_records(view: ReconciledView, step: Retrieve) -> Selection:
+    """What a retrieve step matches on ``view``, matched once per view when
+    the step has a memo key and the view's memo has room."""
+    key = _memo_key(step)
+    if key is None:
+        return _match(view, step)
+    return view.memo(key, partial(_match, view, step))
+
+
+def matching_records(view: ReconciledView, step: Retrieve) -> list[FilingRecord]:
+    """Records a retrieve step would touch, before column projection, in
+    table order."""
+    return list(select_records(view, step).records)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A table-typed step value: one tuple per column, all of one length.
+    A Retrieve's table keeps its selection, whose rows it holds in order."""
+    columns: tuple[str, ...]
+    data: dict[str, tuple]
+    source: Selection | None = None
+
+    def __len__(self) -> int:
+        return len(self.data[self.columns[0]])
+
+
+def _take(col: tuple, positions: list[int]) -> tuple:
+    return tuple(map(col.__getitem__, positions))
+
+
+def _groupby_sum(table: _Table, group_fields: tuple[str, ...], value_field: str) -> _Table:
     # None sorts before everything else; values are otherwise homogeneous
     # per column, so tuple comparison stays well defined.
-    return tuple((row[f] is not None, row[f]) for f in fields)
+    sums: dict[tuple, float] = {}
+    firsts: dict[tuple, tuple] = {}
+    group_rows = zip(*(table.data[g] for g in group_fields))
+    for group, v in zip(group_rows, table.data[value_field]):
+        key = tuple([(g is not None, g) for g in group])
+        if key not in sums:
+            sums[key] = 0.0
+            firsts[key] = group
+        if v is not None:
+            sums[key] += float(v)
+    keys = sorted(sums)
+    data = {g: tuple([firsts[k][i] for k in keys]) for i, g in enumerate(group_fields)}
+    data[value_field] = tuple([sums[k] for k in keys])
+    return _Table(tuple(group_fields) + (value_field,), data)
+
+
+def _join(left: _Table, right: _Table, on_fields: tuple[str, ...]) -> _Table:
+    """Inner equi-join in left order, then right order; on a column-name
+    collision the left value wins. Null keys never match: the right side's
+    key index leaves them out."""
+    extra = tuple(c for c in right.columns if c not in left.columns)
+    if right.source is not None:
+        by_key = right.source.key_index(on_fields)
+    else:
+        by_key = _key_index([right.data[k] for k in on_fields])
+    left_at: list[int] = []
+    right_at: list[int] = []
+    for i, key in enumerate(zip(*(left.data[k] for k in on_fields))):
+        for j in by_key.get(key, ()):
+            left_at.append(i)
+            right_at.append(j)
+    data = {c: _take(left.data[c], left_at) for c in left.columns}
+    data.update({c: _take(right.data[c], right_at) for c in extra})
+    return _Table(left.columns + extra, data)
 
 
 def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> Answer:
     """Run a validated plan over a reconciled view."""
-    validate_plan(plan, registry)
-    order = _toposort(plan)
+    order = validate_plan(plan, registry)
     values: dict[str, Any] = {}
     support: set[str] = set()
     result: Any = None
 
     for s in order:
         if isinstance(s, Retrieve):
-            schema = registry.table(s.table)
-            cols = s.columns if s.columns is not None else tuple(schema.field_names)
-            out = _Rows(tuple(cols))
-            for record in matching_records(view, s):
-                support.add(record.record_id)
-                out.rows.append({c: record.fields.get(c) for c in cols})
-            values[s.step_id] = out
+            cols = s.columns if s.columns is not None else registry.table(s.table).field_names
+            selected = select_records(view, s)
+            support.update(selected.record_ids())
+            values[s.step_id] = _Table(tuple(cols), {c: selected.column(c) for c in cols},
+                                       selected)
         elif isinstance(s, Aggregate):
-            rows_in: _Rows = values[s.input_step]
+            table_in: _Table = values[s.input_step]
             if s.function == "count":
-                values[s.step_id] = float(len(rows_in.rows))
+                values[s.step_id] = float(len(table_in))
             elif s.function == "sum":
-                values[s.step_id] = float(sum(
-                    row[s.value_field] for row in rows_in.rows
-                    if row[s.value_field] is not None))
+                values[s.step_id] = float(sum(filter(_present, table_in.data[s.value_field])))
             elif s.function == "mean":
-                present = [row[s.value_field] for row in rows_in.rows
-                           if row[s.value_field] is not None]
+                present = list(filter(_present, table_in.data[s.value_field]))
                 if not present:
                     raise ExecutionError(f"step {s.step_id}: mean of empty input")
                 values[s.step_id] = float(sum(present)) / len(present)
             else:
-                groups: dict[tuple, float] = {}
-                originals: dict[tuple, dict[str, Any]] = {}
-                for row in rows_in.rows:
-                    key = _group_key(row, s.group_fields)
-                    if key not in groups:
-                        groups[key] = 0.0
-                        originals[key] = {g: row[g] for g in s.group_fields}
-                    v = row[s.value_field]
-                    if v is not None:
-                        groups[key] += float(v)
-                out = _Rows(tuple(s.group_fields) + (s.value_field,))
-                for key in sorted(groups):
-                    row = dict(originals[key])
-                    row[s.value_field] = groups[key]
-                    out.rows.append(row)
-                values[s.step_id] = out
+                values[s.step_id] = _groupby_sum(table_in, s.group_fields, s.value_field)
         elif isinstance(s, Arithmetic):
             left = values[s.left_step]
             right = values[s.right_step]
@@ -564,26 +695,7 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
             if not math.isfinite(values[s.step_id]):
                 raise ExecutionError(f"step {s.step_id}: non-finite result")
         elif isinstance(s, Join):
-            left: _Rows = values[s.left_step]
-            right: _Rows = values[s.right_step]
-            extra = [c for c in right.columns if c not in left.columns]
-            out = _Rows(tuple(left.columns) + tuple(extra))
-            by_key: dict[tuple, list[dict[str, Any]]] = {}
-            for row in right.rows:
-                key = tuple(row[k] for k in s.on_fields)
-                if any(v is None for v in key):
-                    continue
-                by_key.setdefault(key, []).append(row)
-            for lrow in left.rows:
-                key = tuple(lrow[k] for k in s.on_fields)
-                if any(v is None for v in key):
-                    continue
-                for rrow in by_key.get(key, ()):
-                    merged = dict(lrow)
-                    for c in extra:
-                        merged[c] = rrow[c]
-                    out.rows.append(merged)
-            values[s.step_id] = out
+            values[s.step_id] = _join(values[s.left_step], values[s.right_step], s.on_fields)
         elif isinstance(s, Return):
             result = values[s.input_step]
 
@@ -591,11 +703,10 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
 
 
 def _coerce_answer(value: Any, support: frozenset[str]) -> Answer:
-    if isinstance(value, _Rows):
+    if isinstance(value, _Table):
         if len(value.columns) == 1:
-            col = value.columns[0]
-            items = tuple(str(row[col]) for row in value.rows if row[col] is not None)
-            return ListValue(items, support)
-        rows = tuple(tuple(row[c] for c in value.columns) for row in value.rows)
+            col = value.data[value.columns[0]]
+            return ListValue(tuple(map(str, filter(_present, col))), support)
+        rows = tuple(zip(*(value.data[c] for c in value.columns)))
         return TableValue(value.columns, rows, support)
     return Scalar(float(value), support)

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from filingswarm.corpus.records import CorpusStore, FilingRecord
 from filingswarm.corpus.reconcile import ReconciledView, reconcile
-from filingswarm.corpus.schema import FilingType, load_default_registry
+from filingswarm.corpus.schema import (
+    FieldDef,
+    FilingType,
+    SchemaRegistry,
+    TableSchema,
+    load_default_registry,
+)
+from filingswarm.pipeline import gather_swarm_intelligence
 from filingswarm.plans import (
     Aggregate,
     Arithmetic,
@@ -522,10 +529,29 @@ _filters = st.one_of(  # eq listed twice, so most steps use the index
     st.builds(Filter, st.sampled_from(_FIELDS), st.just("eq"), _VALUES),
     st.builds(Filter, st.sampled_from(_FIELDS), st.just("eq"), _VALUES),
     st.builds(Filter, st.sampled_from(_FIELDS), st.just("contains"),
-              st.sampled_from(["x", "X", "1", "", "tru", "nan"])),
+              st.sampled_from(["x", "X", "1", "", "tru", "nan", 1, 1.0, True, 0.0, -0.0])),
     st.builds(Filter, st.sampled_from(_FIELDS), st.just("range"),
               st.tuples(st.sampled_from([None, 0, 1, "x", -0.5]),
                         st.sampled_from([None, 1, 2.5, "xy", True]))))
+
+
+# 1, 1.0 and True are equal, as are 0, 0.0, -0.0 and False, yet contains
+# reads them as "1", "1.0", "true", "-0.0" and so on.
+_EQUAL_TWINS = ((1, 1.0, True), (0, 0.0, -0.0, False))
+
+
+def _twin(value):
+    """A value equal to ``value`` that may match differently."""
+    for group in _EQUAL_TWINS:
+        for i, member in enumerate(group):
+            if type(member) is type(value) and repr(member) == repr(value):
+                return group[(i + 1) % len(group)]
+    return value
+
+
+def _twin_filter(f):
+    value = tuple(map(_twin, f.value)) if f.op == "range" else _twin(f.value)
+    return Filter(f.field, f.op, value)
 
 
 @settings(max_examples=400, deadline=None)
@@ -536,8 +562,13 @@ def test_matching_records_equals_plain_scan(rows, steps):
     view = _free_view(rows, _RecordingView)
     for filters in steps:
         step = Retrieve("r1", FilingType.NCEN, "t", tuple(filters))
-        got = matching_records(view, step)
-        assert [r.record_id for r in got] == [r.record_id for r in _scan(view, step)]
+        twin = Retrieve("r1", FilingType.NCEN, "t", tuple(_twin_filter(f) for f in filters))
+        assert twin == step  # equal keys, so only the memo key tells them apart
+        # Each step is asked twice on one view, the second time from the
+        # memo, with its equal twin in between.
+        for asked in (step, twin, step, twin):
+            got = matching_records(view, asked)
+            assert [r.record_id for r in got] == [r.record_id for r in _scan(view, asked)]
         # Only eq values that a dict lookup finds in full may use the index;
         # a step with none of them scans the table.
         usable = {("t", f.field) for f in filters
@@ -550,8 +581,13 @@ def test_concurrent_first_lookups_match_the_scan():
     rows = [{"a": i % 7, "b": f"v{i % 5}", "c": None if i % 3 else i} for i in range(3000)]
     step = Retrieve("r1", FilingType.NCEN, "t",
                     (Filter("a", "eq", 3), Filter("b", "eq", "v2"), Filter("c", "eq", None)))
+    plan = Plan((step, Retrieve("r2", FilingType.NCEN, "t", (Filter("b", "eq", "v2"),)),
+                 Join("j", "r1", "r2", ("a",)), Return("ret", "j")))
     expected = [r.record_id for r in _scan(_free_view(rows), step)]
     assert expected
+    reference = _free_view(rows)
+    expected_answer = answer_to_dict(_rowwise_execute(plan, reference, _T_REGISTRY))
+    expected_findings = gather_swarm_intelligence(plan, reference, _T_REGISTRY)
     n_threads = 8
 
     def first_calls_on_fresh_view():
@@ -561,7 +597,14 @@ def test_concurrent_first_lookups_match_the_scan():
 
         def worker(slot):
             barrier.wait(timeout=10)
-            results[slot] = [r.record_id for r in matching_records(view, step)]
+            # half the workers investigate before they execute
+            if slot % 2:
+                findings = gather_swarm_intelligence(plan, view, _T_REGISTRY)
+            answer = answer_to_dict(execute_plan(plan, view, _T_REGISTRY))
+            if not slot % 2:
+                findings = gather_swarm_intelligence(plan, view, _T_REGISTRY)
+            results[slot] = ([r.record_id for r in matching_records(view, step)],
+                             answer, findings)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
         for t in threads:
@@ -569,12 +612,196 @@ def test_concurrent_first_lookups_match_the_scan():
         for t in threads:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
+        assert view._memo_used == _memo_slots(view)  # no slot counted twice
         return results
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert first_calls_on_fresh_view() == [expected] * n_threads
+            assert first_calls_on_fresh_view() == \
+                [(expected, expected_answer, expected_findings)] * n_threads
     finally:
         sys.setswitchinterval(old)
+
+
+class _CountingView(ReconciledView):
+    """Counts table reads: one per match of a step without eq filters."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.matched = []
+
+    def table_records(self, table_id):
+        self.matched.append(table_id)
+        return super().table_records(table_id)
+
+
+def test_investigate_and_execute_match_each_retrieve_once():
+    rows = [{"a": i % 4, "b": "xy"[i % 2], "c": i} for i in range(40)]
+    view = _free_view(rows, _CountingView)
+    plan = Plan((Retrieve("r1", FilingType.NCEN, "t", (Filter("a", "range", (1, 1)),)),
+                 Retrieve("r2", FilingType.NCEN, "t", (Filter("b", "contains", "y"),),
+                          ("a", "c")),
+                 Join("j", "r1", "r2", ("a",)), Return("ret", "j")))
+    findings = gather_swarm_intelligence(plan, view, _T_REGISTRY)
+    answer = execute_plan(plan, view, _T_REGISTRY)
+    assert view.matched == ["t", "t"]  # two distinct (table, filters) keys
+    assert [f.matched_record_count for f in findings] == [10, 20]
+    assert execute_plan(plan, view, _T_REGISTRY) == answer
+    assert view.matched == ["t", "t"]
+    assert answer_to_dict(answer) == answer_to_dict(_rowwise_execute(plan, view, _T_REGISTRY))
+
+
+def _memo_slots(view):
+    return sum(1 + len(selection) for selection in view._memo.values())
+
+
+def test_memo_stays_within_its_bound_and_answers_like_the_scan():
+    rows = [{"a": i % 5, "b": f"v{i}", "c": i} for i in range(30)]
+    view = _free_view(rows)
+    bound = len(view)  # 31: the rows and the record of table "u"
+    steps = [Retrieve("r1", FilingType.NCEN, "t", (Filter("a", "eq", i % 7),
+                                                   Filter("c", "range", (0, i))))
+             for i in range(40)]
+    for step in steps + steps:  # 40 distinct keys, then each again
+        got = matching_records(view, step)
+        assert [r.record_id for r in got] == [r.record_id for r in _scan(view, step)]
+        assert view._memo_used == _memo_slots(view) <= bound
+    assert 0 < len(view._memo) < len(steps)  # it filled, then stopped admitting
+    assert bound - view._memo_used < max(1 + len(_scan(view, s)) for s in steps)
+
+
+# --- column executor against a row-wise reference ----------------------------
+
+_T_REGISTRY = SchemaRegistry("test", tables={
+    "t": TableSchema("t", FilingType.NCEN, "free rows",
+                     tuple(FieldDef(f, "number") for f in _FIELDS), ())})
+
+
+def _rowwise_execute(plan, view, registry):
+    """Reference: the dict-per-row executor over the plain scan. It runs the
+    steps as listed, so a plan must list each step after its inputs."""
+    values, support, result = {}, set(), None
+    for s in plan.steps:
+        if isinstance(s, Retrieve):
+            cols = s.columns if s.columns is not None else registry.table(s.table).field_names
+            rows = []
+            for record in _scan(view, s):
+                support.add(record.record_id)
+                rows.append({c: record.fields.get(c) for c in cols})
+            values[s.step_id] = (tuple(cols), rows)
+        elif isinstance(s, Aggregate):
+            _, rows = values[s.input_step]
+            present = [row[s.value_field] for row in rows
+                       if s.value_field is not None and row[s.value_field] is not None]
+            if s.function == "count":
+                values[s.step_id] = float(len(rows))
+            elif s.function == "sum":
+                values[s.step_id] = float(sum(present))
+            elif s.function == "mean":
+                if not present:
+                    raise ExecutionError(f"step {s.step_id}: mean of empty input")
+                values[s.step_id] = float(sum(present)) / len(present)
+            else:
+                groups, originals = {}, {}
+                for row in rows:
+                    key = tuple((row[g] is not None, row[g]) for g in s.group_fields)
+                    if key not in groups:
+                        groups[key] = 0.0
+                        originals[key] = {g: row[g] for g in s.group_fields}
+                    if row[s.value_field] is not None:
+                        groups[key] += float(row[s.value_field])
+                out = [dict(originals[key], **{s.value_field: groups[key]})
+                       for key in sorted(groups)]
+                values[s.step_id] = (tuple(s.group_fields) + (s.value_field,), out)
+        elif isinstance(s, Join):
+            (lcols, lrows), (rcols, rrows) = values[s.left_step], values[s.right_step]
+            extra = [c for c in rcols if c not in lcols]
+            by_key = {}
+            for row in rrows:
+                key = tuple(row[k] for k in s.on_fields)
+                if not any(v is None for v in key):
+                    by_key.setdefault(key, []).append(row)
+            out = []
+            for lrow in lrows:
+                key = tuple(lrow[k] for k in s.on_fields)
+                if any(v is None for v in key):
+                    continue
+                for rrow in by_key.get(key, ()):
+                    out.append(dict(lrow, **{c: rrow[c] for c in extra}))
+            values[s.step_id] = (tuple(lcols) + tuple(extra), out)
+        elif isinstance(s, Return):
+            result = values[s.input_step]
+    support = frozenset(support)
+    if isinstance(result, tuple):
+        cols, rows = result
+        if len(cols) == 1:
+            return ListValue(tuple(str(r[cols[0]]) for r in rows if r[cols[0]] is not None),
+                             support)
+        return TableValue(cols, tuple(tuple(r[c] for c in cols) for r in rows), support)
+    return Scalar(float(result), support)
+
+
+_KEY_SETS = (("a",), ("b",), ("a", "b"))
+
+
+@st.composite
+def _executor_cases(draw):
+    """Rows of table "t" (a: small numbers, some equal but of other types,
+    b: short text, c: numbers; any may be null or missing) and a valid plan
+    over them."""
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "a": st.sampled_from([_MISSING, None, 0, 1, 2, 1.0, True]),
+        "b": st.sampled_from([_MISSING, None, "x", "y"]),
+        "c": st.one_of(st.just(None), st.integers(-3, 3),
+                       st.floats(-8, 8, allow_nan=False, width=16))}), max_size=10))
+    shape = draw(st.sampled_from(["return", "sum", "mean", "count", "groupby-sum"]))
+    join_on = draw(st.one_of(st.none(), st.sampled_from(_KEY_SETS)))
+    group = draw(st.sampled_from(_KEY_SETS)) if shape == "groupby-sum" else ()
+    needed = (("c",) if shape in ("sum", "mean", "groupby-sum") else ()) + group
+
+    def retrieve(step_id, needs):
+        filters = draw(st.lists(st.one_of(
+            st.builds(Filter, st.sampled_from(_FIELDS), st.just("eq"),
+                      st.sampled_from([None, 0, 1, "x"])),
+            st.builds(Filter, st.just("c"), st.just("range"),
+                      st.tuples(st.sampled_from([None, -1]), st.sampled_from([None, 2])))),
+            max_size=2))
+        cols = draw(st.one_of(st.none(), st.permutations(_FIELDS).flatmap(
+            lambda p: st.integers(1, 3).map(lambda n: tuple(p[:n])))))
+        if cols is not None:
+            cols += tuple(f for f in needs if f not in cols)
+        return Retrieve(step_id, FilingType.NCEN, "t", tuple(filters), cols)
+
+    steps = [retrieve("r1", needed + (join_on or ()))]
+    source = "r1"
+    if join_on is not None:
+        steps += [retrieve("r2", join_on), Join("j", "r1", "r2", join_on)]
+        source = "j"
+    if shape != "return":
+        steps.append(Aggregate("agg", source, shape, group,
+                               None if shape == "count" else "c"))
+        source = "agg"
+    steps.append(Return("ret", source))
+    return rows, Plan(tuple(steps))
+
+
+def _outcome(run):
+    """The answer or the execution error, as text: ``repr`` keeps apart
+    equal values of other types, such as 1, 1.0 and True."""
+    try:
+        return repr(answer_to_dict(run()))
+    except ExecutionError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_executor_cases())
+def test_column_executor_equals_the_rowwise_reference(case):
+    rows, plan = case
+    view = _free_view(rows)
+    validate_plan(plan, _T_REGISTRY)
+    expected = _outcome(lambda: _rowwise_execute(plan, view, _T_REGISTRY))
+    for _ in range(2):  # the second run reads the memoized selections
+        assert _outcome(lambda: execute_plan(plan, view, _T_REGISTRY)) == expected
