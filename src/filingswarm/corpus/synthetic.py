@@ -1,7 +1,7 @@
 """Desk-scale synthetic corpus generator.
 
 Builds a coherent universe of advisers, managers, trusts, and funds, then
-emits filings for every filing type for every period in the config. Cross
+emits filings for every filing type for every period in ``PERIODS``. Cross
 filing linkage is guaranteed by construction: portfolio holdings reference
 fund identifiers that appear in the census fund registry, money market funds
 appear both in the census and in the money market filings, and advisers in
@@ -74,6 +74,7 @@ STATEMENT_LABELS: dict[str, tuple[str, list[str]]] = {
     ]),
 }
 
+PERIODS = (date(2023, 3, 31), date(2023, 6, 30))
 FUND_TYPES = ["equity", "bond", "mixed", "money market"]
 INSTRUMENT_TYPES = ["common stock", "corporate bond", "government bond", "preferred stock", "convertible note"]
 DERIVATIVE_TYPES = ["custom basket", "swap", "option", "future", "forward"]
@@ -126,7 +127,6 @@ class SyntheticConfig:
 
     records_per_table: int = 500
     filers: int = 8
-    periods: tuple[date, ...] = (date(2023, 3, 31), date(2023, 6, 30))
     amendment_fraction: float = 0.1
 
     def __post_init__(self) -> None:
@@ -134,8 +134,6 @@ class SyntheticConfig:
             raise ConfigError("records_per_table must be >= 0")
         if self.filers < 1:
             raise ConfigError("filers must be >= 1")
-        if not self.periods:
-            raise ConfigError("periods must be non-empty")
         if not 0.0 <= self.amendment_fraction <= 1.0:
             raise ConfigError("amendment_fraction must be in [0, 1]")
 
@@ -198,8 +196,8 @@ class _Builder:
         self.accessions: list[str] = []
         self._row_no: dict[str, int] = {}
 
-    def open_filing(self, filing_type: FilingType, filer_id: str, period: date, seq: int = 0) -> str:
-        acc = f"A-{filing_type.name}-{filer_id}-{period.isoformat()}-{seq}"
+    def open_filing(self, filing_type: FilingType, filer_id: str, period: date) -> str:
+        acc = f"A-{filing_type.name}-{filer_id}-{period.isoformat()}-0"
         self.accessions.append(acc)
         return acc
 
@@ -237,8 +235,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int,
     if config.records_per_table == 0:
         return store
 
-    periods = list(config.periods)
-    n_periods = len(periods)
+    n_periods = len(PERIODS)
     target = config.records_per_table
 
     def per_filing(n_filings: int, floor: int) -> int:
@@ -252,7 +249,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int,
     rows_adv_brokers = per_filing(len(universe.advisors) * n_periods, 2)
     rows_adv_disc = per_filing(len(universe.advisors) * n_periods, 1)
 
-    for period in periods:
+    for period in PERIODS:
         _gen_13f(builder, universe, rng, period, rows_13f)
         _gen_adv(builder, universe, rng, period, rows_adv_brokers, rows_adv_disc)
         _gen_ncen(builder, universe, rng, period)

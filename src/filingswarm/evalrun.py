@@ -27,7 +27,7 @@ from .gateway.deterministic import REFUSAL
 from .gateway.prompts import parse_prompt
 from .gateway.providers import RecordingProvider
 from .gateway.types import ChatRequest, ChatResponse, FixtureMissError, GatewayError
-from .pipeline import LongTermMemory, PipelineConfig, run_pipeline
+from .pipeline import LongTermMemory, run_pipeline
 from .plans import Answer, ListValue, Scalar, TableValue, plan_to_json
 from .questbench import TEMPLATES, QuestionInstance, canonical_plan
 from .routing import (
@@ -61,14 +61,14 @@ VARIANTS = ("templated", "variegated", "both")
 # ---------------------------------------------------------------------------
 # Judging
 
-@dataclass(frozen=True)
-class Tolerances:
-    rel: float = 1e-6
-    abs: float = 1e-9
+# A number matches gold within REL_TOL of the gold value, or within ABS_TOL
+# when the gold value is near zero.
+REL_TOL = 1e-6
+ABS_TOL = 1e-9
 
 
-def _scalar_close(produced: float, gold: float, tol: Tolerances) -> bool:
-    return abs(produced - gold) <= max(tol.abs, tol.rel * abs(gold))
+def _scalar_close(produced: float, gold: float) -> bool:
+    return abs(produced - gold) <= max(ABS_TOL, REL_TOL * abs(gold))
 
 
 def _is_number(value) -> bool:
@@ -83,20 +83,19 @@ def _cell_key(value) -> tuple:
     return (2, str(value))
 
 
-def _cell_close(produced, gold, tol: Tolerances) -> bool:
+def _cell_close(produced, gold) -> bool:
     if _is_number(produced) and _is_number(gold):
-        return _scalar_close(float(produced), float(gold), tol)
+        return _scalar_close(float(produced), float(gold))
     return produced == gold
 
 
-def judge_success(produced: Answer | None, gold: Answer,
-                  tol: Tolerances = Tolerances()) -> bool:
+def judge_success(produced: Answer | None, gold: Answer) -> bool:
     """Answer-level success: tolerant on floats, order-free on lists and
     tables, strict on answer type."""
     if produced is None or type(produced) is not type(gold):
         return False
     if isinstance(gold, Scalar):
-        return _scalar_close(produced.value, gold.value, tol)
+        return _scalar_close(produced.value, gold.value)
     if isinstance(gold, ListValue):
         return set(produced.values) == set(gold.values)
     assert isinstance(gold, TableValue)
@@ -113,7 +112,7 @@ def judge_success(produced: Answer | None, gold: Answer,
 
     for prow, grow in zip(canonical(produced), canonical(gold)):
         for pcell, gcell in zip(prow, grow):
-            if not _cell_close(pcell, gcell, tol):
+            if not _cell_close(pcell, gcell):
                 return False
     return True
 
@@ -139,16 +138,13 @@ def _unit_query_text(instance: QuestionInstance, route: Route) -> str:
 
 def retrieval_units(instances: list[QuestionInstance],
                     view: ReconciledView) -> list[RetrievalUnit]:
-    table_of = {}
-    for table_id in view.by_table:
-        for record in view.table_records(table_id):
-            table_of[record.record_id] = table_id
     units = []
     for idx, instance in enumerate(instances):
         for route in instance.gold_routes:
             relevant = frozenset(
                 rid for rid in instance.relevant_record_ids
-                if table_of.get(rid) == route.table)
+                if rid in view.by_record_id
+                and view.by_record_id[rid].table_id == route.table)
             if not relevant:
                 continue
             units.append(RetrievalUnit(
@@ -161,28 +157,18 @@ def retrieval_units(instances: list[QuestionInstance],
     return units
 
 
-def build_scope_indexes(view: ReconciledView, embedder, registry: SchemaRegistry,
-                        kinds: tuple[str, ...] = SCOPE_KINDS) -> dict[str, FlatIndex]:
+def build_scope_indexes(view: ReconciledView, embedder,
+                        registry: SchemaRegistry) -> dict[str, FlatIndex]:
     """One flat index per scope label: 'global', 'agent:<filing>',
     'table:<table_id>'. Every record is embedded once, for the global
     index; the narrower scopes select their rows from it."""
-    unknown = [kind for kind in kinds if kind not in SCOPE_KINDS]
-    if unknown:
-        raise ValueError(f"unknown scope kind {unknown[0]!r}")
     whole = build_index(view, IndexScope.global_(), embedder)
     positions = scope_positions(view)
-    out: dict[str, FlatIndex] = {}
-    for kind in kinds:
-        if kind == "global":
-            out[whole.scope.label()] = whole
-        elif kind == "agent":
-            for ft in FilingType:
-                scope = IndexScope.agent(ft)
-                out[scope.label()] = whole.select(scope, positions.get(scope, []))
-        else:
-            for schema in registry.all_tables():
-                scope = IndexScope.table(schema.table_id)
-                out[scope.label()] = whole.select(scope, positions.get(scope, []))
+    scopes = ([IndexScope.agent(ft) for ft in FilingType]
+              + [IndexScope.table(schema.table_id) for schema in registry.all_tables()])
+    out = {whole.scope.label(): whole}
+    for scope in scopes:
+        out[scope.label()] = whole.select(scope, positions.get(scope, []))
     return out
 
 
@@ -195,17 +181,15 @@ def _scope_label_for(unit: RetrievalUnit, kind: str) -> str:
 
 
 def run_retrieval_ablation(instances: list[QuestionInstance], view: ReconciledView,
-                           embedder, registry: SchemaRegistry,
-                           kinds: tuple[str, ...] = SCOPE_KINDS) -> dict:
+                           embedder, registry: SchemaRegistry) -> dict:
     """R-Precision per scope level, split by filing and aggregated."""
     units = retrieval_units(instances, view)
-    indexes = build_scope_indexes(view, embedder, registry, kinds)
+    indexes = build_scope_indexes(view, embedder, registry)
     texts = list(dict.fromkeys(unit.query_text for unit in units))
     query_vecs = dict(zip(texts, embedder.embed_batch(texts))) if texts else {}
 
     scopes_out: dict[str, dict] = {}
-    per_unit: dict[str, list[float]] = {}
-    for kind in kinds:
+    for kind in SCOPE_KINDS:
         by_filing: dict[str, list[float]] = {}
         scores = []
         for unit in units:
@@ -215,7 +199,6 @@ def run_retrieval_ablation(instances: list[QuestionInstance], view: ReconciledVi
             score = r_precision([rid for rid, _ in hits], unit.relevant)
             scores.append(score)
             by_filing.setdefault(unit.route.agent.value, []).append(score)
-        per_unit[kind] = scores
         scopes_out[kind] = {
             "per_filing": {
                 filing: {"r_precision": float(np.mean(vals)), "units": len(vals)}
@@ -258,13 +241,12 @@ def build_oracle_retrieval_embedder(units: list[RetrievalUnit],
     for table_id in view.by_table:
         for record in view.table_records(table_id):
             axes = membership.get(record.record_id)
-            text = to_embedding_text(record)
             if not axes:
                 continue
             vec = np.zeros(dim, dtype=np.float64)
             for axis in axes:
                 vec[axis] = 1.0
-            mapping[text] = (vec / np.linalg.norm(vec)).astype(np.float32)
+            mapping[to_embedding_text(record)] = (vec / np.linalg.norm(vec)).astype(np.float32)
 
     sink = np.zeros(dim, dtype=np.float32)
     sink[0] = 1e3
@@ -435,21 +417,16 @@ class GoldProvider:
 
 def build_perfect_fixtures(instances: list[QuestionInstance], view: ReconciledView,
                            registry: SchemaRegistry,
-                           swarm_config: SwarmConfig | None = None,
-                           include: tuple[str, ...] = ("generative", "swarm", "agentic"),
-                           ) -> RecordingProvider:
+                           swarm_config: SwarmConfig | None = None) -> RecordingProvider:
     """Record gold transcripts for every flow so a ScriptedProvider can
     replay them. Returns the recorder; save_fixtures() serializes it."""
     recorder = RecordingProvider(GoldProvider(instances, view, registry))
     config = swarm_config or SwarmConfig()
     for instance in instances:
         n = len(instance.gold_routes)
-        if "generative" in include:
-            route_generative(instance.text, recorder, registry, n_routes=n)
-        if "swarm" in include:
-            route_swarm(instance.text, recorder, registry, config, n_routes=n)
-        if "agentic" in include:
-            run_pipeline(instance.text, recorder, view, registry)
+        route_generative(instance.text, recorder, registry, n_routes=n)
+        route_swarm(instance.text, recorder, registry, config, n_routes=n)
+        run_pipeline(instance.text, recorder, view, registry)
     return recorder
 
 
@@ -464,8 +441,7 @@ def _success_cell(records: list[dict]) -> dict:
 
 def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView,
                 registry: SchemaRegistry, memory: LongTermMemory | None = None,
-                pipeline_config: PipelineConfig | None = None,
-                tol: Tolerances = Tolerances(), workers: int = 1,
+                workers: int = 1,
                 table_indexes: dict[str, FlatIndex] | None = None,
                 embedder=None) -> dict:
     """Full pipeline per question; errors are failures, never aborts."""
@@ -480,13 +456,13 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
         from_memory = False
         try:
             result = run_pipeline(instance.text, gateway, view, registry,
-                                  memory=memory, config=pipeline_config,
+                                  memory=memory,
                                   table_indexes=table_indexes, embedder=embedder)
             status = result.status
             from_memory = result.from_memory
             error = result.error
             if result.status == "answered":
-                success = judge_success(result.answer, instance.gold_answer, tol)
+                success = judge_success(result.answer, instance.gold_answer)
         except FixtureMissError:
             raise
         except Exception as exc:  # noqa: BLE001 - per-instance errors are data

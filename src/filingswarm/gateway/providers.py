@@ -6,7 +6,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Protocol
 
 import requests
 
@@ -67,19 +67,13 @@ class RecordingProvider:
         return response
 
 
-def save_fixtures(provider: RecordingProvider | dict[str, str],
-                  path: str | Path, tags: dict[str, str] | None = None) -> None:
-    if isinstance(provider, RecordingProvider):
-        items: Iterable[tuple[str, str]] = sorted(provider.captured.items())
-        tags = {d: t for d, t, _ in provider.log}
-    else:
-        items = sorted(provider.items())
-        tags = tags or {}
+def save_fixtures(provider: RecordingProvider, path: str | Path) -> None:
+    """Write each captured response as one JSON line, sorted by digest and
+    tagged with the request tag that produced it."""
+    tags = {digest: tag for digest, tag, _ in provider.log}
     with open(path, "w", encoding="utf-8") as fh:
-        for digest, content in items:
-            doc = {"digest": digest, "content": content}
-            if digest in tags:
-                doc["tag"] = tags[digest]
+        for digest, content in sorted(provider.captured.items()):
+            doc = {"digest": digest, "content": content, "tag": tags[digest]}
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 

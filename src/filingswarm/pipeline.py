@@ -390,18 +390,6 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    max_rewrites: int = 2
-    semantic_k: int = 10
-
-    def __post_init__(self) -> None:
-        if self.max_rewrites < 0:
-            raise ValueError("max_rewrites must be >= 0")
-        if self.semantic_k < 1:
-            raise ValueError("semantic_k must be >= 1")
-
-
-@dataclass(frozen=True)
 class PipelineResult:
     status: str  # answered | rejected | failed
     screen: ScreenResult | None = None
@@ -417,13 +405,11 @@ class PipelineResult:
 def run_pipeline(text: str, gateway, view: ReconciledView,
                  registry: SchemaRegistry,
                  memory: LongTermMemory | None = None,
-                 config: PipelineConfig | None = None,
                  table_indexes: dict[str, FlatIndex] | None = None,
                  embedder=None) -> PipelineResult:
     """Full pass from raw query text to an executed answer."""
-    config = config or PipelineConfig()
     try:
-        screen = screen_query(text, gateway, config.max_rewrites)
+        screen = screen_query(text, gateway)
         if screen.verdict != "non_hallucinatory":
             return PipelineResult(status="rejected", screen=screen,
                                   error="screened out as hallucination-prone")
@@ -435,8 +421,7 @@ def run_pipeline(text: str, gateway, view: ReconciledView,
         else:
             findings = gather_swarm_intelligence(
                 drafted.plan, view, registry, query_text=screen.query.text,
-                table_indexes=table_indexes, embedder=embedder,
-                k=config.semantic_k)
+                table_indexes=table_indexes, embedder=embedder)
             final = revise_plan(screen.query, drafted.plan, findings,
                                 gateway, registry, memory)
         answer = execute_plan(final, view, registry)

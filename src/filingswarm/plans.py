@@ -169,12 +169,6 @@ class Plan:
         if self.provenance not in PROVENANCES:
             raise PlanError(f"unknown provenance {self.provenance!r}")
 
-    def step(self, step_id: str) -> PlanStep:
-        for s in self.steps:
-            if s.step_id == step_id:
-                return s
-        raise KeyError(step_id)
-
 
 # ---------------------------------------------------------------------------
 # Answers
@@ -267,7 +261,36 @@ def plan_to_dict(plan: Plan) -> dict:
             "source_subquery": plan.source_subquery}
 
 
+def _step_from_dict(raw: Mapping[str, Any], step_id: str, kind: Any) -> PlanStep:
+    if kind == "retrieve":
+        try:
+            agent = FilingType.parse(raw["agent"])
+        except (KeyError, ValueError) as exc:
+            raise PlanError(f"step {step_id}: bad agent ({exc})")
+        filters = tuple(Filter(str(f[0]), str(f[1]), f[2]) for f in raw.get("filters", ()))
+        columns = raw.get("columns")
+        # Column names are looked up in a set, so each must be hashable.
+        return Retrieve(step_id, agent, str(raw.get("table", "")), filters,
+                        tuple(map(str, columns)) if columns is not None else None)
+    if kind == "aggregate":
+        return Aggregate(step_id, str(raw.get("input", "")),
+                         str(raw.get("function", "")),
+                         tuple(raw.get("group_fields", ())),
+                         raw.get("value_field"))
+    if kind == "arithmetic":
+        return Arithmetic(step_id, str(raw.get("left", "")),
+                          str(raw.get("right", "")), str(raw.get("op", "")))
+    if kind == "join":
+        return Join(step_id, str(raw.get("left", "")),
+                    str(raw.get("right", "")), tuple(raw.get("on", ())))
+    if kind == "return":
+        return Return(step_id, str(raw.get("input", "")))
+    raise PlanError(f"step {step_id}: unknown kind {kind!r}")
+
+
 def plan_from_dict(doc: Mapping[str, Any]) -> Plan:
+    """Build a plan from its document form. A document of the wrong shape
+    raises PlanError, naming the step when one is at fault."""
     try:
         raw_steps = doc["steps"]
     except (KeyError, TypeError):
@@ -283,33 +306,12 @@ def plan_from_dict(doc: Mapping[str, Any]) -> Plan:
             kind = raw["kind"]
         except KeyError as exc:
             raise PlanError(f"step missing {exc}")
-        if kind == "retrieve":
-            try:
-                agent = FilingType.parse(raw["agent"])
-            except (KeyError, ValueError) as exc:
-                raise PlanError(f"step {step_id}: bad agent ({exc})")
-            filters = tuple(
-                Filter(str(f[0]), str(f[1]), tuple(f[2]) if isinstance(f[2], list) and str(f[1]) == "range" else f[2])
-                for f in raw.get("filters", ())
-            )
-            columns = raw.get("columns")
-            steps.append(Retrieve(step_id, agent, str(raw.get("table", "")), filters,
-                                  tuple(columns) if columns is not None else None))
-        elif kind == "aggregate":
-            steps.append(Aggregate(step_id, str(raw.get("input", "")),
-                                   str(raw.get("function", "")),
-                                   tuple(raw.get("group_fields", ())),
-                                   raw.get("value_field")))
-        elif kind == "arithmetic":
-            steps.append(Arithmetic(step_id, str(raw.get("left", "")),
-                                    str(raw.get("right", "")), str(raw.get("op", ""))))
-        elif kind == "join":
-            steps.append(Join(step_id, str(raw.get("left", "")),
-                              str(raw.get("right", "")), tuple(raw.get("on", ()))))
-        elif kind == "return":
-            steps.append(Return(step_id, str(raw.get("input", ""))))
-        else:
-            raise PlanError(f"step {step_id}: unknown kind {kind!r}")
+        try:
+            steps.append(_step_from_dict(raw, step_id, kind))
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            # a filter that is not a [field, op, value] list, an agent that
+            # is not a string, or field names that are not a list
+            raise PlanError(f"step {step_id}: malformed {kind!r} step ({exc!r})") from exc
     raw_source = doc.get("source_subquery")
     return Plan(tuple(steps),
                 provenance=doc.get("provenance", "draft"),
@@ -589,12 +591,6 @@ def select_records(view: ReconciledView, step: Retrieve) -> Selection:
     if key is None:
         return _match(view, step)
     return view.memo(key, partial(_match, view, step))
-
-
-def matching_records(view: ReconciledView, step: Retrieve) -> list[FilingRecord]:
-    """Records a retrieve step would touch, before column projection, in
-    table order."""
-    return list(select_records(view, step).records)
 
 
 @dataclass(frozen=True)

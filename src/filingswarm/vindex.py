@@ -21,7 +21,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,12 +140,12 @@ class HashFeatureEmbedder:
 
 class MappingEmbedder:
     """Oracle embedder for tests and ceilings: exact text-to-vector lookup
-    with a configurable default for unknown texts."""
+    with an optional default vector for unknown texts."""
 
     kind = "mapping"
 
     def __init__(self, dim: int, mapping: dict[str, np.ndarray],
-                 default: np.ndarray | Callable[[str], np.ndarray] | None = None):
+                 default: np.ndarray | None = None):
         self.dim = dim
         self.mapping = {k: np.asarray(v, dtype=np.float32) for k, v in mapping.items()}
         self.default = default
@@ -160,8 +160,6 @@ class MappingEmbedder:
             return hit
         if self.default is None:
             raise IndexError_(f"no mapping for text: {text[:60]!r}")
-        if callable(self.default):
-            return np.asarray(self.default(text), dtype=np.float32)
         return np.asarray(self.default, dtype=np.float32)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:

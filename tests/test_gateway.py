@@ -119,12 +119,6 @@ def test_save_fixtures_sorted_and_tagged(tmp_path):
     assert digests == sorted(digests)
     assert {line["tag"] for line in lines} == {"classify", "rewrite"}
 
-    # a plain digest map can carry its own tag annotations
-    only = tmp_path / "plain.jsonl"
-    save_fixtures({"d1": "content"}, only, tags={"d1": "classify"})
-    kept = [json.loads(line) for line in only.read_text().splitlines()]
-    assert kept == [{"content": "content", "digest": "d1", "tag": "classify"}]
-
 
 class _StubSession:
     def __init__(self):

@@ -21,7 +21,6 @@ from filingswarm import pipeline
 from filingswarm.pipeline import (
     Finding,
     LongTermMemory,
-    PipelineConfig,
     Query,
     SubQuery,
     SubQuerySet,
@@ -234,7 +233,15 @@ def test_memory_keeps_a_whole_final_line_without_its_newline(tmp_path):
     assert len(LongTermMemory(path)) == 4
 
 
-@pytest.mark.parametrize("damage", [b"{not json", b'{"key": "q9"}', b"\xff\xfe", b"[1]"])
+_TWO_ELEMENT_FILTER = (
+    '{"steps": [{"id": "r1", "kind": "retrieve", "agent": "ADV", '
+    '"table": "adv_entity", "filters": [["period", "eq"]]}, '
+    '{"id": "ret", "kind": "return", "input": "r1"}]}')
+
+
+@pytest.mark.parametrize("damage", [b"{not json", b'{"key": "q9"}', b"\xff\xfe", b"[1]",
+                                    b'{"key": "q9", "plan": ' + _TWO_ELEMENT_FILTER.encode()
+                                    + b"}"])
 def test_memory_raises_on_a_bad_line_mid_file(tmp_path, damage):
     path = _journal(tmp_path)
     lines = path.read_bytes().split(b"\n")
@@ -322,6 +329,25 @@ def test_draft_reprompts_once_on_an_invalid_plan(registry):
     result = draft_plan(_wrap(AUM_QUERY), provider, registry)
     assert result.attempts == 2
     assert not result.fallback
+    assert result.plan.steps[0].table == "adv_entity"
+
+
+def test_draft_reprompts_then_falls_back_on_a_malformed_step(registry):
+    det = DeterministicProvider()
+    plan_requests = []
+
+    def plan(request):
+        plan_requests.append(request)
+        return _TWO_ELEMENT_FILTER
+
+    def routed(request):
+        return det.complete(request).content
+
+    provider = _TagProvider({"plan": plan, "route_agent": routed, "route_table": routed})
+    result = draft_plan(_wrap(AUM_QUERY), provider, registry)
+    assert result.fallback
+    assert result.attempts == 2
+    assert "step r1: malformed" in plan_requests[1].last_user_content()
     assert result.plan.steps[0].table == "adv_entity"
 
 
@@ -456,13 +482,6 @@ def test_revise_keeps_the_draft_when_the_reviser_fails(registry):
 
 # ---------------------------------------------------------------------------
 # Full pass
-
-
-def test_pipeline_config_guards():
-    with pytest.raises(ValueError):
-        PipelineConfig(max_rewrites=-1)
-    with pytest.raises(ValueError):
-        PipelineConfig(semantic_k=0)
 
 
 def test_pipeline_answers_a_benchmark_question(registry, small_view, bench):

@@ -4,13 +4,14 @@ All expected numbers are computed by hand from the micro corpus below.
 """
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from datetime import date
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filingswarm.corpus.records import CorpusStore, FilingRecord
@@ -39,9 +40,9 @@ from filingswarm.plans import (
     answer_from_dict,
     answer_to_dict,
     execute_plan,
-    matching_records,
     plan_from_json,
     plan_to_json,
+    select_records,
     validate_plan,
 )
 from filingswarm.plans import _matches
@@ -194,7 +195,7 @@ def test_range_over_text_matches_nothing(view):
 
 def test_matching_records_ignores_projection(view):
     step = retrieve_13f(filters=[MGR1], columns=("cusip",))
-    assert len(matching_records(view, step)) == 3
+    assert len(select_records(view, step).records) == 3
 
 
 def test_arithmetic_wallet_share(view):
@@ -437,6 +438,67 @@ def test_plan_from_json_rejects_garbage():
         plan_from_json('{"kind": "mystery"}')
 
 
+@pytest.mark.parametrize("step", [
+    {"id": "r1", "kind": "retrieve", "agent": "ADV", "filters": [["period", "eq"]]},
+    {"id": "r1", "kind": "retrieve", "agent": "ADV", "filters": [5]},
+    {"id": "r1", "kind": "retrieve", "agent": 7},
+    {"id": "r1", "kind": "retrieve", "agent": "ADV", "columns": 3},
+    {"id": "a1", "kind": "aggregate", "group_fields": 4},
+    {"id": "j1", "kind": "join", "on": 1},
+])
+def test_plan_from_json_names_a_malformed_step(step):
+    with pytest.raises(PlanError, match=f"^step {step['id']}: malformed"):
+        plan_from_json(json.dumps({"steps": [step]}))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_KINDS = ("retrieve", "aggregate", "arithmetic", "join", "return")
+_OWNED_TABLES = [(schema.filing_type.value, schema.table_id)
+                 for schema in REGISTRY.all_tables()]
+
+
+@st.composite
+def _raw_step(draw):
+    step = draw(st.fixed_dictionaries(
+        {"id": st.sampled_from(["r1", "r2", "ret"]) | _JSON,
+         "kind": st.sampled_from(_KINDS) | _JSON},
+        optional={
+            "agent": _JSON, "table": _JSON,
+            "filters": st.lists(st.lists(_JSON, max_size=4), max_size=3) | _JSON,
+            "columns": st.lists(_JSON, max_size=3) | _JSON,
+            "input": st.sampled_from(["r1", "r2"]) | _JSON,
+            "left": _JSON, "right": _JSON,
+            "function": st.sampled_from(("sum", "mean", "count", "groupby-sum")) | _JSON,
+            "op": _JSON, "group_fields": _JSON, "value_field": _JSON, "on": _JSON,
+        }))
+    if draw(st.booleans()):  # an agent and a table it owns, so validation goes deeper
+        step["agent"], step["table"] = draw(st.sampled_from(_OWNED_TABLES))
+    return step
+
+
+_RETURN_R1 = {"id": "ret", "kind": "return", "input": "r1"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(steps=st.lists(_raw_step(), min_size=1, max_size=3),
+       returns=st.booleans())
+# too deep for random search: validation looks an unhashable column name up
+@example(steps=[{"id": "r1", "kind": "retrieve", "agent": "ADV", "table": "adv_entity",
+                 "columns": [[1]]}], returns=True)
+def test_a_planner_reply_parses_and_validates_or_raises_plan_error(steps, returns):
+    """Steps with the real keys and arbitrary JSON values either give a valid
+    plan or raise PlanError: no other exception escapes to the pipeline."""
+    try:
+        reply = json.dumps({"steps": steps + [_RETURN_R1] * returns})
+        validate_plan(plan_from_json(reply), REGISTRY)
+    except PlanError:
+        pass
+
+
 def test_answer_round_trips(view):
     answers = [
         Scalar(3.5, frozenset({"R1"})),
@@ -567,7 +629,7 @@ def test_matching_records_equals_plain_scan(rows, steps):
         # Each step is asked twice on one view, the second time from the
         # memo, with its equal twin in between.
         for asked in (step, twin, step, twin):
-            got = matching_records(view, asked)
+            got = select_records(view, asked).records
             assert [r.record_id for r in got] == [r.record_id for r in _scan(view, asked)]
         # Only eq values that a dict lookup finds in full may use the index;
         # a step with none of them scans the table.
@@ -603,7 +665,7 @@ def test_concurrent_first_lookups_match_the_scan():
             answer = answer_to_dict(execute_plan(plan, view, _T_REGISTRY))
             if not slot % 2:
                 findings = gather_swarm_intelligence(plan, view, _T_REGISTRY)
-            results[slot] = ([r.record_id for r in matching_records(view, step)],
+            results[slot] = ([r.record_id for r in select_records(view, step).records],
                              answer, findings)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
@@ -665,7 +727,7 @@ def test_memo_stays_within_its_bound_and_answers_like_the_scan():
                                                    Filter("c", "range", (0, i))))
              for i in range(40)]
     for step in steps + steps:  # 40 distinct keys, then each again
-        got = matching_records(view, step)
+        got = select_records(view, step).records
         assert [r.record_id for r in got] == [r.record_id for r in _scan(view, step)]
         assert view._memo_used == _memo_slots(view) <= bound
     assert 0 < len(view._memo) < len(steps)  # it filled, then stopped admitting

@@ -21,8 +21,6 @@ def test_config_validation():
         SyntheticConfig(filers=0)
     with pytest.raises(ConfigError):
         SyntheticConfig(amendment_fraction=1.5)
-    with pytest.raises(ConfigError):
-        SyntheticConfig(periods=())
 
 
 def test_zero_records_config_gives_empty_store():

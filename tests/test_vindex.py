@@ -348,8 +348,6 @@ def test_mapping_embedder_hits_and_default():
     embedder = MappingEmbedder(3, {"a": base[0]}, default=base[2])
     assert np.array_equal(embedder.embed("a"), base[0])
     assert np.array_equal(embedder.embed("missing"), base[2])
-    fn = MappingEmbedder(3, {}, default=lambda text: base[1])
-    assert np.array_equal(fn.embed("anything"), base[1])
 
 
 # --- ranking metrics ---------------------------------------------------------
