@@ -5,7 +5,7 @@ can be repeated, diffed, and resumed piecemeal.
     filingswarm index build --corpus corpus.jsonl --scope table:nport_holdings --out idx.bin
     filingswarm bench gen --corpus corpus.jsonl --per-template 25 --variegate 2 --out bench.jsonl
     filingswarm retrieval run --corpus corpus.jsonl --bench bench.jsonl --out retrieval.json
-    filingswarm route run --corpus corpus.jsonl --bench bench.jsonl --strategy gen --out routing.json
+    filingswarm route run --bench bench.jsonl --strategy gen --out routing.json
     filingswarm agentic run --corpus corpus.jsonl --bench bench.jsonl --out agentic.json
     filingswarm report --retrieval retrieval.json --routing routing.json \
         --agentic agentic.json --out report.md
@@ -111,7 +111,7 @@ def _cmd_retrieval_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_route_run(args: argparse.Namespace) -> int:
-    registry, view = _load_view(args.corpus)
+    registry = load_default_registry()
     instances = load_benchmark(args.bench)
     strategy = STRATEGY_NAMES[args.strategy]
     if strategy == "embedding":
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     route = top.add_parser("route", help="routing ablation").add_subparsers(
         dest="action", required=True)
     rou = route.add_parser("run", help="score a routing strategy")
-    rou.add_argument("--corpus", required=True)
     rou.add_argument("--bench", required=True)
     rou.add_argument("--strategy", choices=tuple(STRATEGY_NAMES), default="gen")
     rou.add_argument("--dim", type=int, default=64,

@@ -28,11 +28,17 @@ class FilingType(Enum):
     @classmethod
     def parse(cls, name: str) -> "FilingType":
         """Accept either the enum name or the display value, case-insensitively."""
-        cleaned = name.strip().upper().replace("-", "")
-        for ft in cls:
-            if cleaned in (ft.name, ft.value.upper().replace("-", "")):
-                return ft
-        raise ValueError(f"unknown filing type: {name!r}")
+        try:
+            return _FILING_TYPE_NAMES[name.strip().upper().replace("-", "")]
+        except KeyError:
+            raise ValueError(f"unknown filing type: {name!r}") from None
+
+
+# Each member's name and cleaned display value, as ``FilingType.parse``
+# cleans its input.
+_FILING_TYPE_NAMES: dict[str, FilingType] = {
+    key: ft for ft in FilingType
+    for key in (ft.name, ft.value.upper().replace("-", ""))}
 
 
 FIELD_KINDS = ("number", "text", "date", "identifier", "list")

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import re
 import time
+from collections.abc import Mapping
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from ..corpus.schema import FilingType
 from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
@@ -118,21 +121,42 @@ _RE_PERIOD = re.compile(r'period\s+(\d{4}-\d{2}-\d{2})', re.IGNORECASE)
 _RE_CUTOFF = re.compile(r'(?:before|by)\s+(\d{4}-\d{2}-\d{2})', re.IGNORECASE)
 
 
-def _match_template(query: str) -> str | None:
-    low = query.lower()
-    for template_id, phrases in _TEMPLATES:
-        if all(p in low for p in phrases):
-            return template_id
-    return None
+def _totals(low: str, table: dict[str, tuple[tuple[str, int], ...]]) -> Mapping[str, int]:
+    return MappingProxyType({key: sum(w for phrase, w in rules if phrase in low)
+                             for key, rules in table.items()})
 
 
-def _score(query: str, table: dict[str, tuple[tuple[str, int], ...]],
-           keys: list[str]) -> list[tuple[str, int]]:
-    low = query.lower()
-    scored = []
-    for key in keys:
-        total = sum(w for phrase, w in table.get(key, ()) if phrase in low)
-        scored.append((key, total))
+class _Reading:
+    """What the rules take from one query text: the recognized stem, if
+    any, and the keyword total of every agent and every table. Each part
+    is read on first use, because screening and planning need only some
+    of it; every part is read-only once read."""
+
+    def __init__(self, query: str) -> None:
+        self.low = query.lower()
+
+    @cached_property
+    def template_id(self) -> str | None:
+        return next((tid for tid, phrases in _TEMPLATES
+                     if all(p in self.low for p in phrases)), None)
+
+    @cached_property
+    def agent_totals(self) -> Mapping[str, int]:
+        return _totals(self.low, _AGENT_KEYWORDS)
+
+    @cached_property
+    def table_totals(self) -> Mapping[str, int]:
+        return _totals(self.low, _TABLE_KEYWORDS)
+
+
+# The ~18 completions that route one question arrive back to back, so a
+# small memo is enough to read each question once. The rules are pure
+# functions of the text, so one reading serves every provider and thread.
+_read = lru_cache(maxsize=64)(_Reading)
+
+
+def _score(totals: Mapping[str, int], keys: list[str]) -> list[tuple[str, int]]:
+    scored = [(key, totals.get(key, 0)) for key in keys]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored
 
@@ -177,12 +201,11 @@ class DeterministicProvider:
     # -- screening ---------------------------------------------------------
 
     def _do_classify(self, query: str, prompt: Prompt) -> str:
-        low = query.lower()
+        reading = _read(query)
         has_cue = _CUE_RE.search(query) is not None
-        domain = any(phrase in low
-                     for rules in _AGENT_KEYWORDS.values()
-                     for phrase, _ in rules)
-        domain = domain or _match_template(query) is not None
+        # every keyword weight is positive, so a total > 0 means some phrase hit
+        domain = (reading.template_id is not None
+                  or any(total > 0 for total in reading.agent_totals.values()))
         if has_cue and domain:
             return "non_hallucinatory 0.97"
         return "hallucinatory 0.88"
@@ -202,7 +225,7 @@ class DeterministicProvider:
     # -- decomposition -----------------------------------------------------
 
     def _do_decompose(self, query: str, prompt: Prompt) -> str:
-        template_id = _match_template(query)
+        template_id = _read(query).template_id
         slots = _slots(query)
         period = slots.get("period", "")
         if template_id and period:
@@ -233,32 +256,32 @@ class DeterministicProvider:
         return scored[idx][0]
 
     def _do_route_agent(self, query: str, prompt: Prompt) -> str:
-        template_id = _match_template(query)
-        if template_id:
-            routes = TEMPLATES[template_id].gold_routes
+        reading = _read(query)
+        if reading.template_id:
+            routes = TEMPLATES[reading.template_id].gold_routes
             if prompt.covered < len(routes):
                 agent = routes[prompt.covered].agent.value
                 for cand in prompt.candidates:
                     if cand.upper().replace("-", "") == agent.upper().replace("-", ""):
                         return cand
-        scored = _score(query, _AGENT_KEYWORDS, prompt.candidates)
+        scored = _score(reading.agent_totals, prompt.candidates)
         return self._ranked_with_persona(scored, prompt.covered, prompt.persona)
 
     def _do_route_table(self, query: str, prompt: Prompt) -> str:
-        template_id = _match_template(query)
-        if template_id:
-            routes = TEMPLATES[template_id].gold_routes
+        reading = _read(query)
+        if reading.template_id:
+            routes = TEMPLATES[reading.template_id].gold_routes
             if prompt.covered < len(routes):
                 table = routes[prompt.covered].table
                 if table in prompt.candidates:
                     return table
-        scored = _score(query, _TABLE_KEYWORDS, prompt.candidates)
+        scored = _score(reading.table_totals, prompt.candidates)
         return self._ranked_with_persona(scored, 0, prompt.persona)
 
     # -- planning ----------------------------------------------------------
 
     def _do_plan(self, query: str, prompt: Prompt) -> str:
-        template_id = _match_template(query)
+        template_id = _read(query).template_id
         if template_id is None:
             return "CANNOT PLAN"
         slots = _slots(query)

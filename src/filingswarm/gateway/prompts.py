@@ -19,6 +19,7 @@ hosted model would receive.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -55,7 +56,7 @@ def build_decompose_request(query: str) -> ChatRequest:
     return _request("decompose", [f"QUERY: {query}"])
 
 
-def _route_lines(query: str, agent: str | None, candidates: list[str],
+def _route_lines(query: str, agent: str | None, candidates: Sequence[str],
                  covered: list[tuple[str, str]], persona: str | None,
                  history: list[str] | None) -> list[str]:
     lines = []
@@ -73,7 +74,7 @@ def _route_lines(query: str, agent: str | None, candidates: list[str],
     return lines
 
 
-def build_route_agent_request(query: str, candidates: list[str],
+def build_route_agent_request(query: str, candidates: Sequence[str],
                               covered: list[tuple[str, str]] = (),
                               persona: str | None = None,
                               history: list[str] | None = None) -> ChatRequest:
@@ -81,7 +82,7 @@ def build_route_agent_request(query: str, candidates: list[str],
                                                 persona, history))
 
 
-def build_route_table_request(query: str, agent: str, candidates: list[str],
+def build_route_table_request(query: str, agent: str, candidates: Sequence[str],
                               covered: list[tuple[str, str]] = (),
                               persona: str | None = None,
                               history: list[str] | None = None) -> ChatRequest:

@@ -21,6 +21,7 @@ the stricter any-slot binary reading is available as a config switch.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus.schema import FilingType, SchemaRegistry
@@ -35,6 +36,9 @@ from .vindex import FlatIndex, knn
 STRATEGIES = ("embedding", "generative", "swarm")
 
 NO_PREDICTION = "(none)"
+
+# The closed list every agent prompt offers, in enum order.
+_AGENT_CANDIDATES = tuple(ft.value for ft in FilingType)
 
 _SWARM_PERSONAS = (
     "literal reader taking the question wording at face value",
@@ -118,6 +122,8 @@ def route_embedding(query: str, persona_index: FlatIndex,
             raise ValueError(f"no table description index for agent {agent_value}")
         return knn(table_index, qvec, k=len(table_index))
 
+    if len(persona_index) == 0:
+        raise ValueError("persona index is empty: no agent to route to")
     persona_ranking = knn(persona_index, qvec, k=len(persona_index))
     first_agent = persona_ranking[0][0]
     first_table = table_ranking(first_agent)[0][0]
@@ -137,8 +143,7 @@ def route_embedding(query: str, persona_index: FlatIndex,
                 continue
             taken.add((agent_value, table_id))
             routes.append(Route(FilingType.parse(agent_value), table_id))
-    return RoutingOutcome(tuple(routes), strategy="embedding",
-                          unroutable=not routes)
+    return RoutingOutcome(tuple(routes), strategy="embedding")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,8 @@ def _normalize_reply(reply: str) -> str:
     return reply.strip().strip('"').strip("'").rstrip(".").strip()
 
 
-def _closed_choice(provider, request: ChatRequest, candidates: list[str]) -> str | None:
+def _closed_choice(provider, request: ChatRequest,
+                   candidates: Sequence[str]) -> str | None:
     """Match the provider's reply against a closed candidate list,
     reprompting once before giving up on the slot."""
     by_norm = {c.strip().lower(): c for c in candidates}
@@ -167,15 +173,14 @@ def _generative_routes(query: str, provider, registry: SchemaRegistry,
                        n_routes: int, persona: str | None = None,
                        history: list[str] | None = None) -> tuple[list[Route], bool]:
     """Shared slot-by-slot routing; returns (routes, completed)."""
-    agent_candidates = [ft.value for ft in FilingType]
     covered: list[tuple[str, str]] = []
     routes: list[Route] = []
     for _ in range(n_routes):
         agent_reply = _closed_choice(
             provider,
-            build_route_agent_request(query, agent_candidates, covered,
+            build_route_agent_request(query, _AGENT_CANDIDATES, covered,
                                       persona=persona, history=history),
-            agent_candidates)
+            _AGENT_CANDIDATES)
         if agent_reply is None:
             return routes, False
         agent = FilingType.parse(agent_reply)

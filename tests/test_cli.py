@@ -101,7 +101,7 @@ def test_retrieval_run_covers_every_scope(rundir):
                                        ("swarm", "swarm")])
 def test_route_run_each_strategy(rundir, flag, name):
     out = rundir["root"] / f"routing_{flag}.json"
-    assert main(["route", "run", "--corpus", rundir["corpus"],
+    assert main(["route", "run",
                  "--bench", rundir["bench"], "--strategy", flag,
                  "--dim", "32", "--seed", "1", "--out", str(out)]) == 0
     section = json.loads(out.read_text())
@@ -154,7 +154,7 @@ def test_report_with_no_sections_is_a_usage_error(tmp_path):
 
 def test_scripted_provider_requires_fixture_path(rundir, tmp_path):
     with pytest.raises(SystemExit):
-        main(["route", "run", "--corpus", rundir["corpus"],
+        main(["route", "run",
               "--bench", rundir["bench"], "--provider", "scripted",
               "--out", str(tmp_path / "r.json")])
 

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filingswarm
-from filingswarm.gateway.deterministic import DeterministicProvider
+from filingswarm.gateway.deterministic import DeterministicProvider, _read
 from filingswarm.gateway.prompts import (
     Prompt,
     build_classify_request,
@@ -42,7 +44,7 @@ from filingswarm.gateway.types import (
 from filingswarm.pipeline import Query, SubQuery, SubQuerySet, draft_plan
 from filingswarm.plans import Filter, plan_from_json, validate_plan
 from filingswarm.questbench import ALL_IDS, canonical_plan
-from filingswarm.routing import route_generative
+from filingswarm.routing import SwarmConfig, route_generative, route_swarm
 
 E2 = 'Get the regulatory AUM for advisor "Test Advisors LLC" for period 2023-03-31.'
 
@@ -438,3 +440,100 @@ def test_plan_replan_and_variegate_requests_round_trip(queries, query, plan_json
         [query], [], 0, "", 1, plan_json, findings)
     assert _parsed(build_variegate_request(query, variant)) == Prompt(
         [query], [], 0, "", variant, "", [])
+
+
+# --- the rule memo -------------------------------------------------------------
+# The deterministic provider reads each query text once into a small memo
+# shared by every instance and thread. These tests pin that it changes no
+# reply and that one routed question is read once.
+
+AGENTS = ["13F", "NCSR", "NCEN", "NPORT", "NMFP", "ADV"]
+E5 = 'Get the country-level AUM for manager "Test Advisors LLC" for period 2023-03-31.'
+
+
+def _memo_requests(text):
+    """One request of each tag whose rule reads the memo."""
+    return [
+        build_classify_request(text),
+        build_decompose_request(text),
+        build_route_agent_request(text, AGENTS),
+        build_route_agent_request(text, AGENTS, COVERED, persona="contrarian checker"),
+        build_route_table_request(text, "ADV", ["adv_entity", "adv_brokers", "adv_disclosures"]),
+        build_route_table_request(text, "NPORT", ["nport_fund_info", "nport_holdings"],
+                                  COVERED, persona="contrarian checker"),
+        build_plan_request([text]),
+    ]
+
+
+def test_memoized_replies_equal_cold_replies(bench_mixed):
+    texts = sorted({inst.text for inst in bench_mixed}) + [
+        "What is the meaning of life?", "regulatory AUM", ""]
+    maxsize = _read.cache_info().maxsize
+    assert len(texts) > maxsize  # so the warm sweeps evict
+    det = DeterministicProvider()
+    requests = [r for text in texts for r in _memo_requests(text)]
+    cold = []
+    for request in requests:
+        _read.cache_clear()
+        cold.append(det.complete(request).content)
+    _read.cache_clear()
+    for _ in range(2):  # the second sweep re-reads texts the first evicted
+        assert [det.complete(r).content for r in requests] == cold
+    info = _read.cache_info()
+    assert info.misses == 2 * len(texts)
+    assert info.hits == 2 * (len(requests) - len(texts))
+    assert info.currsize == maxsize
+
+
+def test_threads_sharing_one_provider_get_single_threaded_routes(bench_mixed, registry):
+    instances = list({inst.text: inst for inst in bench_mixed}.values())
+    shared = instances[:8]
+    det = DeterministicProvider()
+    config = SwarmConfig(n_agents=3, max_timesteps=2)
+
+    def route(inst):
+        n = len(inst.gold_routes)
+        return (route_generative(inst.text, det, registry, n_routes=n),
+                route_swarm(inst.text, det, registry, config, n_routes=n))
+
+    _read.cache_clear()
+    expected = {inst.text: route(inst) for inst in instances}
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def worker(slot):
+        # every thread routes the shared questions twice, and its own once
+        work = shared + instances[len(shared) + slot::n_threads] + shared
+        random.Random(slot).shuffle(work)
+        barrier.wait(timeout=10)
+        results[slot] = [(inst.text, route(inst)) for inst in work]
+
+    _read.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got is not None
+        assert len(got) > 2 * len(shared)
+        for text, outcome in got:
+            assert outcome == expected[text]
+
+
+def test_one_swarm_call_reads_its_question_once(registry):
+    recording = RecordingProvider(DeterministicProvider())
+    _read.cache_clear()
+    outcome = route_swarm(E5, recording, registry, SwarmConfig(), n_routes=2)
+    assert len(outcome.predicted) == 2
+    info = _read.cache_info()
+    assert info.misses == 1
+    assert info.hits == len(recording.log) - 1
+    assert len(recording.log) >= 20

@@ -204,6 +204,13 @@ def test_embedding_missing_table_index_is_an_error():
         route_embedding("money market", personas, {}, embedder)
 
 
+def test_embedding_empty_persona_index_is_an_error():
+    _, tables, embedder = _embedding_fixture()
+    empty = FlatIndex(scope=IndexScope.global_(), dim=embedder.dim)
+    with pytest.raises(ValueError, match="persona index is empty"):
+        route_embedding("advisor question", empty, tables, embedder)
+
+
 # ---------------------------------------------------------------------------
 # Swarm strategy
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filingswarm.corpus.schema import (
     FieldDef,
@@ -42,6 +44,56 @@ def test_parse_accepts_names_and_values(raw, expected):
 def test_parse_rejects_unknown():
     with pytest.raises(ValueError):
         FilingType.parse("10-K")
+
+
+def _parse_by_enum_walk(name):
+    """The enum walk ``FilingType.parse`` used before its lookup table,
+    kept as the lookup's oracle."""
+    cleaned = name.strip().upper().replace("-", "")
+    for ft in FilingType:
+        if cleaned in (ft.name, ft.value.upper().replace("-", "")):
+            return ft
+    raise ValueError(f"unknown filing type: {name!r}")
+
+
+def _parsed(parse, name):
+    try:
+        return parse(name)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _spelled_filing_types(draw):
+    """A member's name or value in random case, with dashes inserted and
+    whitespace around it."""
+    ft = draw(st.sampled_from(list(FilingType)))
+    word = draw(st.sampled_from((ft.name, ft.value)))
+    chars = [c.upper() if draw(st.booleans()) else c.lower() for c in word]
+    for _ in range(draw(st.integers(0, 3))):
+        chars.insert(draw(st.integers(0, len(chars))), "-")
+    pad = st.text(" \t\n\r\x0b\x0c\u00a0\u2003", max_size=3)
+    return ft, draw(pad) + "".join(chars) + draw(pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spelled_filing_types())
+def test_parse_reads_every_spelling_as_the_enum_walk_does(spelled):
+    ft, name = spelled
+    assert FilingType.parse(name) is ft
+    assert _parse_by_enum_walk(name) is ft
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text())
+def test_parse_agrees_with_the_enum_walk(name):
+    assert _parsed(FilingType.parse, name) == _parsed(_parse_by_enum_walk, name)
+
+
+@pytest.mark.parametrize("bad", [7, None])
+def test_parse_of_a_non_string_raises_attribute_error(bad):
+    with pytest.raises(AttributeError):
+        FilingType.parse(bad)
 
 
 def test_registry_table_map(registry):
