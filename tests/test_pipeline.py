@@ -540,3 +540,22 @@ def test_pipeline_memory_short_circuits_the_second_run(registry, small_view,
 def test_pipeline_fixture_miss_propagates(registry, small_view):
     with pytest.raises(FixtureMissError):
         run_pipeline(AUM_QUERY, ScriptedProvider({}), small_view, registry)
+
+
+class _MissesReplan:
+    """The rule provider for every tag but ``replan``, whose fixture is
+    missing."""
+
+    def __init__(self):
+        self.inner = DeterministicProvider()
+
+    def complete(self, request):
+        if request.tag == "replan":
+            raise FixtureMissError("fixture miss: tag='replan'")
+        return self.inner.complete(request)
+
+
+def test_pipeline_replan_fixture_miss_propagates(registry, small_view, bench):
+    instance = next(i for i in bench if i.template_id == "E0")
+    with pytest.raises(FixtureMissError, match="replan"):
+        run_pipeline(instance.text, _MissesReplan(), small_view, registry)

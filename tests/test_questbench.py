@@ -6,6 +6,8 @@ shared synthetic fixture checks the structural guarantees across all eleven.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from datetime import date
@@ -19,7 +21,7 @@ from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatResponse, FixtureMissError, GatewayError
-from filingswarm.plans import ListValue, Scalar, TableValue, execute_plan
+from filingswarm.plans import ListValue, Scalar, TableValue, execute_plan, plan_to_json
 from filingswarm.questbench import (
     ALL_IDS,
     EASY_IDS,
@@ -262,6 +264,30 @@ def test_benchmark_file_round_trip(tmp_path, bench):
     path = tmp_path / "bench.jsonl"
     export_benchmark(bench, path)
     assert load_benchmark(path) == bench
+
+
+# The export bytes of a variegated benchmark, every canonical plan and every
+# template's candidate list on the shared corpus, hashed together: any change
+# to a template's candidates, oracle or plan changes this digest.
+BENCH_DIGEST = "f4e2e604106ac64ab1bbf83ed83b512d932b101badf7ceb2b2f8141be10b3244"
+
+
+def test_bench_plans_and_candidates_are_pinned(tmp_path, small_view):
+    instances = generate_benchmark(small_view, per_template=1, seed=3,
+                                   gateway=DeterministicProvider(),
+                                   variegate_n=1)
+    assert {i.template_id for i in instances} == set(ALL_IDS)
+    path = tmp_path / "bench.jsonl"
+    export_benchmark(instances, path)
+    digest = hashlib.sha256(path.read_bytes())
+    for instance in instances:
+        digest.update(plan_to_json(canonical_plan(instance, small_view)).encode())
+        digest.update(b"\n")
+    for template_id in ALL_IDS:
+        candidates = TEMPLATES[template_id].candidates(small_view)
+        digest.update(json.dumps(candidates, sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == BENCH_DIGEST
 
 
 def test_datapoint_stats_frozen():
