@@ -59,11 +59,6 @@ def _load_view(path: str):
     return registry, reconcile(result.store)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _cmd_corpus_gen(args: argparse.Namespace) -> int:
     config = SyntheticConfig(
         records_per_table=args.records_per_table,
@@ -103,7 +98,8 @@ def _cmd_retrieval_run(args: argparse.Namespace) -> int:
     instances = load_benchmark(args.bench)
     embedder = HashFeatureEmbedder(args.dim)
     section = run_retrieval_ablation(instances, view, embedder, registry)
-    _write_json(args.out, section)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(report_to_json(section))
     overall = {k: round(v["overall"]["r_precision"], 4)
                for k, v in section["scopes"].items()}
     print(f"wrote {args.out}  r-precision: {overall}")
@@ -127,7 +123,8 @@ def _cmd_route_run(args: argparse.Namespace) -> int:
             instances, strategy, registry, provider=provider,
             swarm_config=SwarmConfig(seed=args.seed),
             partial_credit=args.partial_credit)
-    _write_json(args.out, section)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(report_to_json(section))
     cell = section["splits"]["overall"]["both"]
     print(f"wrote {args.out}  overall acc={cell['acc_overall']:.4f} "
           f"(agent {cell['acc_agent']:.4f})")
@@ -141,7 +138,8 @@ def _cmd_agentic_run(args: argparse.Namespace) -> int:
     memory = LongTermMemory(args.memory) if args.memory else None
     section = run_agentic(instances, provider, view, registry, memory=memory,
                           workers=args.workers)
-    _write_json(args.out, section)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(report_to_json(section))
     cell = section["splits"]["overall"]["both"]
     print(f"wrote {args.out}  success={cell['success_rate']:.4f} "
           f"on {cell['n']} questions")

@@ -298,8 +298,6 @@ def run_routing_ablation(instances: list[QuestionInstance], strategy: str,
                                       swarm_config or SwarmConfig(), n_routes=n)
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
-        except FixtureMissError:
-            raise
         except GatewayError:
             outcome = RoutingOutcome((), strategy, (), unroutable=True)
         outcomes.append((outcome, list(instance.gold_routes)))

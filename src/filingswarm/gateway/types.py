@@ -13,11 +13,12 @@ class GatewayError(RuntimeError):
     """Base class for provider failures."""
 
 
-class FixtureMissError(GatewayError):
+class FixtureMissError(RuntimeError):
     """Scripted provider saw a request digest absent from its fixtures.
 
     A hard error on purpose: silently falling back to another provider would
-    make ablation runs incomparable.
+    make ablation runs incomparable. It is not a ``GatewayError``, so no
+    handler that falls back on a provider failure catches it.
     """
 
 

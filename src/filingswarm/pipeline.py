@@ -26,7 +26,7 @@ from .gateway.prompts import (
     build_rewrite_request,
 )
 from .gateway.providers import classify_quality
-from .gateway.types import FixtureMissError, GatewayError
+from .gateway.types import GatewayError
 from .plans import (
     Answer,
     ExecutionError,
@@ -277,8 +277,6 @@ def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
     for _ in range(2):
         try:
             content = gateway.complete(request).content
-        except FixtureMissError:
-            raise
         except GatewayError as exc:
             attempts += 1
             last_error = str(exc)
@@ -372,8 +370,6 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
     final = draft
     try:
         content = gateway.complete(request).content
-    except FixtureMissError:
-        raise
     except GatewayError as exc:
         log.warning("revision failed (%s); keeping draft", exc)
     else:
@@ -425,8 +421,6 @@ def run_pipeline(text: str, gateway, view: ReconciledView,
             final = revise_plan(screen.query, drafted.plan, findings,
                                 gateway, registry, memory)
         answer = execute_plan(final, view, registry)
-    except FixtureMissError:
-        raise
     except (GatewayError, PlanError, ExecutionError) as exc:
         return PipelineResult(status="failed", error=f"{type(exc).__name__}: {exc}")
     return PipelineResult(status="answered", screen=screen, subqueries=subqueries,

@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .corpus.reconcile import ReconciledView, reconcile
-from .corpus.records import CorpusStore, FilingRecord
+from .corpus.reconcile import ReconciledView
+from .corpus.records import FilingRecord
 from .corpus.schema import FilingType
 from .corpus.synthetic import STATEMENT_LABELS
 from .gateway.prompts import build_variegate_request
-from .gateway.types import FixtureMissError, GatewayError
+from .gateway.types import GatewayError
 from .plans import (
     Aggregate,
     Answer,
@@ -78,25 +78,16 @@ class QuestionInstance:
     relevant_record_ids: frozenset[str]
 
 
-def _as_view(store: CorpusStore | ReconciledView) -> ReconciledView:
-    if isinstance(store, ReconciledView):
-        return store
-    return reconcile(store)
-
-
-def _rows(view: ReconciledView, table_id: str) -> list[FilingRecord]:
-    return view.table_records(table_id)
-
-
 # ---------------------------------------------------------------------------
-# Per-template implementations.
+# Per-template implementations. Templates that ask one question of different
+# tables share their functions, which take the table and fields as arguments.
 
 _TF = "thirteenf_holdings"
 
 
 def _cands_positions(view: ReconciledView, want_option: bool) -> list[dict]:
     seen = set()
-    for r in _rows(view, _TF):
+    for r in view.table_records(_TF):
         is_opt = str(r.fields["security_class"]).startswith("OPT")
         if is_opt == want_option and r.fields["manager_name"] is not None:
             seen.add((r.fields["manager_name"], r.fields["period"]))
@@ -106,7 +97,7 @@ def _cands_positions(view: ReconciledView, want_option: bool) -> list[dict]:
 def _solve_positions(view: ReconciledView, slots: dict, want_option: bool):
     total = 0.0
     ids = set()
-    for r in _rows(view, _TF):
+    for r in view.table_records(_TF):
         if r.fields["manager_name"] != slots["manager"]:
             continue
         if r.fields["period"] != slots["period"]:
@@ -133,7 +124,7 @@ def _plan_positions(slots: dict, want_option: bool) -> Plan:
 
 def _cands_e2(view: ReconciledView) -> list[dict]:
     seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in _rows(view, "adv_entity")
+            for r in view.table_records("adv_entity")
             if r.fields["regulatory_aum"] is not None
             and r.fields["advisor_name"] is not None}
     return [{"advisor": a, "period": p} for a, p in sorted(seen)]
@@ -142,7 +133,7 @@ def _cands_e2(view: ReconciledView) -> list[dict]:
 def _solve_e2(view: ReconciledView, slots: dict):
     total = 0.0
     ids = set()
-    for r in _rows(view, "adv_entity"):
+    for r in view.table_records("adv_entity"):
         if (r.fields["advisor_name"] == slots["advisor"]
                 and r.fields["period"] == slots["period"]
                 and r.fields["regulatory_aum"] is not None):
@@ -160,121 +151,111 @@ def _plan_e2(view: ReconciledView, slots: dict) -> Plan:
         Return("ret", "a1")))
 
 
-def _cands_e3(view: ReconciledView) -> list[dict]:
+def _cands_advisors(view: ReconciledView) -> list[dict]:
     seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in _rows(view, "ncen_fund_registry")
+            for r in view.table_records("ncen_fund_registry")
             if r.fields["advisor_name"] is not None}
     return [{"advisor": a, "period": p} for a, p in sorted(seen)]
 
 
-def _solve_e3(view: ReconciledView, slots: dict):
-    names = []
-    ids = set()
-    for r in _rows(view, "ncen_fund_registry"):
-        if (r.fields["advisor_name"] == slots["advisor"]
-                and r.fields["period"] == slots["period"]):
-            names.append(str(r.fields["fund_name"]))
-            ids.add(r.record_id)
-    return ListValue(tuple(names), frozenset(ids)), frozenset(ids)
-
-
-def _plan_e3(view: ReconciledView, slots: dict) -> Plan:
-    return Plan((
-        Retrieve("r1", FilingType.NCEN, "ncen_fund_registry", (
-            Filter("advisor_name", "eq", slots["advisor"]),
-            Filter("period", "eq", slots["period"])), ("fund_name",)),
-        Return("ret", "r1")))
-
-
 def _cands_e4(view: ReconciledView) -> list[dict]:
     seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in _rows(view, "adv_brokers")
+            for r in view.table_records("adv_brokers")
             if r.fields["relation"] == "prime broker"}
     return [{"advisor": a, "period": p} for a, p in sorted(seen)]
 
 
-def _solve_e4(view: ReconciledView, slots: dict):
+_PRIME_BROKER = (("relation", "prime broker"),)
+
+
+def _solve_advisor_names(view: ReconciledView, slots: dict, table: str,
+                         name_field: str, where: tuple[tuple[str, str], ...] = ()):
+    """``name_field`` of the advisor's rows of ``table`` for the period that
+    also hold every ``(field, value)`` of ``where``."""
     names = []
     ids = set()
-    for r in _rows(view, "adv_brokers"):
+    for r in view.table_records(table):
         if (r.fields["advisor_name"] == slots["advisor"]
                 and r.fields["period"] == slots["period"]
-                and r.fields["relation"] == "prime broker"):
-            names.append(str(r.fields["broker_name"]))
+                and all(r.fields[f] == v for f, v in where)):
+            names.append(str(r.fields[name_field]))
             ids.add(r.record_id)
     return ListValue(tuple(names), frozenset(ids)), frozenset(ids)
 
 
-def _plan_e4(view: ReconciledView, slots: dict) -> Plan:
+def _plan_advisor_names(slots: dict, agent: FilingType, table: str,
+                        name_field: str, where: tuple[tuple[str, str], ...] = ()) -> Plan:
     return Plan((
-        Retrieve("r1", FilingType.ADV, "adv_brokers", (
+        Retrieve("r1", agent, table, (
             Filter("advisor_name", "eq", slots["advisor"]),
-            Filter("relation", "eq", "prime broker"),
-            Filter("period", "eq", slots["period"])), ("broker_name",)),
+            *(Filter(f, "eq", v) for f, v in where),
+            Filter("period", "eq", slots["period"])), (name_field,)),
         Return("ret", "r1")))
 
 
 def _advisor_funds(view: ReconciledView, advisor: str, period: str) -> tuple[set, set]:
     fund_ids = set()
     registry_ids = set()
-    for r in _rows(view, "ncen_fund_registry"):
+    for r in view.table_records("ncen_fund_registry"):
         if r.fields["advisor_name"] == advisor and r.fields["period"] == period:
             fund_ids.add(r.fields["fund_id"])
             registry_ids.add(r.record_id)
     return fund_ids, registry_ids
 
 
-def _cands_e5(view: ReconciledView) -> list[dict]:
-    holdings_funds: dict[str, set] = {}
-    for r in _rows(view, "nport_holdings"):
-        holdings_funds.setdefault(r.fields["period"], set()).add(r.fields["fund_id"])
+def _cands_advisor_split(view: ReconciledView, table: str) -> list[dict]:
+    table_funds: dict[str, set] = {}
+    for r in view.table_records(table):
+        table_funds.setdefault(r.fields["period"], set()).add(r.fields["fund_id"])
     out = []
-    seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in _rows(view, "ncen_fund_registry")
-            if r.fields["advisor_name"] is not None}
-    for advisor, period in sorted(seen):
-        fund_ids, _ = _advisor_funds(view, advisor, period)
-        if fund_ids & holdings_funds.get(period, set()):
-            out.append({"advisor": advisor, "period": period})
+    for slots in _cands_advisors(view):
+        fund_ids, _ = _advisor_funds(view, slots["advisor"], slots["period"])
+        if fund_ids & table_funds.get(slots["period"], set()):
+            out.append(slots)
     return out
 
 
-def _solve_e5(view: ReconciledView, slots: dict):
+def _solve_advisor_split(view: ReconciledView, slots: dict, table: str,
+                         group_field: str, value_field: str):
+    """Sum of ``value_field`` per ``group_field`` over the period's rows of
+    ``table`` that belong to the advisor's funds."""
     fund_ids, registry_ids = _advisor_funds(view, slots["advisor"], slots["period"])
     sums: dict[str, float] = {}
     ids = set(registry_ids)
-    for r in _rows(view, "nport_holdings"):
+    for r in view.table_records(table):
         if r.fields["period"] == slots["period"] and r.fields["fund_id"] in fund_ids:
-            sums[r.fields["country"]] = sums.get(r.fields["country"], 0.0) + r.fields["value_usd"]
+            group = r.fields[group_field]
+            sums[group] = sums.get(group, 0.0) + r.fields[value_field]
             ids.add(r.record_id)
-    rows = tuple((country, sums[country]) for country in sorted(sums))
-    return TableValue(("country", "value_usd"), rows, frozenset(ids)), frozenset(ids)
+    rows = tuple((group, sums[group]) for group in sorted(sums))
+    return TableValue((group_field, value_field), rows, frozenset(ids)), frozenset(ids)
 
 
-def _plan_e5(view: ReconciledView, slots: dict) -> Plan:
+def _plan_advisor_split(slots: dict, table: str, group_field: str,
+                        value_field: str) -> Plan:
     return Plan((
         Retrieve("r1", FilingType.NCEN, "ncen_fund_registry", (
             Filter("advisor_name", "eq", slots["advisor"]),
             Filter("period", "eq", slots["period"])), ("fund_id",)),
-        Retrieve("r2", FilingType.NPORT, "nport_holdings", (
+        Retrieve("r2", FilingType.NPORT, table, (
             Filter("period", "eq", slots["period"]),),
-            ("fund_id", "country", "value_usd")),
+            ("fund_id", group_field, value_field)),
         Join("j1", "r1", "r2", ("fund_id",)),
-        Aggregate("g1", "j1", "groupby-sum", ("country",), "value_usd"),
+        Aggregate("g1", "j1", "groupby-sum", (group_field,), value_field),
         Return("ret", "g1")))
 
 
 def _cands_e6(view: ReconciledView) -> list[dict]:
     nmfp_funds: dict[str, set] = {}
-    for r in _rows(view, "nmfp_fund_info"):
+    for r in view.table_records("nmfp_fund_info"):
         nmfp_funds.setdefault(r.fields["period"], set()).add(r.fields["fund_id"])
     out = []
     seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in _rows(view, "ncen_fund_registry")
+            for r in view.table_records("ncen_fund_registry")
             if r.fields["fund_type"] == "money market"
             and r.fields["advisor_name"] is not None}
     for advisor, period in sorted(seen):
-        fund_ids = {r.fields["fund_id"] for r in _rows(view, "ncen_fund_registry")
+        fund_ids = {r.fields["fund_id"] for r in view.table_records("ncen_fund_registry")
                     if r.fields["advisor_name"] == advisor
                     and r.fields["period"] == period
                     and r.fields["fund_type"] == "money market"}
@@ -286,14 +267,14 @@ def _cands_e6(view: ReconciledView) -> list[dict]:
 def _solve_e6(view: ReconciledView, slots: dict):
     mm: dict[str, str] = {}
     ids = set()
-    for r in _rows(view, "ncen_fund_registry"):
+    for r in view.table_records("ncen_fund_registry"):
         if (r.fields["advisor_name"] == slots["advisor"]
                 and r.fields["period"] == slots["period"]
                 and r.fields["fund_type"] == "money market"):
             mm[r.fields["fund_id"]] = str(r.fields["fund_name"])
             ids.add(r.record_id)
     sums: dict[str, float] = {}
-    for r in _rows(view, "nmfp_fund_info"):
+    for r in view.table_records("nmfp_fund_info"):
         if r.fields["period"] == slots["period"] and r.fields["fund_id"] in mm:
             name = mm[r.fields["fund_id"]]
             sums[name] = sums.get(name, 0.0) + r.fields["net_assets"]
@@ -316,10 +297,38 @@ def _plan_e6(view: ReconciledView, slots: dict) -> Plan:
 
 
 def _fund_name_to_id(view: ReconciledView, fund_name: str, period: str) -> tuple[str | None, set]:
-    for r in _rows(view, "nport_fund_info"):
+    for r in view.table_records("nport_fund_info"):
         if r.fields["fund_name"] == fund_name and r.fields["period"] == period:
             return r.fields["fund_id"], {r.record_id}
     return None, set()
+
+
+def _solve_fund_rows(view: ReconciledView, slots: dict, table: str,
+                     columns: tuple[str, ...], keep: Callable[[dict, dict], bool]):
+    """``columns`` of the named fund's rows of ``table`` for the period that
+    pass ``keep(fields, slots)``."""
+    fund_id, info_ids = _fund_name_to_id(view, slots["fund"], slots["period"])
+    ids = set(info_ids)
+    rows = []
+    for r in view.table_records(table):
+        if (r.fields["fund_id"] == fund_id
+                and r.fields["period"] == slots["period"]
+                and keep(r.fields, slots)):
+            rows.append(tuple(r.fields[c] for c in columns))
+            ids.add(r.record_id)
+    return TableValue(columns, tuple(rows), frozenset(ids)), frozenset(ids)
+
+
+def _plan_fund_rows(slots: dict, table: str, columns: tuple[str, ...],
+                    filters: tuple[Filter, ...]) -> Plan:
+    return Plan((
+        Retrieve("r1", FilingType.NPORT, "nport_fund_info", (
+            Filter("fund_name", "eq", slots["fund"]),
+            Filter("period", "eq", slots["period"])), ("fund_id",)),
+        Retrieve("r2", FilingType.NPORT, table, (
+            *filters, Filter("period", "eq", slots["period"])), columns),
+        Join("j1", "r1", "r2", ("fund_id",)),
+        Return("ret", "j1")))
 
 
 _H0_COLS = ("fund_id", "issuer_name", "cusip", "country", "value_usd", "shares")
@@ -327,80 +336,17 @@ _H0_COLS = ("fund_id", "issuer_name", "cusip", "country", "value_usd", "shares")
 
 def _cands_h0(view: ReconciledView) -> list[dict]:
     names = {r.fields["fund_id"]: r.fields["fund_name"]
-             for r in _rows(view, "nport_fund_info")}
+             for r in view.table_records("nport_fund_info")}
     seen = set()
-    for r in _rows(view, "nport_holdings"):
+    for r in view.table_records("nport_holdings"):
         name = names.get(r.fields["fund_id"])
         if name is not None and r.fields["instrument_type"] is not None:
             seen.add((name, r.fields["instrument_type"], r.fields["period"]))
     return [{"fund": f, "instrument": i, "period": p} for f, i, p in sorted(seen)]
 
 
-def _solve_h0(view: ReconciledView, slots: dict):
-    fund_id, info_ids = _fund_name_to_id(view, slots["fund"], slots["period"])
-    ids = set(info_ids)
-    rows = []
-    for r in _rows(view, "nport_holdings"):
-        if (r.fields["fund_id"] == fund_id
-                and r.fields["period"] == slots["period"]
-                and r.fields["instrument_type"] == slots["instrument"]):
-            rows.append(tuple(r.fields[c] for c in _H0_COLS))
-            ids.add(r.record_id)
-    return TableValue(_H0_COLS, tuple(rows), frozenset(ids)), frozenset(ids)
-
-
-def _plan_h0(view: ReconciledView, slots: dict) -> Plan:
-    return Plan((
-        Retrieve("r1", FilingType.NPORT, "nport_fund_info", (
-            Filter("fund_name", "eq", slots["fund"]),
-            Filter("period", "eq", slots["period"])), ("fund_id",)),
-        Retrieve("r2", FilingType.NPORT, "nport_holdings", (
-            Filter("instrument_type", "eq", slots["instrument"]),
-            Filter("period", "eq", slots["period"])), _H0_COLS),
-        Join("j1", "r1", "r2", ("fund_id",)),
-        Return("ret", "j1")))
-
-
-def _cands_h1(view: ReconciledView) -> list[dict]:
-    deriv_funds: dict[str, set] = {}
-    for r in _rows(view, "nport_derivatives"):
-        deriv_funds.setdefault(r.fields["period"], set()).add(r.fields["fund_id"])
-    out = []
-    seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in _rows(view, "ncen_fund_registry")
-            if r.fields["advisor_name"] is not None}
-    for advisor, period in sorted(seen):
-        fund_ids, _ = _advisor_funds(view, advisor, period)
-        if fund_ids & deriv_funds.get(period, set()):
-            out.append({"advisor": advisor, "period": period})
-    return out
-
-
-def _solve_h1(view: ReconciledView, slots: dict):
-    fund_ids, registry_ids = _advisor_funds(view, slots["advisor"], slots["period"])
-    sums: dict[str, float] = {}
-    ids = set(registry_ids)
-    for r in _rows(view, "nport_derivatives"):
-        if r.fields["period"] == slots["period"] and r.fields["fund_id"] in fund_ids:
-            cp = r.fields["counterparty_name"]
-            sums[cp] = sums.get(cp, 0.0) + r.fields["notional_value"]
-            ids.add(r.record_id)
-    rows = tuple((cp, sums[cp]) for cp in sorted(sums))
-    return TableValue(("counterparty_name", "notional_value"), rows,
-                      frozenset(ids)), frozenset(ids)
-
-
-def _plan_h1(view: ReconciledView, slots: dict) -> Plan:
-    return Plan((
-        Retrieve("r1", FilingType.NCEN, "ncen_fund_registry", (
-            Filter("advisor_name", "eq", slots["advisor"]),
-            Filter("period", "eq", slots["period"])), ("fund_id",)),
-        Retrieve("r2", FilingType.NPORT, "nport_derivatives", (
-            Filter("period", "eq", slots["period"]),),
-            ("fund_id", "counterparty_name", "notional_value")),
-        Join("j1", "r1", "r2", ("fund_id",)),
-        Aggregate("g1", "j1", "groupby-sum", ("counterparty_name",), "notional_value"),
-        Return("ret", "g1")))
+def _is_h0_row(fields: dict, slots: dict) -> bool:
+    return fields["instrument_type"] == slots["instrument"]
 
 
 _H2_COLS = ("fund_id", "derivative_type", "counterparty_name", "underlying",
@@ -412,9 +358,9 @@ def _cands_h2(view: ReconciledView) -> list[dict]:
     from datetime import date, timedelta
 
     names = {r.fields["fund_id"]: r.fields["fund_name"]
-             for r in _rows(view, "nport_fund_info")}
+             for r in view.table_records("nport_fund_info")}
     by_fund_period: dict[tuple, list[str]] = {}
-    for r in _rows(view, "nport_derivatives"):
+    for r in view.table_records("nport_derivatives"):
         if r.fields["derivative_type"] == "custom basket":
             key = (r.fields["fund_id"], r.fields["period"])
             by_fund_period.setdefault(key, []).append(r.fields["expiration_date"])
@@ -432,34 +378,12 @@ def _cands_h2(view: ReconciledView) -> list[dict]:
     return out
 
 
-def _solve_h2(view: ReconciledView, slots: dict):
-    fund_id, info_ids = _fund_name_to_id(view, slots["fund"], slots["period"])
-    ids = set(info_ids)
-    rows = []
-    for r in _rows(view, "nport_derivatives"):
-        # a null expiry never satisfies the cutoff, matching range-filter
-        # semantics in the executable plan
-        if (r.fields["fund_id"] == fund_id
-                and r.fields["period"] == slots["period"]
-                and r.fields["derivative_type"] == "custom basket"
-                and r.fields["expiration_date"] is not None
-                and r.fields["expiration_date"] <= slots["cutoff"]):
-            rows.append(tuple(r.fields[c] for c in _H2_COLS))
-            ids.add(r.record_id)
-    return TableValue(_H2_COLS, tuple(rows), frozenset(ids)), frozenset(ids)
-
-
-def _plan_h2(view: ReconciledView, slots: dict) -> Plan:
-    return Plan((
-        Retrieve("r1", FilingType.NPORT, "nport_fund_info", (
-            Filter("fund_name", "eq", slots["fund"]),
-            Filter("period", "eq", slots["period"])), ("fund_id",)),
-        Retrieve("r2", FilingType.NPORT, "nport_derivatives", (
-            Filter("derivative_type", "eq", "custom basket"),
-            Filter("expiration_date", "range", (None, slots["cutoff"])),
-            Filter("period", "eq", slots["period"])), _H2_COLS),
-        Join("j1", "r1", "r2", ("fund_id",)),
-        Return("ret", "j1")))
+def _is_h2_row(fields: dict, slots: dict) -> bool:
+    # a null expiry never satisfies the cutoff, matching range-filter
+    # semantics in the executable plan
+    return (fields["derivative_type"] == "custom basket"
+            and fields["expiration_date"] is not None
+            and fields["expiration_date"] <= slots["cutoff"])
 
 
 _TOTAL_ASSETS_LABELS = frozenset(STATEMENT_LABELS["TOTAL_ASSETS"][1])
@@ -467,7 +391,7 @@ _TOTAL_ASSETS_LABELS = frozenset(STATEMENT_LABELS["TOTAL_ASSETS"][1])
 
 def _cands_h3(view: ReconciledView) -> list[dict]:
     seen = set()
-    for r in _rows(view, "ncsr_statement_items"):
+    for r in view.table_records("ncsr_statement_items"):
         if (r.fields["statement"] == "assets_liabilities"
                 and r.fields["label"] in _TOTAL_ASSETS_LABELS
                 and r.fields["fund_name"] is not None):
@@ -476,7 +400,7 @@ def _cands_h3(view: ReconciledView) -> list[dict]:
 
 
 def _h3_rows(view: ReconciledView, slots: dict) -> list[FilingRecord]:
-    return [r for r in _rows(view, "ncsr_statement_items")
+    return [r for r in view.table_records("ncsr_statement_items")
             if r.fields["fund_name"] == slots["fund"]
             and r.fields["period"] == slots["period"]
             and r.fields["statement"] == "assets_liabilities"
@@ -537,13 +461,21 @@ _register(QuestionTemplate(
     "E3", "easy",
     'Get all funds managed by investment advisor "{advisor}" for period {period}.',
     "list", (Route(FilingType.NCEN, "ncen_fund_registry"),),
-    _cands_e3, _solve_e3, _plan_e3))
+    _cands_advisors,
+    lambda view, slots: _solve_advisor_names(view, slots, "ncen_fund_registry",
+                                             "fund_name"),
+    lambda view, slots: _plan_advisor_names(slots, FilingType.NCEN,
+                                            "ncen_fund_registry", "fund_name")))
 
 _register(QuestionTemplate(
     "E4", "easy",
     'Get all prime brokers for advisor "{advisor}" for period {period}.',
     "list", (Route(FilingType.ADV, "adv_brokers"),),
-    _cands_e4, _solve_e4, _plan_e4))
+    _cands_e4,
+    lambda view, slots: _solve_advisor_names(view, slots, "adv_brokers", "broker_name",
+                                             _PRIME_BROKER),
+    lambda view, slots: _plan_advisor_names(slots, FilingType.ADV, "adv_brokers",
+                                            "broker_name", _PRIME_BROKER)))
 
 _register(QuestionTemplate(
     "E5", "easy",
@@ -551,7 +483,11 @@ _register(QuestionTemplate(
     "dataframe",
     (Route(FilingType.NCEN, "ncen_fund_registry"),
      Route(FilingType.NPORT, "nport_holdings")),
-    _cands_e5, _solve_e5, _plan_e5))
+    lambda view: _cands_advisor_split(view, "nport_holdings"),
+    lambda view, slots: _solve_advisor_split(view, slots, "nport_holdings",
+                                             "country", "value_usd"),
+    lambda view, slots: _plan_advisor_split(slots, "nport_holdings",
+                                            "country", "value_usd")))
 
 _register(QuestionTemplate(
     "E6", "easy",
@@ -567,7 +503,11 @@ _register(QuestionTemplate(
     "dataframe",
     (Route(FilingType.NPORT, "nport_fund_info"),
      Route(FilingType.NPORT, "nport_holdings")),
-    _cands_h0, _solve_h0, _plan_h0))
+    _cands_h0,
+    lambda view, slots: _solve_fund_rows(view, slots, "nport_holdings", _H0_COLS,
+                                         _is_h0_row),
+    lambda view, slots: _plan_fund_rows(slots, "nport_holdings", _H0_COLS, (
+        Filter("instrument_type", "eq", slots["instrument"]),))))
 
 _register(QuestionTemplate(
     "H1", "hard",
@@ -575,7 +515,11 @@ _register(QuestionTemplate(
     "dataframe",
     (Route(FilingType.NCEN, "ncen_fund_registry"),
      Route(FilingType.NPORT, "nport_derivatives")),
-    _cands_h1, _solve_h1, _plan_h1))
+    lambda view: _cands_advisor_split(view, "nport_derivatives"),
+    lambda view, slots: _solve_advisor_split(view, slots, "nport_derivatives",
+                                             "counterparty_name", "notional_value"),
+    lambda view, slots: _plan_advisor_split(slots, "nport_derivatives",
+                                            "counterparty_name", "notional_value")))
 
 _register(QuestionTemplate(
     "H2", "hard",
@@ -583,7 +527,12 @@ _register(QuestionTemplate(
     "dataframe",
     (Route(FilingType.NPORT, "nport_fund_info"),
      Route(FilingType.NPORT, "nport_derivatives")),
-    _cands_h2, _solve_h2, _plan_h2))
+    _cands_h2,
+    lambda view, slots: _solve_fund_rows(view, slots, "nport_derivatives", _H2_COLS,
+                                         _is_h2_row),
+    lambda view, slots: _plan_fund_rows(slots, "nport_derivatives", _H2_COLS, (
+        Filter("derivative_type", "eq", "custom basket"),
+        Filter("expiration_date", "range", (None, slots["cutoff"]))))))
 
 _register(QuestionTemplate(
     "H3", "hard",
@@ -595,10 +544,9 @@ _register(QuestionTemplate(
 # ---------------------------------------------------------------------------
 # Operations
 
-def instantiate(template: QuestionTemplate, store: CorpusStore | ReconciledView,
+def instantiate(template: QuestionTemplate, view: ReconciledView,
                 rng: random.Random) -> QuestionInstance:
     """Sample one guaranteed-answerable instance."""
-    view = _as_view(store)
     candidates = template.candidates(view)
     if not candidates:
         raise UnsatisfiableTemplateError(
@@ -619,19 +567,14 @@ def instantiate(template: QuestionTemplate, store: CorpusStore | ReconciledView,
 
 
 def oracle_solve(instance: QuestionInstance,
-                 store: CorpusStore | ReconciledView) -> tuple[Answer, frozenset[str]]:
+                 view: ReconciledView) -> tuple[Answer, frozenset[str]]:
     """Direct plan-free solution for an instance's slots."""
-    view = _as_view(store)
-    template = TEMPLATES[instance.template_id]
-    return template.solve(view, instance.slot_values)
+    return TEMPLATES[instance.template_id].solve(view, instance.slot_values)
 
 
-def canonical_plan(instance: QuestionInstance,
-                   store: CorpusStore | ReconciledView) -> Plan:
+def canonical_plan(instance: QuestionInstance, view: ReconciledView) -> Plan:
     """The executable plan whose output must match the oracle."""
-    view = _as_view(store)
-    template = TEMPLATES[instance.template_id]
-    return template.plan(view, instance.slot_values)
+    return TEMPLATES[instance.template_id].plan(view, instance.slot_values)
 
 
 def variegate(instance: QuestionInstance, gateway, n: int = 2) -> list[QuestionInstance]:
@@ -642,8 +585,6 @@ def variegate(instance: QuestionInstance, gateway, n: int = 2) -> list[QuestionI
     for k in range(1, n + 1):
         try:
             response = gateway.complete(build_variegate_request(instance.text, k))
-        except FixtureMissError:
-            raise
         except GatewayError as exc:
             log.warning("variegation %d failed: %s", k, exc)
             continue
@@ -655,12 +596,11 @@ def variegate(instance: QuestionInstance, gateway, n: int = 2) -> list[QuestionI
     return out
 
 
-def generate_benchmark(store: CorpusStore | ReconciledView, per_template: int,
+def generate_benchmark(view: ReconciledView, per_template: int,
                        seed: int, gateway=None, variegate_n: int = 0,
                        template_ids: Iterable[str] = ALL_IDS) -> list[QuestionInstance]:
     """Instantiate per_template base questions per template, optionally with
     variegated rewrites after each base instance."""
-    view = _as_view(store)
     instances: list[QuestionInstance] = []
     for template_id in template_ids:
         template = TEMPLATES[template_id]

@@ -30,7 +30,7 @@ from .gateway.prompts import (
     build_route_agent_request,
     build_route_table_request,
 )
-from .gateway.types import ChatRequest, FixtureMissError, GatewayError
+from .gateway.types import ChatRequest, GatewayError
 from .vindex import FlatIndex, knn
 
 STRATEGIES = ("embedding", "generative", "swarm")
@@ -233,8 +233,6 @@ def route_swarm(query: str, provider, registry: SchemaRegistry,
                 routes, completed = _generative_routes(
                     query, provider, registry, n_routes,
                     persona=personas[m], history=list(history))
-            except FixtureMissError:
-                raise
             except GatewayError:
                 return RoutingOutcome((), strategy="swarm",
                                       transcript=tuple(transcript), unroutable=True)

@@ -225,22 +225,18 @@ def scope_positions(view: ReconciledView) -> dict[IndexScope, list[int]]:
 
 def _scope_records(view: ReconciledView, scope: IndexScope):
     if scope.kind == "global":
-        return list(view.records)
+        return view.records
     if scope.kind == "agent":
         ft = FilingType.parse(scope.key)
         return [r for r in view.records if r.filing_type == ft]
-    return [r for r in view.records if r.table_id == scope.key]
+    return view.table_records(scope.key)
 
 
 def build_index(view: ReconciledView, scope: IndexScope, embedder) -> FlatIndex:
     """Embed every reconciled record in scope, one entry per record."""
-    records = _scope_records(view, scope)
-    texts = [to_embedding_text(r) for r in records]
-    vectors = embedder.embed_batch(texts) if texts else None
-    index = FlatIndex(scope=scope, dim=embedder.dim,
-                      record_ids=[r.record_id for r in records],
-                      vectors=vectors)
-    return index
+    return build_text_index(
+        ((r.record_id, to_embedding_text(r)) for r in _scope_records(view, scope)),
+        embedder, scope)
 
 
 def build_text_index(entries: Iterable[tuple[str, str]], embedder,

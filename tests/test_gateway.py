@@ -106,8 +106,10 @@ def test_scripted_raises_on_unknown_digest():
         scripted.complete(msg("never recorded"))
 
 
-def test_fixture_miss_is_a_gateway_error():
-    assert issubclass(FixtureMissError, GatewayError)
+def test_fixture_miss_is_not_a_gateway_error():
+    # a handler that falls back on a provider failure must not swallow a miss
+    assert not issubclass(FixtureMissError, GatewayError)
+    assert issubclass(FixtureMissError, RuntimeError)
 
 
 def test_save_fixtures_sorted_and_tagged(tmp_path):
