@@ -23,8 +23,7 @@ import numpy as np
 
 from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType, SchemaRegistry
-from .gateway.deterministic import REFUSAL
-from .gateway.prompts import parse_prompt
+from .gateway.prompts import CANNOT_PLAN, REFUSAL, parse_prompt
 from .gateway.providers import RecordingProvider
 from .gateway.types import ChatRequest, ChatResponse, FixtureMissError, GatewayError
 from .pipeline import LongTermMemory, run_pipeline
@@ -406,10 +405,10 @@ class GoldProvider:
         if tag == "plan":
             instance = self._lookup(query)
             if instance is None:
-                return "CANNOT PLAN"
+                return CANNOT_PLAN
             return plan_to_json(canonical_plan(instance, self.view))
         if tag == "replan":
-            return draft if draft else "CANNOT PLAN"
+            return draft if draft else CANNOT_PLAN
         raise GatewayError(f"unknown tag {tag!r}")
 
 
@@ -439,9 +438,7 @@ def _success_cell(records: list[dict]) -> dict:
 
 def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView,
                 registry: SchemaRegistry, memory: LongTermMemory | None = None,
-                workers: int = 1,
-                table_indexes: dict[str, FlatIndex] | None = None,
-                embedder=None) -> dict:
+                workers: int = 1) -> dict:
     """Full pipeline per question; errors are failures, never aborts."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -453,9 +450,7 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
         error = None
         from_memory = False
         try:
-            result = run_pipeline(instance.text, gateway, view, registry,
-                                  memory=memory,
-                                  table_indexes=table_indexes, embedder=embedder)
+            result = run_pipeline(instance.text, gateway, view, registry, memory=memory)
             status = result.status
             from_memory = result.from_memory
             error = result.error

@@ -21,10 +21,8 @@ from types import MappingProxyType
 from ..corpus.schema import FilingType
 from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
 from ..questbench import TEMPLATES
-from .prompts import Prompt, parse_prompt
+from .prompts import CANNOT_PLAN, REFUSAL, Prompt, parse_prompt
 from .types import ChatRequest, ChatResponse, GatewayError
-
-REFUSAL = "none of these"
 
 _CUE_WORDS = (
     "get", "calculate", "identify", "list", "what", "how many", "retrieve",
@@ -283,7 +281,7 @@ class DeterministicProvider:
     def _do_plan(self, query: str, prompt: Prompt) -> str:
         template_id = _read(query).template_id
         if template_id is None:
-            return "CANNOT PLAN"
+            return CANNOT_PLAN
         slots = _slots(query)
         if template_id == "E5" and "manager" in slots:
             # the E5 stem names its advisor "manager"
@@ -294,13 +292,11 @@ class DeterministicProvider:
             else:
                 plan = TEMPLATES[template_id].plan(None, slots)
         except KeyError:  # a slot the template needs is not in the text
-            return "CANNOT PLAN"
+            return CANNOT_PLAN
         return plan_to_json(plan)
 
     def _do_replan(self, query: str, prompt: Prompt) -> str:
-        if prompt.draft_plan:
-            return prompt.draft_plan
-        return "CANNOT PLAN"
+        return prompt.draft_plan or CANNOT_PLAN
 
     # -- variegation -------------------------------------------------------
 

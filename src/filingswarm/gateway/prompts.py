@@ -13,20 +13,27 @@ starting with one of these prefixes:
 - ``FINDINGS:``, then one ``- <entry>`` line per expert finding.
 - ``VARIANT: <n>``: which paraphrase a variegate prompt asks for.
 
-The ``build_*`` functions write these lines and ``parse_prompt`` is their
-only reader, so rule-based and scripted providers parse the same prompt a
-hosted model would receive.
+A reply is plain text: ``<label> [<confidence>]`` to classify, sub-query
+lines to decompose, a JSON plan or ``CANNOT PLAN`` to plan, one candidate
+name or ``none of these`` to route, and the new text to rewrite or variegate.
+
+The ``build_*`` functions write requests and the retry notes that send a
+rejected plan or route reply back once; ``parse_prompt`` is their only
+reader and the ``read_*`` functions read replies. So rule-based and scripted
+providers parse the same prompt a hosted model would receive.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
-from .types import ChatRequest
+from .types import ChatRequest, GatewayError
 
 CANDIDATE_SEP = " | "
+CANNOT_PLAN = "CANNOT PLAN"
+REFUSAL = "none of these"
 
 
 @lru_cache(maxsize=None)
@@ -111,48 +118,81 @@ def build_reprompt(request: ChatRequest, reply: str, note: str) -> ChatRequest:
                                                          ("user", note)))
 
 
+def build_plan_retry(request: ChatRequest, reply: str, error: Exception) -> ChatRequest:
+    return build_reprompt(request, reply, f"That plan was rejected ({error}). "
+                          "Reply with only a valid JSON step array.")
+
+
+def build_route_retry(request: ChatRequest, reply: str) -> ChatRequest:
+    return build_reprompt(request, reply, "That reply is not one of the candidates. "
+                          "Reply with exactly one candidate name and nothing else.")
+
+
 @dataclass
 class Prompt:
-    """The fields of a user message that some provider reads. AGENT and
-    HISTORY lines are not kept: no provider reads them."""
-    queries: list[str]
-    candidates: list[str]
-    covered: int
-    persona: str
-    variant: int
-    draft_plan: str
-    findings: list[str]
+    """The fields of a user message that some provider reads. AGENT,
+    HISTORY and FINDINGS lines are not kept: no provider reads them."""
+    queries: list[str] = field(default_factory=list)
+    candidates: list[str] = field(default_factory=list)
+    covered: int = 0
+    persona: str = ""
+    variant: int = 1
+    draft_plan: str = ""
 
 
 def parse_prompt(content: str) -> Prompt:
-    queries: list[str] = []
-    candidates: list[str] = []
-    covered = 0
-    persona = ""
-    variant = 1
-    draft_plan = ""
-    findings: list[str] = []
-    in_findings = False
+    prompt = Prompt()
     for line in content.splitlines():
-        if line.startswith("QUERY: "):
-            queries.append(line[len("QUERY: "):])
-            in_findings = False
-        elif line.startswith("CANDIDATES: "):
-            candidates = [c.strip() for c in line[len("CANDIDATES: "):].split("|")]
-            in_findings = False
-        elif line.startswith("ALREADY: "):
-            covered += 1
-        elif line.startswith("PERSONA: "):
-            persona = line[len("PERSONA: "):]
-        elif line.startswith("VARIANT: "):
+        key, sep, value = line.partition(": ")
+        if not sep:
+            continue
+        if key == "QUERY":
+            prompt.queries.append(value)
+        elif key == "CANDIDATES":
+            prompt.candidates = [c.strip() for c in value.split("|")]
+        elif key == "ALREADY":
+            prompt.covered += 1
+        elif key == "PERSONA":
+            prompt.persona = value
+        elif key == "VARIANT":
             try:
-                variant = int(line[len("VARIANT: "):])
+                prompt.variant = int(value)
             except ValueError:
-                variant = 1
-        elif line.startswith("DRAFT_PLAN: "):
-            draft_plan = line[len("DRAFT_PLAN: "):]
-        elif line.startswith("FINDINGS:"):
-            in_findings = True
-        elif in_findings and line.startswith("- "):
-            findings.append(line[2:])
-    return Prompt(queries, candidates, covered, persona, variant, draft_plan, findings)
+                prompt.variant = 1
+        elif key == "DRAFT_PLAN":
+            prompt.draft_plan = value
+    return prompt
+
+
+def read_verdict(reply: str) -> tuple[str, float]:
+    """The label and confidence of a classify reply. A missing or
+    non-numeric confidence reads as 0.5; any other is clamped to [0, 1]."""
+    parts = reply.strip().split()
+    if not parts or parts[0] not in ("hallucinatory", "non_hallucinatory"):
+        raise GatewayError(f"unparseable classification: {reply!r}")
+    try:
+        confidence = min(1.0, max(0.0, float(parts[1])))
+    except (IndexError, ValueError):
+        confidence = 0.5
+    return parts[0], confidence
+
+
+def read_subqueries(reply: str) -> list[str]:
+    """The sub-queries of a decompose reply; empty when it holds none."""
+    texts = (line.strip().removeprefix("- ").strip() for line in reply.splitlines())
+    return [text for text in texts if text]
+
+
+def read_plan_reply(reply: str) -> str:
+    """The plan JSON of a plan or replan reply. Raises ValueError when the
+    planner declined or sent nothing."""
+    reply = reply.strip()
+    if not reply or reply.upper().startswith(CANNOT_PLAN):
+        raise ValueError("planner declined")
+    return reply
+
+
+def read_candidate(reply: str, candidates: Sequence[str]) -> str | None:
+    """The candidate a route reply names, or None when it names none."""
+    name = reply.strip().strip('"').strip("'").rstrip(".").strip().lower()
+    return {c.strip().lower(): c for c in candidates}.get(name)

@@ -14,7 +14,6 @@ from .types import (
     ChatRequest,
     ChatResponse,
     FixtureMissError,
-    GatewayError,
     RateLimitError,
     RemoteError,
     request_digest,
@@ -183,21 +182,3 @@ class RemoteProvider:
         raise RemoteError(f"remote completion failed after "
                           f"{self.max_retries + 1} attempts: {last_error}")
 
-
-def classify_quality(provider: Provider, query: str) -> dict:
-    """Binary screening verdict for a query: hallucinatory or not."""
-    from .prompts import build_classify_request
-
-    if not query.strip():
-        raise ValueError("query must be non-empty")
-    response = provider.complete(build_classify_request(query))
-    parts = response.content.strip().split()
-    if not parts or parts[0] not in ("hallucinatory", "non_hallucinatory"):
-        raise GatewayError(f"unparseable classification: {response.content!r}")
-    confidence = 0.5
-    if len(parts) > 1:
-        try:
-            confidence = min(1.0, max(0.0, float(parts[1])))
-        except ValueError:
-            confidence = 0.5
-    return {"label": parts[0], "confidence": confidence}

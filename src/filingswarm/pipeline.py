@@ -19,13 +19,16 @@ from pathlib import Path
 from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType, SchemaRegistry
 from .gateway.prompts import (
+    build_classify_request,
     build_decompose_request,
     build_plan_request,
+    build_plan_retry,
     build_replan_request,
-    build_reprompt,
     build_rewrite_request,
+    read_plan_reply,
+    read_subqueries,
+    read_verdict,
 )
-from .gateway.providers import classify_quality
 from .gateway.types import GatewayError
 from .plans import (
     Answer,
@@ -94,41 +97,38 @@ def screen_query(text: str, gateway, max_rewrites: int = 2) -> ScreenResult:
     hallucination-prone, at most max_rewrites times."""
     if max_rewrites < 0:
         raise ValueError("max_rewrites must be >= 0")
+    if not text.strip():
+        raise ValueError("query must be non-empty")
     lineage = [text]
     current = text
     rewrites = 0
     while True:
-        verdict = classify_quality(gateway, current)
-        if verdict["label"] == "non_hallucinatory" or rewrites >= max_rewrites:
-            origin = "user" if rewrites == 0 else "rewritten"
-            query = Query(current, origin, tuple(lineage))
-            return ScreenResult(query, verdict["label"], verdict["confidence"], rewrites)
+        label, confidence = read_verdict(
+            gateway.complete(build_classify_request(current)).content)
+        if label == "non_hallucinatory" or rewrites >= max_rewrites:
+            break
         rewritten = gateway.complete(build_rewrite_request(current)).content.strip()
         if not rewritten or rewritten == current:
-            # a no-op rewrite would loop forever; accept the verdict as is
-            query = Query(current, "user" if rewrites == 0 else "rewritten",
-                          tuple(lineage))
-            return ScreenResult(query, verdict["label"], verdict["confidence"], rewrites)
+            break  # a no-op rewrite would loop forever; accept the verdict as is
         current = rewritten
         lineage.append(current)
         rewrites += 1
+    query = Query(current, "user" if rewrites == 0 else "rewritten", tuple(lineage))
+    return ScreenResult(query, label, confidence, rewrites)
 
 
 def decompose(query: Query, gateway) -> SubQuerySet:
     """Split a query into retrieval-sized sub-queries, first line first."""
-    content = gateway.complete(build_decompose_request(query.text)).content
-    texts = []
-    for line in content.splitlines():
-        line = line.strip()
-        if line.startswith("- "):
-            line = line[2:].strip()
-        if line:
-            texts.append(line)
+    texts = read_subqueries(gateway.complete(build_decompose_request(query.text)).content)
     if not texts:
         log.warning("decomposition came back empty; using the query itself")
         texts = [query.text]
     subqueries = tuple(SubQuery(i, t) for i, t in enumerate(texts))
     return SubQuerySet(query, subqueries)
+
+
+def _journal_line(key: str, plan: Plan) -> str:
+    return json.dumps({"key": key, "plan": plan_to_dict(plan)}, sort_keys=True) + "\n"
 
 
 class LongTermMemory:
@@ -193,9 +193,8 @@ class LongTermMemory:
         with self._lock:
             self._plans[key] = stored
             if self.path is not None:
-                doc = {"key": key, "plan": plan_to_dict(stored)}
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                    fh.write(_journal_line(key, stored))
 
     def compact(self) -> None:
         with self._lock:
@@ -207,8 +206,7 @@ class LongTermMemory:
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     for key in sorted(self._plans):
-                        doc = {"key": key, "plan": plan_to_dict(self._plans[key])}
-                        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                        fh.write(_journal_line(key, self._plans[key]))
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)
@@ -230,10 +228,7 @@ class DraftResult:
 
 
 def _parse_plan_reply(content: str, registry: SchemaRegistry) -> Plan:
-    content = content.strip()
-    if not content or content.upper().startswith("CANNOT PLAN"):
-        raise PlanError("planner declined")
-    plan = plan_from_json(content)
+    plan = plan_from_json(read_plan_reply(content))
     validate_plan(plan, registry)
     return plan
 
@@ -286,9 +281,7 @@ def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
             plan = _parse_plan_reply(content, registry)
         except (PlanError, ValueError) as exc:
             last_error = str(exc)
-            request = build_reprompt(request, content,
-                                     f"That plan was rejected ({exc}). Reply with only "
-                                     "a valid JSON step array.")
+            request = build_plan_retry(request, content, exc)
             continue
         plan = replace(plan, provenance="draft", source_subquery=parent.text)
         return DraftResult(plan, False, attempts, False)

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 from .corpus.schema import FilingType, SchemaRegistry
 from .gateway.prompts import (
-    build_reprompt,
     build_route_agent_request,
+    build_route_retry,
     build_route_table_request,
+    read_candidate,
 )
 from .gateway.types import ChatRequest, GatewayError
 from .vindex import FlatIndex, knn
@@ -149,24 +150,16 @@ def route_embedding(query: str, persona_index: FlatIndex,
 # ---------------------------------------------------------------------------
 # Generative strategy
 
-def _normalize_reply(reply: str) -> str:
-    return reply.strip().strip('"').strip("'").rstrip(".").strip()
-
-
 def _closed_choice(provider, request: ChatRequest,
                    candidates: Sequence[str]) -> str | None:
     """Match the provider's reply against a closed candidate list,
     reprompting once before giving up on the slot."""
-    by_norm = {c.strip().lower(): c for c in candidates}
     reply = provider.complete(request).content
-    hit = by_norm.get(_normalize_reply(reply).lower())
+    hit = read_candidate(reply, candidates)
     if hit is not None:
         return hit
-    retry = build_reprompt(request, reply,
-                           "That reply is not one of the candidates. "
-                           "Reply with exactly one candidate name and nothing else.")
-    reply = provider.complete(retry).content
-    return by_norm.get(_normalize_reply(reply).lower())
+    reply = provider.complete(build_route_retry(request, reply)).content
+    return read_candidate(reply, candidates)
 
 
 def _generative_routes(query: str, provider, registry: SchemaRegistry,

@@ -9,12 +9,14 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import filingswarm
+from filingswarm.corpus.schema import FilingType
 from filingswarm.gateway.deterministic import DeterministicProvider, _read
 from filingswarm.gateway.prompts import (
+    REFUSAL,
     Prompt,
     build_classify_request,
     build_decompose_request,
@@ -25,12 +27,13 @@ from filingswarm.gateway.prompts import (
     build_route_table_request,
     build_variegate_request,
     parse_prompt,
+    read_candidate,
+    read_verdict,
 )
 from filingswarm.gateway.providers import (
     RecordingProvider,
     RemoteProvider,
     ScriptedProvider,
-    classify_quality,
     load_fixtures,
     save_fixtures,
 )
@@ -161,14 +164,66 @@ def test_remote_provider_wire_shape_and_credential(monkeypatch):
 
 # --- deterministic provider rules -------------------------------------------
 
+def _verdict(provider, query):
+    return read_verdict(provider.complete(build_classify_request(query)).content)
+
+
 def test_classify_needs_verb_and_domain_phrase():
     det = DeterministicProvider()
-    good = classify_quality(det, E2)
-    assert good["label"] == "non_hallucinatory"
-    assert 0.0 < good["confidence"] <= 1.0
+    label, confidence = _verdict(det, E2)
+    assert label == "non_hallucinatory"
+    assert 0.0 < confidence <= 1.0
 
-    assert classify_quality(det, "Tell me about stuff.")["label"] == "hallucinatory"
-    assert classify_quality(det, "regulatory AUM")["label"] == "hallucinatory"
+    assert _verdict(det, "Tell me about stuff.")[0] == "hallucinatory"
+    assert _verdict(det, "regulatory AUM")[0] == "hallucinatory"
+
+
+_LABELS = ("hallucinatory", "non_hallucinatory")
+
+
+def _is_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.sampled_from(_LABELS), confidence=st.floats(allow_nan=False))
+def test_verdict_reader_keeps_the_label_and_clamps_the_confidence(label, confidence):
+    got_label, got = read_verdict(f" {label} {confidence!r}\n")
+    assert got_label == label
+    clamped = 0.0 if confidence < 0.0 else 1.0 if confidence > 1.0 else confidence
+    assert got == clamped
+
+
+# A word: no character that str.split treats as whitespace.
+_word = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.sampled_from(_LABELS), word=_word.filter(lambda w: not _is_number(w)))
+def test_verdict_reader_reads_a_missing_or_non_numeric_confidence_as_half(label, word):
+    assert read_verdict(label) == (label, 0.5)
+    assert read_verdict(f"{label} {word}") == (label, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reply=st.one_of(st.text(), st.sampled_from(
+    ["", " \n", "Hallucinatory 0.9", "non-hallucinatory", "0.9 hallucinatory"])))
+def test_verdict_reader_rejects_any_other_first_word(reply):
+    words = reply.split()
+    assume(not words or words[0] not in _LABELS)
+    with pytest.raises(GatewayError):
+        read_verdict(reply)
+
+
+def test_refusal_names_no_agent_and_no_table(registry):
+    assert read_candidate(REFUSAL, [ft.value for ft in FilingType]) is None
+    for agent in FilingType:
+        assert read_candidate(REFUSAL, registry.table_ids_for(agent)) is None
 
 
 def test_rewrite_strips_filler_words():
@@ -179,7 +234,7 @@ def test_rewrite_strips_filler_words():
     assert "please" not in lowered and "can you" not in lowered
     assert "regulatory aum" in lowered
     assert '"Test Advisors LLC"' in reply
-    assert classify_quality(det, reply)["label"] == "non_hallucinatory"
+    assert _verdict(det, reply)[0] == "non_hallucinatory"
 
 
 def test_decompose_splits_multi_table_questions():
@@ -415,7 +470,7 @@ def _parsed(request):
 @settings(max_examples=200, deadline=None)
 @given(query=_line)
 def test_single_query_requests_round_trip(query):
-    expected = Prompt([query], [], 0, "", 1, "", [])
+    expected = Prompt([query], [], 0, "", 1, "")
     for build in (build_classify_request, build_rewrite_request, build_decompose_request):
         assert _parsed(build(query)) == expected
 
@@ -425,7 +480,7 @@ def test_single_query_requests_round_trip(query):
        covered=st.lists(st.tuples(_line, _line), max_size=4),
        persona=st.one_of(st.none(), _line), history=st.lists(_line, max_size=4))
 def test_route_requests_round_trip(query, agent, candidates, covered, persona, history):
-    expected = Prompt([query], candidates, len(covered), persona or "", 1, "", [])
+    expected = Prompt([query], candidates, len(covered), persona or "", 1, "")
     assert _parsed(build_route_agent_request(
         query, candidates, covered, persona=persona, history=history)) == expected
     assert _parsed(build_route_table_request(
@@ -437,11 +492,11 @@ def test_route_requests_round_trip(query, agent, candidates, covered, persona, h
        findings=st.lists(_line, max_size=5), variant=st.integers())
 def test_plan_replan_and_variegate_requests_round_trip(queries, query, plan_json,
                                                       findings, variant):
-    assert _parsed(build_plan_request(queries)) == Prompt(queries, [], 0, "", 1, "", [])
+    assert _parsed(build_plan_request(queries)) == Prompt(queries, [], 0, "", 1, "")
     assert _parsed(build_replan_request(query, plan_json, findings)) == Prompt(
-        [query], [], 0, "", 1, plan_json, findings)
+        [query], [], 0, "", 1, plan_json)
     assert _parsed(build_variegate_request(query, variant)) == Prompt(
-        [query], [], 0, "", variant, "", [])
+        [query], [], 0, "", variant, "")
 
 
 # --- the rule memo -------------------------------------------------------------

@@ -521,6 +521,13 @@ def test_pipeline_reports_execution_failures(registry, small_view):
     assert result.error.startswith("ExecutionError")
 
 
+def test_pipeline_fails_on_an_unparseable_verdict(registry, small_view):
+    provider = _TagProvider({"classify": "maybe 0.5"})
+    result = run_pipeline(AUM_QUERY, provider, small_view, registry)
+    assert result.status == "failed"
+    assert result.error.startswith("GatewayError: unparseable classification")
+
+
 def test_pipeline_memory_short_circuits_the_second_run(registry, small_view,
                                                        bench):
     instance = next(i for i in bench if i.template_id == "E0")
