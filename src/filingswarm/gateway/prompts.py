@@ -24,6 +24,7 @@ providers parse the same prompt a hosted model would receive.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -165,16 +166,16 @@ def parse_prompt(content: str) -> Prompt:
 
 
 def read_verdict(reply: str) -> tuple[str, float]:
-    """The label and confidence of a classify reply. A missing or
-    non-numeric confidence reads as 0.5; any other is clamped to [0, 1]."""
+    """The label and confidence of a classify reply. A missing, non-numeric
+    or nan confidence reads as 0.5; any other is clamped to [0, 1]."""
     parts = reply.strip().split()
     if not parts or parts[0] not in ("hallucinatory", "non_hallucinatory"):
         raise GatewayError(f"unparseable classification: {reply!r}")
     try:
-        confidence = min(1.0, max(0.0, float(parts[1])))
+        confidence = float(parts[1])
     except (IndexError, ValueError):
-        confidence = 0.5
-    return parts[0], confidence
+        confidence = math.nan
+    return parts[0], 0.5 if math.isnan(confidence) else min(1.0, max(0.0, confidence))
 
 
 def read_subqueries(reply: str) -> list[str]:
@@ -195,4 +196,11 @@ def read_plan_reply(reply: str) -> str:
 def read_candidate(reply: str, candidates: Sequence[str]) -> str | None:
     """The candidate a route reply names, or None when it names none."""
     name = reply.strip().strip('"').strip("'").rstrip(".").strip().lower()
-    return {c.strip().lower(): c for c in candidates}.get(name)
+    return _candidate_names(tuple(candidates)).get(name)
+
+
+@lru_cache(maxsize=32)
+def _candidate_names(candidates: tuple[str, ...]) -> dict[str, str]:
+    """Each candidate under its stripped, lower-cased name. Routing offers
+    a few distinct lists, so each is folded once; callers only read it."""
+    return {c.strip().lower(): c for c in candidates}

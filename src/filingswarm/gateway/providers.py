@@ -119,7 +119,8 @@ class RemoteProvider:
     choices[0].message.content. Transient failures (connection errors,
     HTTP 429/5xx) are retried with exponential backoff up to max_retries.
     A token bucket plus a concurrency semaphore keep request pressure
-    bounded when many pipeline workers share one provider.
+    bounded when many pipeline workers share one provider. A caller holds
+    a slot for one attempt at a time and backs off without it.
     """
 
     provider_id = "remote"
@@ -156,8 +157,10 @@ class RemoteProvider:
         }
         start = time.perf_counter()
         last_error: Exception | None = None
-        with self.slots:
-            for attempt in range(self.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
+            if attempt:  # back off without a slot, so other callers can use it
+                time.sleep(0.5 * (2 ** (attempt - 1)))
+            with self.slots:
                 self.bucket.acquire(timeout=self.timeout)
                 try:
                     resp = self.session.post(self.endpoint, json=payload,
@@ -165,20 +168,18 @@ class RemoteProvider:
                                              timeout=self.timeout)
                 except requests.RequestException as exc:
                     last_error = exc
-                else:
-                    if resp.status_code == 200:
-                        try:
-                            content = resp.json()["choices"][0]["message"]["content"]
-                        except (ValueError, KeyError, IndexError, TypeError) as exc:
-                            raise RemoteError(f"malformed completion response: {exc}")
-                        return ChatResponse(content=content,
-                                            provider_id=self.provider_id,
-                                            latency=time.perf_counter() - start)
-                    if resp.status_code not in (429,) and resp.status_code < 500:
-                        raise RemoteError(f"endpoint returned HTTP {resp.status_code}")
-                    last_error = RemoteError(f"transient HTTP {resp.status_code}")
-                if attempt < self.max_retries:
-                    time.sleep(0.5 * (2 ** attempt))
+                    continue
+                if resp.status_code == 200:
+                    try:
+                        content = resp.json()["choices"][0]["message"]["content"]
+                    except (ValueError, KeyError, IndexError, TypeError) as exc:
+                        raise RemoteError(f"malformed completion response: {exc}")
+                    return ChatResponse(content=content,
+                                        provider_id=self.provider_id,
+                                        latency=time.perf_counter() - start)
+                if resp.status_code not in (429,) and resp.status_code < 500:
+                    raise RemoteError(f"endpoint returned HTTP {resp.status_code}")
+                last_error = RemoteError(f"transient HTTP {resp.status_code}")
         raise RemoteError(f"remote completion failed after "
                           f"{self.max_retries + 1} attempts: {last_error}")
 

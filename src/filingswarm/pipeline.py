@@ -227,15 +227,16 @@ class DraftResult:
     fallback: bool
 
 
-def _parse_plan_reply(content: str, registry: SchemaRegistry) -> Plan:
-    plan = plan_from_json(read_plan_reply(content))
+def _accept(plan: Plan, registry: SchemaRegistry, provenance: str, source: str | None) -> Plan:
+    """The plan with its provenance and source set, once that plan validates."""
+    plan = replace(plan, provenance=provenance, source_subquery=source)
     validate_plan(plan, registry)
     return plan
 
 
 def _fallback_plan(query: Query, gateway, registry: SchemaRegistry) -> Plan:
-    """Single retrieve at the generatively routed table. Wrong answers beat
-    no answers here; the judge will score it."""
+    """A validated draft: a single retrieve at the generatively routed table.
+    Wrong answers beat no answers here; the judge will score it."""
     outcome = route_generative(query.text, gateway, registry)
     if outcome.unroutable or not outcome.predicted:
         raise PlanError("planning failed and the query is unroutable")
@@ -244,11 +245,8 @@ def _fallback_plan(query: Query, gateway, registry: SchemaRegistry) -> Plan:
     m = _RE_PERIOD.search(query.text)
     if m:
         filters = (Filter("period", "eq", m.group(1)),)
-    plan = Plan((
-        Retrieve("r1", route.agent, route.table, filters),
-        Return("ret", "r1")))
-    validate_plan(plan, registry)
-    return plan
+    return _accept(Plan((Retrieve("r1", route.agent, route.table, filters),
+                         Return("ret", "r1"))), registry, "draft", query.text)
 
 
 def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
@@ -278,18 +276,16 @@ def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
             break
         attempts += 1
         try:
-            plan = _parse_plan_reply(content, registry)
+            plan = _accept(plan_from_json(read_plan_reply(content)), registry,
+                           "draft", parent.text)
         except (PlanError, ValueError) as exc:
             last_error = str(exc)
             request = build_plan_retry(request, content, exc)
             continue
-        plan = replace(plan, provenance="draft", source_subquery=parent.text)
         return DraftResult(plan, False, attempts, False)
 
     log.warning("planner failed twice (%s); using fallback retrieve", last_error)
-    plan = replace(_fallback_plan(parent, gateway, registry),
-                   provenance="draft", source_subquery=parent.text)
-    return DraftResult(plan, False, attempts, True)
+    return DraftResult(_fallback_plan(parent, gateway, registry), False, attempts, True)
 
 
 @dataclass(frozen=True)
@@ -367,12 +363,10 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
         log.warning("revision failed (%s); keeping draft", exc)
     else:
         try:
-            revised = _parse_plan_reply(content, registry)
+            final = _accept(plan_from_json(read_plan_reply(content)), registry,
+                            "optimized", draft.source_subquery)
         except (PlanError, ValueError) as exc:
             log.warning("revised plan rejected (%s); keeping draft", exc)
-        else:
-            final = replace(revised, provenance="optimized",
-                            source_subquery=draft.source_subquery)
     if memory is not None:
         memory.store(query.text, final)
     return final
@@ -399,9 +393,12 @@ def run_pipeline(text: str, gateway, view: ReconciledView,
     """Full pass from raw query text to an executed answer."""
     try:
         screen = screen_query(text, gateway)
-        if screen.verdict != "non_hallucinatory":
-            return PipelineResult(status="rejected", screen=screen,
-                                  error="screened out as hallucination-prone")
+    except (GatewayError, ValueError) as exc:  # ValueError: a blank query
+        return PipelineResult(status="failed", error=f"{type(exc).__name__}: {exc}")
+    if screen.verdict != "non_hallucinatory":
+        return PipelineResult(status="rejected", screen=screen,
+                              error="screened out as hallucination-prone")
+    try:
         subqueries = decompose(screen.query, gateway)
         drafted = draft_plan(subqueries, gateway, registry, memory)
         if drafted.from_memory:

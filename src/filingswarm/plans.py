@@ -9,7 +9,9 @@ memory, and be injected directly in tests.
 Step output types are table (rows), scalar, or the final Answer. Validation
 checks reference integrity, acyclicity, registry membership for tables and
 fields, and type agreement between producers and consumers before any
-execution happens.
+execution happens. A plan that passes keeps a record of the registry it
+passed against and of its execution order; ``execute_plan`` runs that order
+for the same registry object and validates any other plan first.
 
 Execution semantics, fixed here because they matter for scoring:
 - eq compares values exactly; contains is case-insensitive substring
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import is_not
 from typing import Any, Mapping
@@ -164,6 +166,9 @@ class Plan:
     steps: tuple[PlanStep, ...]
     provenance: str = "draft"
     source_subquery: str | None = None
+    # (registry, execution order) of the last validate_plan this plan passed.
+    # Only validate_plan sets it, so a replace() copy starts without it.
+    _passed: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
@@ -339,7 +344,7 @@ _SCALAR = "scalar"
 _TABLE = "table"
 
 
-def _toposort(plan: Plan) -> list[PlanStep]:
+def _toposort(plan: Plan) -> tuple[PlanStep, ...]:
     ids = [s.step_id for s in plan.steps]
     if len(set(ids)) != len(ids):
         raise PlanError("duplicate step ids")
@@ -365,12 +370,13 @@ def _toposort(plan: Plan) -> list[PlanStep]:
         ready.sort()
     if len(order) != len(plan.steps):
         raise PlanError("plan contains a cycle")
-    return order
+    return tuple(order)
 
 
-def validate_plan(plan: Plan, registry: SchemaRegistry) -> list[PlanStep]:
+def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
     """Raise PlanError unless the plan is a well-typed executable DAG;
-    return its steps in execution order."""
+    return its steps in execution order, and record on the plan that it
+    passed against ``registry``, so ``execute_plan`` need not check again."""
     order = _toposort(plan)
     returns = [s for s in plan.steps if isinstance(s, Return)]
     if len(returns) != 1:
@@ -453,6 +459,7 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> list[PlanStep]:
         raise PlanError(f"unconsumed steps: {', '.join(sorted(dangling))}")
     if ret.step_id in consumed:
         raise PlanError("return step cannot feed another step")
+    object.__setattr__(plan, "_passed", (registry, order))
     return order
 
 
@@ -649,8 +656,10 @@ def _join(left: _Table, right: _Table, on_fields: tuple[str, ...]) -> _Table:
 
 
 def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> Answer:
-    """Run a validated plan over a reconciled view."""
-    order = validate_plan(plan, registry)
+    """Run a plan over a reconciled view. A plan that has not passed
+    ``validate_plan`` against this registry object is validated first."""
+    passed = plan._passed
+    order = passed[1] if passed and passed[0] is registry else validate_plan(plan, registry)
     values: dict[str, Any] = {}
     support: set[str] = set()
     result: Any = None

@@ -177,7 +177,7 @@ def _generative_routes(query: str, provider, registry: SchemaRegistry,
         if agent_reply is None:
             return routes, False
         agent = FilingType.parse(agent_reply)
-        table_candidates = registry.table_ids_for(agent)
+        table_candidates = registry.profile(agent).table_ids
         table_reply = _closed_choice(
             provider,
             build_route_table_request(query, agent.value, table_candidates,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import filingswarm
 from filingswarm.corpus.schema import FilingType
+from filingswarm.gateway import providers
 from filingswarm.gateway.deterministic import DeterministicProvider, _read
 from filingswarm.gateway.prompts import (
     REFUSAL,
@@ -162,6 +164,64 @@ def test_remote_provider_wire_shape_and_credential(monkeypatch):
     assert body["messages"][1] == {"role": "user", "content": "hello"}
 
 
+class _Reply:
+    def __init__(self, status_code, content="ok"):
+        self.status_code = status_code
+        self.content = content
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+class _FirstAFails:
+    """Answers HTTP 503 to the first request whose message is "A", and 200
+    to every other request."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.failed = False
+
+    def post(self, endpoint, json=None, headers=None, timeout=None):
+        with self.lock:
+            fail = json["messages"][-1]["content"] == "A" and not self.failed
+            self.failed |= fail
+        return _Reply(503 if fail else 200)
+
+
+def test_remote_provider_backs_off_without_holding_its_slot(monkeypatch):
+    a_backing_off = threading.Event()
+    b_done = threading.Event()
+    b_done_during_backoff = []
+
+    def sleep(seconds):  # only caller A backs off; it waits for B, or times out
+        if threading.current_thread().name == "caller-a":
+            a_backing_off.set()
+            b_done_during_backoff.append(b_done.wait(timeout=5))
+
+    monkeypatch.setattr(providers.time, "sleep", sleep)
+    provider = RemoteProvider(endpoint="https://api.example/v1/chat", model="m",
+                              rate_per_sec=1000.0, max_concurrent=1,
+                              session=_FirstAFails())
+    replies = {}
+
+    def call(text, done=None):
+        replies[text] = provider.complete(msg(text)).content
+        if done is not None:
+            done.set()
+
+    caller_a = threading.Thread(target=call, args=("A",), name="caller-a", daemon=True)
+    caller_b = threading.Thread(target=call, args=("B", b_done), name="caller-b",
+                                daemon=True)
+    caller_a.start()
+    assert a_backing_off.wait(timeout=5)
+    caller_b.start()
+    caller_b.join(timeout=10)
+    caller_a.join(timeout=10)
+    assert not caller_a.is_alive() and not caller_b.is_alive()
+    assert b_done_during_backoff == [True]
+    assert replies == {"A": "ok", "B": "ok"}
+
+
 # --- deterministic provider rules -------------------------------------------
 
 def _verdict(provider, query):
@@ -182,11 +242,11 @@ _LABELS = ("hallucinatory", "non_hallucinatory")
 
 
 def _is_number(word):
+    """Whether ``float`` reads the word as a number other than nan."""
     try:
-        float(word)
+        return not math.isnan(float(word))
     except ValueError:
         return False
-    return True
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,7 +264,9 @@ _word = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"))
 
 
 @settings(max_examples=200, deadline=None)
-@given(label=st.sampled_from(_LABELS), word=_word.filter(lambda w: not _is_number(w)))
+@given(label=st.sampled_from(_LABELS),
+       word=_word.filter(lambda w: not _is_number(w))
+       | st.sampled_from(["nan", "NaN", "-nan", "+NAN", "nAn"]))
 def test_verdict_reader_reads_a_missing_or_non_numeric_confidence_as_half(label, word):
     assert read_verdict(label) == (label, 0.5)
     assert read_verdict(f"{label} {word}") == (label, 0.5)

@@ -17,10 +17,11 @@ from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatResponse, FixtureMissError
-from filingswarm import pipeline
+from filingswarm import pipeline, plans
 from filingswarm.pipeline import (
     Finding,
     LongTermMemory,
+    PipelineResult,
     Query,
     SubQuery,
     SubQuerySet,
@@ -542,6 +543,36 @@ def test_pipeline_memory_short_circuits_the_second_run(registry, small_view,
     assert second.findings == ()
     assert second.final_plan.provenance == "memory"
     assert judge_success(second.answer, first.answer)
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\n\t"])
+def test_pipeline_fails_on_a_blank_query_without_a_completion(registry, small_view, text):
+    provider = _TagProvider({})  # any completion raises KeyError
+    result = run_pipeline(text, provider, small_view, registry)
+    assert result == PipelineResult(status="failed",
+                                    error="ValueError: query must be non-empty")
+
+
+def test_pipeline_validates_each_plan_once(registry, small_view, bench, monkeypatch):
+    instance = next(i for i in bench if i.template_id == "E0")
+    validated = []
+    real = plans.validate_plan
+
+    def counted(plan, registry):
+        validated.append(plan.provenance)
+        return real(plan, registry)
+    monkeypatch.setattr(plans, "validate_plan", counted)
+    monkeypatch.setattr(pipeline, "validate_plan", counted)
+    memory = LongTermMemory()
+    first = run_pipeline(instance.text, DeterministicProvider(), small_view,
+                         registry, memory=memory)
+    assert first.status == "answered" and not first.from_memory
+    assert validated == ["draft", "optimized"]  # the planner reply, the revision
+    validated.clear()
+    second = run_pipeline(instance.text, DeterministicProvider(), small_view,
+                          registry, memory=memory)
+    assert second.status == "answered" and second.from_memory
+    assert validated == ["memory"]
 
 
 def test_pipeline_fixture_miss_propagates(registry, small_view):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from filingswarm.corpus.schema import (
     TableSchema,
     load_default_registry,
 )
+from filingswarm import plans
 from filingswarm.pipeline import gather_swarm_intelligence
 from filingswarm.plans import (
     Aggregate,
@@ -867,3 +869,85 @@ def test_column_executor_equals_the_rowwise_reference(case):
     expected = _outcome(lambda: _rowwise_execute(plan, view, _T_REGISTRY))
     for _ in range(2):  # the second run reads the memoized selections
         assert _outcome(lambda: execute_plan(plan, view, _T_REGISTRY)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_executor_cases())
+def test_a_validated_plan_executes_like_an_equal_plan_nobody_validated(case):
+    rows, plan = case
+    validate_plan(plan, _T_REGISTRY)
+    fresh = Plan(plan.steps, plan.provenance, plan.source_subquery)
+    assert fresh == plan
+    assert (_outcome(lambda: execute_plan(plan, _free_view(rows), _T_REGISTRY))
+            == _outcome(lambda: execute_plan(fresh, _free_view(rows), _T_REGISTRY)))
+
+
+# --- one validation per plan -------------------------------------------------
+
+def _validations(monkeypatch):
+    """The plans that ``plans.validate_plan`` is called on from here on."""
+    seen = []
+    real = plans.validate_plan
+
+    def counted(plan, registry):
+        seen.append(plan)
+        return real(plan, registry)
+    monkeypatch.setattr(plans, "validate_plan", counted)
+    return seen
+
+
+def _sum_plan():
+    return Plan((retrieve_13f(filters=[MGR1]),
+                 Aggregate(step_id="a", input_step="r1", function="sum",
+                           value_field="value_usd"),
+                 ret("a")))
+
+
+def test_the_executor_trusts_a_plan_validated_against_its_registry(view, monkeypatch):
+    plan = _sum_plan()
+    validate_plan(plan, REGISTRY)
+    seen = _validations(monkeypatch)
+    answer = execute_plan(plan, view, REGISTRY)
+    assert seen == []
+    assert execute_plan(_sum_plan(), view, REGISTRY) == answer
+    assert len(seen) == 1
+
+
+def test_the_validation_record_leaves_equality_hash_repr_and_json_alone():
+    plan, fresh = _sum_plan(), _sum_plan()
+    validate_plan(plan, REGISTRY)
+    assert plan == fresh and hash(plan) == hash(fresh)
+    assert repr(plan) == repr(fresh)
+    assert plan_to_json(plan) == plan_to_json(fresh)
+
+
+def test_a_plan_validated_against_another_registry_is_validated_again(view, monkeypatch):
+    plan = _sum_plan()
+    validate_plan(plan, load_default_registry())  # equal tables, another object
+    seen = _validations(monkeypatch)
+    execute_plan(plan, view, REGISTRY)
+    assert len(seen) == 1
+    with pytest.raises(PlanError, match="unknown table"):
+        execute_plan(plan, view, SchemaRegistry("empty"))
+    assert len(seen) == 2
+
+
+def test_a_copy_with_new_steps_is_validated_again(view, monkeypatch):
+    plan = _sum_plan()
+    validate_plan(plan, REGISTRY)
+    seen = _validations(monkeypatch)
+    execute_plan(replace(plan, steps=plan.steps), view, REGISTRY)
+    assert len(seen) == 1
+    with pytest.raises(PlanError, match="exactly one return"):
+        execute_plan(replace(plan, steps=plan.steps[:-1]), view, REGISTRY)
+    assert len(seen) == 2
+
+
+def test_a_plan_that_failed_validation_is_validated_again(view, monkeypatch):
+    plan = Plan((retrieve_13f(columns=("bogus",)), ret()))
+    with pytest.raises(PlanError, match="unknown column"):
+        validate_plan(plan, REGISTRY)
+    seen = _validations(monkeypatch)
+    with pytest.raises(PlanError, match="unknown column"):
+        execute_plan(plan, view, REGISTRY)
+    assert seen == [plan]
