@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -316,6 +317,31 @@ def test_hash_embed_batch_is_bit_identical_to_the_loop(texts, dim, chunk):
     for row, text in zip(batch, texts):
         assert np.array_equal(row.view(np.uint32), _loop_embed(text, dim).view(np.uint32))
         assert np.array_equal(embedder.embed(text).view(np.uint32), row.view(np.uint32))
+
+
+# Vector bytes of the small corpus's global index and of an index over
+# awkward texts, hashed together: any change to tokens, codes or rounding in
+# the batch path changes this digest.
+EMBED_DIGEST = "b2720e83d2a484edafdb0f440014f5683c64067db21fdce23061bb7b13b674c8"
+
+_PINNED_TEXTS = [
+    "", " ", "\x01", "\x01 \x01\x01  \x01", "a\x01b", "\x01a\x01", "ΣΑΣ ς σ",
+    "Οδυσσεύς", "\u0130stanbul K\u212aL", "e\u0301t\u00e9", "\ud800x\udfff9",
+    "ß ﬃ Ⅻ ǅ \u00b2", "snake_case kebab-case 42x7", "Tab\tNew\nLine\r\x00end",
+    '{"fields": {"cusip": "A1B2", "value": 1.5e-07}, "table": "t"}',
+]
+
+
+def test_embedded_vector_bytes_are_pinned(small_view):
+    digest = hashlib.sha256()
+    for dim in (1, 7, 64):
+        embedder = HashFeatureEmbedder(dim)
+        digest.update(build_index(small_view, IndexScope.global_(), embedder)
+                      .vectors.tobytes())
+        digest.update(build_text_index(
+            ((str(i), text) for i, text in enumerate(_PINNED_TEXTS)), embedder)
+            .vectors.tobytes())
+    assert digest.hexdigest() == EMBED_DIGEST
 
 
 def test_hash_embedder_text_without_tokens_is_zero():
