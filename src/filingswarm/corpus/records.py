@@ -211,12 +211,18 @@ def build_store(records: Iterable[FilingRecord], registry: SchemaRegistry) -> Co
     return store
 
 
+# json.dumps(..., sort_keys=True) builds an encoder on every call; this one
+# has the same settings and is shared (encode keeps no state between calls).
+_TEXT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def to_embedding_text(record: FilingRecord) -> str:
     """Canonical embedding text for one record.
 
     JSON-style rendering with keys sorted ascending and null-valued fields
-    omitted. The text is a pure function of (table_id, non-null fields), so
-    equal rows of the same table always render identically.
+    omitted, exactly as ``json.dumps(..., sort_keys=True)`` renders it. The
+    text is a pure function of (table_id, non-null fields), so equal rows of
+    the same table always render identically.
     """
     kept = {k: v for k, v in record.fields.items() if v is not None}
-    return json.dumps({"fields": kept, "table": record.table_id}, sort_keys=True)
+    return _TEXT_ENCODER.encode({"fields": kept, "table": record.table_id})

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +32,16 @@ from .corpus.schema import FilingType, SchemaRegistry
 # non-ASCII code point (lone surrogates too, under "surrogatepass") with bytes
 # >= 0x80 only, so mapping every byte outside [a-z0-9] to a space and
 # splitting the bytes gives the same tokens, already encoded.
-_TOKEN_BYTES = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20
+#
+# A chunk of texts is tokenized as one string, joined around a separator
+# that the byte table keeps: a separator token starts the next text's row.
+# Joining changes no token: the only context rule of str.lower (the Greek
+# final sigma) yields non-ASCII letters either way, UTF-8 encodes each code
+# point on its own, and the spaces around the separator break every token.
+# A separator inside a text is a non-token character, so it becomes a space.
+_SEP = "\x01"
+_JOINER = f" {_SEP} "
+_TOKEN_BYTES = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz\x01" else 0x20
                      for c in range(256))
 # texts embedded per vectorised step; bounds the step's count matrix
 _EMBED_CHUNK = 4096
@@ -83,10 +91,11 @@ class IndexScope:
 
 class _TokenCodes(dict):
     """Token bytes -> hash bucket, offset by dim when the token's sign is
-    negative; a token's code is computed on its first lookup."""
+    negative; a token's code is computed on its first lookup. The separator
+    token's code is 2 * dim, a column of its own."""
 
     def __init__(self, dim: int):
-        super().__init__()
+        super().__init__({_SEP.encode(): 2 * dim})
         self.dim = dim
 
     def __missing__(self, token: bytes) -> int:
@@ -119,19 +128,25 @@ class HashFeatureEmbedder:
         without tokens. Counts are exact integers in float64 up to the
         division, so the result does not depend on the batch."""
         dim = self.dim
+        width = 2 * dim + 1  # positive buckets, negative buckets, separator
         out = np.empty((len(texts), dim), dtype=np.float32)
         for start in range(0, len(texts), _EMBED_CHUNK):
             chunk = texts[start:start + _EMBED_CHUNK]
-            tokens = [t.lower().encode("utf-8", "surrogatepass")
-                      .translate(_TOKEN_BYTES).split() for t in chunk]
-            flat = list(chain.from_iterable(tokens))
-            lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(chunk))
-            cells = np.arange(0, len(chunk) * 2 * dim, 2 * dim).repeat(lengths)
-            cells += np.fromiter(map(self._codes.__getitem__, flat),
-                                 dtype=np.intp, count=len(flat))
-            counts = np.bincount(cells, minlength=len(chunk) * 2 * dim)
-            counts = counts.reshape(len(chunk), 2, dim)
-            signed = (counts[:, 0] - counts[:, 1]).astype(np.float64)
+            joined = _JOINER.join(chunk)
+            if joined.count(_SEP) != len(chunk) - 1:
+                joined = _JOINER.join(t.replace(_SEP, " ") for t in chunk)
+            tokens = (joined.lower().encode("utf-8", "surrogatepass")
+                      .translate(_TOKEN_BYTES).split())
+            codes = np.fromiter(map(self._codes.__getitem__, tokens),
+                                dtype=np.intp, count=len(tokens))
+            # every code but the separator's is below 2 * dim, so the
+            # running count of separators is each token's row
+            cells = np.add.accumulate(codes // (2 * dim))
+            cells *= width
+            cells += codes
+            counts = np.bincount(cells, minlength=len(chunk) * width)
+            counts = counts.reshape(len(chunk), width)
+            signed = (counts[:, :dim] - counts[:, dim:-1]).astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", signed, signed))
             # a nonzero count vector has norm >= 1; a zero one stays zero
             out[start:start + len(chunk)] = signed / np.maximum(norms, 1.0)[:, None]

@@ -4,6 +4,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filingswarm.corpus.records import (
     CorpusStore,
@@ -151,6 +153,23 @@ def test_embedding_text_equal_rows_render_identically():
     a = make_record(record_id="R1", accession="ACC1")
     b = make_record(record_id="R2", accession="ACC2")
     assert to_embedding_text(a) == to_embedding_text(b)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "Zéta Σς", "\u2028", "\ud800"]))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.dictionaries(st.text(max_size=8), _VALUES, max_size=6),
+       table_id=st.text(max_size=12))
+def test_embedding_text_is_json_dumps_of_the_non_null_fields(fields, table_id):
+    record = make_record(table_id=table_id, fields=fields)
+    kept = {k: v for k, v in fields.items() if v is not None}
+    assert to_embedding_text(record) == json.dumps(
+        {"fields": kept, "table": table_id}, sort_keys=True)
 
 
 def test_accession_meta(registry):

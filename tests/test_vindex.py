@@ -299,7 +299,7 @@ def _loop_embed(text: str, dim: int) -> np.ndarray:
 
 
 _AWKWARD = ["\u0130", "\u212a", "\u0301", "_", "7", "42", " ", "", "\ud800", "\u00b2",
-            "ß", "Ⅻ", "ǅ", "ﬃ", "A", "z"]
+            "ß", "Ⅻ", "ǅ", "ﬃ", "A", "z", vindex._SEP, "Σ", "ς"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,8 +344,24 @@ def test_embedded_vector_bytes_are_pinned(small_view):
     assert digest.hexdigest() == EMBED_DIGEST
 
 
+@pytest.mark.parametrize("texts", [
+    [vindex._SEP],
+    [vindex._SEP * 3 + " " + vindex._SEP + "  "],
+    ["a", vindex._SEP, "b"],
+    ["x" + vindex._SEP + "y", vindex._SEP + " " + vindex._SEP, "σΣ" + vindex._SEP + "Σ z"],
+])
+def test_hash_embed_batch_reads_a_separator_in_a_text_as_a_space(texts):
+    embedder = HashFeatureEmbedder(16)
+    batch = embedder.embed_batch(texts)
+    spaced = embedder.embed_batch([t.replace(vindex._SEP, " ") for t in texts])
+    assert np.array_equal(batch.view(np.uint32), spaced.view(np.uint32))
+    for row, text in zip(batch, texts):
+        assert np.array_equal(row.view(np.uint32), _loop_embed(text, 16).view(np.uint32))
+
+
 def test_hash_embedder_text_without_tokens_is_zero():
-    batch = HashFeatureEmbedder(16).embed_batch(["", "__ -- ??", "\u00e9\u00b2", "\ud800"])
+    batch = HashFeatureEmbedder(16).embed_batch(["", "__ -- ??", "\u00e9\u00b2", "\ud800",
+                                                 vindex._SEP, vindex._SEP + " " + vindex._SEP])
     assert not batch.any()
 
 
