@@ -52,7 +52,7 @@ def validate_record(record: FilingRecord, registry: SchemaRegistry) -> None:
             f"record {record.record_id}: table {record.table_id} belongs to "
             f"{schema.filing_type.name}, not {record.filing_type.name}"
         )
-    known = set(schema.field_names)
+    known = schema.field_name_set
     for name, value in record.fields.items():
         if name not in known:
             raise SchemaError(f"record {record.record_id}: unknown field {name!r} for {record.table_id}")
@@ -85,17 +85,33 @@ def record_to_dict(record: FilingRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> FilingRecord:
+    """The record a JSON object describes. A missing key raises KeyError and
+    a value of the wrong JSON type raises SchemaError, checked in argument
+    order."""
     return FilingRecord(
-        record_id=doc["record_id"],
-        accession_id=doc["accession_id"],
-        filing_type=FilingType.parse(doc["filing_type"]),
-        table_id=doc["table_id"],
-        filer_id=doc["filer_id"],
-        period=date.fromisoformat(doc["period"]),
+        record_id=_string(doc, "record_id"),
+        accession_id=_string(doc, "accession_id"),
+        filing_type=FilingType.parse(_string(doc, "filing_type")),
+        table_id=_string(doc, "table_id"),
+        filer_id=_string(doc, "filer_id"),
+        period=date.fromisoformat(_string(doc, "period")),
         is_amendment=bool(doc.get("is_amendment", False)),
-        amends=doc.get("amends"),
-        fields=dict(doc.get("fields", {})),
+        amends=_typed("amends", doc.get("amends"), (str, type(None)), "a string or null"),
+        fields=dict(_typed("fields", doc.get("fields", {}), dict, "an object")),
     )
+
+
+def _string(doc: dict, name: str) -> str:
+    value = doc[name]
+    if not isinstance(value, str):
+        raise SchemaError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _typed(name: str, value: Any, kind, expected: str) -> Any:
+    if not isinstance(value, kind):
+        raise SchemaError(f"{name} must be {expected}, got {value!r}")
+    return value
 
 
 class CorpusStore:
@@ -173,7 +189,10 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
             except json.JSONDecodeError as exc:
                 rejections.append(Rejection(line_no, f"invalid JSON: {exc.msg}"))
                 continue
-            if line_no == 1 and isinstance(doc, dict) and doc.get("kind") == META_KIND:
+            if not isinstance(doc, dict):
+                rejections.append(Rejection(line_no, "not a JSON object"))
+                continue
+            if line_no == 1 and doc.get("kind") == META_KIND:
                 continue
             try:
                 record = record_from_dict(doc)

@@ -60,31 +60,35 @@ class FieldDef:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Schema for one sub-table of one filing type."""
+    """Schema for one sub-table of one filing type. The field names, their
+    set and each name's kind are computed once, when the schema is built;
+    they take no part in ``==``, ``hash`` or ``repr``."""
 
     table_id: str
     filing_type: FilingType
     description: str
     fields: tuple[FieldDef, ...]
     key_fields: tuple[str, ...]
+    field_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    field_name_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _kinds: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
+        names = tuple(f.name for f in self.fields)
         if len(set(names)) != len(names):
             raise SchemaError(f"{self.table_id}: duplicate field names")
         missing = [k for k in self.key_fields if k not in names]
         if missing:
             raise SchemaError(f"{self.table_id}: key fields not in schema: {missing}")
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
+        object.__setattr__(self, "field_names", names)
+        object.__setattr__(self, "field_name_set", frozenset(names))
+        object.__setattr__(self, "_kinds", {f.name: f.kind for f in self.fields})
 
     def field_kind(self, name: str) -> str:
-        for f in self.fields:
-            if f.name == name:
-                return f.kind
-        raise SchemaError(f"{self.table_id}: no field named {name!r}")
+        try:
+            return self._kinds[name]
+        except KeyError:
+            raise SchemaError(f"{self.table_id}: no field named {name!r}") from None
 
     def check_value(self, name: str, value: Any) -> None:
         """Validate one field value against its declared kind. None is allowed."""

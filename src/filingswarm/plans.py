@@ -393,11 +393,11 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
             if schema.filing_type != s.agent:
                 raise PlanError(
                     f"step {s.step_id}: table {s.table} does not belong to agent {s.agent.value}")
-            known = set(schema.field_names)
+            known = schema.field_name_set
             for f in s.filters:
                 if f.field not in known:
                     raise PlanError(f"step {s.step_id}: unknown filter field {f.field!r}")
-            cols = s.columns if s.columns is not None else tuple(schema.field_names)
+            cols = s.columns if s.columns is not None else schema.field_names
             for c in cols:
                 if c not in known:
                     raise PlanError(f"step {s.step_id}: unknown column {c!r}")

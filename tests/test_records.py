@@ -110,6 +110,81 @@ def test_ingest_skips_blank_lines_and_flags_bad_json(registry, tmp_path):
     assert [r.line_no for r in result.rejections] == [3]
 
 
+def _with(**changes):
+    """A well-formed record line with top-level keys replaced."""
+    doc = record_to_dict(make_record(record_id="R9", accession="ACC9"))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_WRONG_TYPES = {
+    "a list": ("[1, 2]", "not a JSON object"),
+    "a string": ('"x"', "not a JSON object"),
+    "null": ("null", "not a JSON object"),
+    "a number": ("7", "not a JSON object"),
+    "fields a number": (_with(fields=5), "fields must be an object, got 5"),
+    "fields a list of pairs": (_with(fields=[["advisor_id", "X"]]),
+                               "fields must be an object, got [['advisor_id', 'X']]"),
+    "period a number": (_with(period=20230331), "period must be a string, got 20230331"),
+    "filing_type a number": (_with(filing_type=3), "filing_type must be a string, got 3"),
+    "record_id a list": (_with(record_id=["R9"]), "record_id must be a string, got ['R9']"),
+    "table_id an object": (_with(table_id={"t": 1}), "table_id must be a string, got {'t': 1}"),
+    "accession_id null": (_with(accession_id=None), "accession_id must be a string, got None"),
+    "filer_id a number": (_with(filer_id=7), "filer_id must be a string, got 7"),
+    "amends a list": (_with(amends=["ACC0"], is_amendment=True),
+                      "amends must be a string or null, got ['ACC0']"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_TYPES))
+def test_ingest_rejects_a_line_of_the_wrong_json_type(registry, tmp_path, case):
+    line, reason = _WRONG_TYPES[case]
+    good = [json.dumps(record_to_dict(make_record(record_id=f"R{i}", accession=f"ACC{i}")))
+            for i in range(2)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([good[0], line, good[1]]) + "\n")
+    result = ingest_jsonl(path, registry)
+    assert [(r.line_no, r.reason) for r in result.rejections] == [(2, reason)]
+    assert [r.record_id for r in result.store.records] == ["R0", "R1"]
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_KEYS = sorted(record_to_dict(make_record()))
+
+
+@st.composite
+def _corpus_line(draw, line_no):
+    """(line, well-formed?): a record, a record with one key set to any JSON
+    value (its id cannot collide with a well-formed one), or any JSON value."""
+    doc = record_to_dict(make_record(record_id=f"R{line_no}", accession=f"ACC{line_no}"))
+    kind = draw(st.sampled_from(["record", "one key", "any"]))
+    if kind == "record":
+        return json.dumps(doc), True
+    if kind == "any":
+        return json.dumps(draw(_JSON)), False
+    key = draw(st.sampled_from(_KEYS))
+    doc[key] = draw(_JSON.filter(lambda v: not (isinstance(v, str) and v.startswith("R"))))
+    return json.dumps(doc), False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_ingest_never_raises_and_loads_every_well_formed_line(registry, tmp_path_factory,
+                                                                data, n):
+    lines = [data.draw(_corpus_line(line_no)) for line_no in range(1, n + 1)]
+    path = tmp_path_factory.mktemp("ingest") / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line, _ in lines))
+    result = ingest_jsonl(path, registry)
+    well_formed = {f"R{i}" for i, (_, ok) in enumerate(lines, start=1) if ok}
+    assert well_formed <= set(result.store.by_record_id)
+    assert not any(r.line_no == i for r in result.rejections
+                   for i, (_, ok) in enumerate(lines, start=1) if ok)
+
+
 def test_export_ingest_round_trip(registry, tmp_path):
     store = build_store(
         [make_record(record_id=f"R{i}", accession=f"ACC{i}") for i in range(5)],

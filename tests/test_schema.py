@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,41 @@ def test_field_kind_checks():
                       ("d", "not-a-date"), ("l", "a"), ("l", [[1]])]:
         with pytest.raises(SchemaError):
             schema.check_value(name, bad)
+
+
+def _schema(**changes):
+    base = dict(table_id="t", filing_type=FilingType.ADV, description="d",
+                fields=(FieldDef("a", "text"), FieldDef("b", "number")),
+                key_fields=("a",))
+    return TableSchema(**{**base, **changes})
+
+
+def test_schema_lookups_are_built_once_and_leave_eq_hash_repr_alone():
+    schema = _schema()
+    assert schema.field_names == ("a", "b")
+    assert schema.field_name_set == frozenset({"a", "b"})
+    assert schema.field_kind("a") == "text" and schema.field_kind("b") == "number"
+    assert schema.field_names is schema.field_names
+    # equality, hash and repr see only the five declared fields
+    assert schema == _schema() and hash(schema) == hash(_schema())
+    assert hash(schema) == hash((schema.table_id, schema.filing_type, schema.description,
+                                 schema.fields, schema.key_fields))
+    assert repr(schema) == (
+        "TableSchema(table_id='t', filing_type=<FilingType.ADV: 'ADV'>, description='d', "
+        "fields=(FieldDef(name='a', kind='text'), FieldDef(name='b', kind='number')), "
+        "key_fields=('a',))")
+    # a copy with other fields gets its own lookups
+    wider = replace(schema, fields=schema.fields + (FieldDef("c", "date"),))
+    assert wider.field_names == ("a", "b", "c") and wider.field_kind("c") == "date"
+    assert schema.field_names == ("a", "b")
+    for name in ("field_names", "field_name_set", "_kinds"):
+        with pytest.raises(TypeError):
+            _schema(**{name: None})
+
+
+def test_field_kind_of_an_unknown_name_raises_schema_error():
+    with pytest.raises(SchemaError, match=r"^t: no field named 'zz'$"):
+        _schema().field_kind("zz")
 
 
 def test_schema_rejects_duplicate_fields_and_missing_keys():
