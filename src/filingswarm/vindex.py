@@ -12,7 +12,9 @@ Candidates are rescored canonically before ranking, and ties break by
 record_id ascending.
 
 Index snapshots are a small JSON header, the raw little-endian float32
-vector block, and the record id table; round trips are byte-exact.
+vector block, and the record id table; round trips are byte-exact. The
+header's ``crc32`` covers the vector block and the id table. A header
+without one, as written before the checksum existed, still loads.
 """
 from __future__ import annotations
 
@@ -397,12 +399,13 @@ def save_index(index: FlatIndex, path: str | Path,
         "embedder": embedder_fingerprint,
         "ids_bytes": len(ids_blob),
     }
-    vec = np.ascontiguousarray(index.vectors, dtype="<f4")
+    vec_blob = np.ascontiguousarray(index.vectors, dtype="<f4").tobytes()
+    header["crc32"] = zlib.crc32(ids_blob, zlib.crc32(vec_blob))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(vec.tobytes())
+        fh.write(vec_blob)
         fh.write(ids_blob)
 
 
@@ -421,8 +424,7 @@ def load_index(path: str | Path) -> tuple[FlatIndex, str]:
     vec_start = header_end + 1
     if len(blob) < vec_start + vec_bytes:
         raise IndexError_("snapshot truncated in its vector block")
-    vectors = np.frombuffer(blob[vec_start:vec_start + vec_bytes],
-                            dtype="<f4").reshape(count, dim).copy()
+    vec_blob = blob[vec_start:vec_start + vec_bytes]
     ids_blob = blob[vec_start + vec_bytes:]
     if len(ids_blob) != header["ids_bytes"]:
         raise IndexError_("snapshot truncated")
@@ -430,6 +432,9 @@ def load_index(path: str | Path) -> tuple[FlatIndex, str]:
         record_ids = ids_blob.decode("utf-8").split("\n") if ids_blob else []
     except UnicodeDecodeError as exc:
         raise IndexError_(f"snapshot id table is not UTF-8: {exc}") from None
+    if "crc32" in header and header["crc32"] != zlib.crc32(ids_blob, zlib.crc32(vec_blob)):
+        raise IndexError_("snapshot checksum mismatch: vector block or id table damaged")
+    vectors = np.frombuffer(vec_blob, dtype="<f4").reshape(count, dim).copy()
     index = FlatIndex(scope=header["scope"], dim=dim,
                       record_ids=record_ids, vectors=vectors)
     return index, header["embedder"]
@@ -450,5 +455,8 @@ def _parse_header(raw: bytes) -> dict:
     for name in ("scope", "embedder"):
         if not isinstance(header.get(name), str):
             raise IndexError_(f"snapshot header {name} must be a string")
+    crc = header.get("crc32", 0)  # absent in snapshots that predate it
+    if type(crc) is not int or not 0 <= crc < 2 ** 32:
+        raise IndexError_("snapshot header crc32 must be an unsigned 32-bit integer")
     header["scope"] = IndexScope.parse(header["scope"])
     return header

@@ -264,6 +264,14 @@ _DAMAGE = {
     "embedder missing": (lambda b, v: _with_header(b, v, embedder=None), "embedder"),
     "embedder a list": (lambda b, v: _with_header(b, v, embedder=["h"]), "embedder"),
     "id table not UTF-8": (lambda b, v: b[:-1] + b"\xff", "not UTF-8"),
+    "vector block bit flip": (lambda b, v: b[:v] + bytes([b[v] ^ 1]) + b[v + 1:], "checksum"),
+    "id table bit flip": (lambda b, v: b[:-1] + bytes([b[-1] ^ 1]), "checksum"),
+    "crc32 off by one": (lambda b, v: _with_header(
+        b, v, crc32=(json.loads(b[7:v - 1])["crc32"] + 1) % 2 ** 32), "checksum"),
+    "crc32 a string": (lambda b, v: _with_header(b, v, crc32="0"), "crc32"),
+    "crc32 a bool": (lambda b, v: _with_header(b, v, crc32=False), "crc32"),
+    "crc32 negative": (lambda b, v: _with_header(b, v, crc32=-1), "crc32"),
+    "crc32 past 32 bits": (lambda b, v: _with_header(b, v, crc32=2 ** 32), "crc32"),
 }
 
 
@@ -279,6 +287,22 @@ def test_truncated_snapshot_raises_index_error(small_view, tmp_path, where):
     path.write_bytes(damage(blob, vec_start))
     with pytest.raises(IndexError_, match=message):
         load_index(path)
+
+
+def test_snapshot_without_a_checksum_still_loads(small_view, tmp_path):
+    # snapshots written before the header carried crc32 load unchecked
+    embedder = HashFeatureEmbedder(8)
+    index = build_index(small_view, IndexScope.parse("table:adv_entity"), embedder)
+    path = tmp_path / "old.idx"
+    save_index(index, path, embedder.fingerprint)
+    blob = path.read_bytes()
+    vec_start = blob.index(b"\n", len(b"FSIDX1\n")) + 1
+    assert type(json.loads(blob[7:vec_start - 1])["crc32"]) is int
+    path.write_bytes(_with_header(blob, vec_start, crc32=None))
+    loaded, fingerprint = load_index(path)
+    assert fingerprint == embedder.fingerprint
+    assert loaded.record_ids == index.record_ids
+    assert np.array_equal(loaded.vectors.view(np.uint32), index.vectors.view(np.uint32))
 
 
 # --- embedders ---------------------------------------------------------------
