@@ -116,12 +116,17 @@ def route_embedding(query: str, persona_index: FlatIndex,
     if n_routes < 1:
         raise ValueError("n_routes must be >= 1")
     qvec = embedder.embed(query)
+    rankings: dict[str, list[tuple[str, float]]] = {}
 
     def table_ranking(agent_value: str) -> list[tuple[str, float]]:
-        table_index = table_indexes.get(agent_value)
-        if table_index is None or len(table_index) == 0:
-            raise ValueError(f"no table description index for agent {agent_value}")
-        return knn(table_index, qvec, k=len(table_index))
+        """The agent's tables by distance, ranked at most once per call."""
+        ranking = rankings.get(agent_value)
+        if ranking is None:
+            table_index = table_indexes.get(agent_value)
+            if table_index is None or len(table_index) == 0:
+                raise ValueError(f"no table description index for agent {agent_value}")
+            ranking = rankings[agent_value] = knn(table_index, qvec, k=len(table_index))
+        return ranking
 
     if len(persona_index) == 0:
         raise ValueError("persona index is empty: no agent to route to")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filingswarm import routing
 from filingswarm.corpus.schema import FilingType
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
@@ -26,7 +27,7 @@ from filingswarm.routing import (
     score_routing,
     validate_route,
 )
-from filingswarm.vindex import FlatIndex, IndexScope, MappingEmbedder
+from filingswarm.vindex import FlatIndex, IndexScope, MappingEmbedder, knn
 
 R_13F = Route(FilingType.parse("13F"), "thirteenf_holdings")
 R_ADV = Route(FilingType.parse("ADV"), "adv_entity")
@@ -177,14 +178,24 @@ def test_embedding_picks_nearest_persona_then_table():
     assert outcome.strategy == "embedding"
 
 
-def test_embedding_second_slot_can_stay_in_the_same_agent():
+def test_embedding_second_slot_can_stay_in_the_same_agent(monkeypatch):
     # pair distances from the advisor query: adv_entity 0, adv_brokers 2,
     # thirteenf 4; the second slot is the cheapest untaken pair
     personas, tables, embedder = _embedding_fixture()
+    searched = []
+
+    def counting_knn(index, query, k):
+        searched.append(index.scope)
+        return knn(index, query, k)
+
+    monkeypatch.setattr(routing, "knn", counting_knn)
     outcome = route_embedding("advisor question", personas, tables, embedder,
                               n_routes=2)
     assert outcome.predicted == (R_ADV, Route(FilingType.parse("ADV"),
                                               "adv_brokers"))
+    # the first slot's agent is ranked once, for both slots
+    assert sorted(map(repr, searched)) == sorted(
+        map(repr, [personas.scope, tables["ADV"].scope, tables["13F"].scope]))
 
 
 def test_embedding_caps_routes_at_available_pairs():
