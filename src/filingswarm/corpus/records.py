@@ -179,11 +179,19 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
     path = Path(path)
     store = CorpusStore(registry)
     rejections: list[Rejection] = []
-    with path.open("r", encoding="utf-8") as fh:
+    # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate,
+    # which valid UTF-8 never yields; only a non-ASCII line can hold one.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    rejections.append(Rejection(line_no, "not valid UTF-8"))
+                    continue
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:

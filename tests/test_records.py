@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filingswarm.corpus.records import (
+    META_KIND,
     CorpusStore,
     FilingRecord,
     build_store,
@@ -133,18 +134,23 @@ _WRONG_TYPES = {
     "filer_id a number": (_with(filer_id=7), "filer_id must be a string, got 7"),
     "amends a list": (_with(amends=["ACC0"], is_amendment=True),
                       "amends must be a string or null, got ['ACC0']"),
+    "not UTF-8": (b"\xff", "not valid UTF-8"),
 }
 
 
 @pytest.mark.parametrize("case", list(_WRONG_TYPES))
 def test_ingest_rejects_a_line_of_the_wrong_json_type(registry, tmp_path, case):
     line, reason = _WRONG_TYPES[case]
+    meta = json.dumps({"kind": META_KIND, "records": 2})
     good = [json.dumps(record_to_dict(make_record(record_id=f"R{i}", accession=f"ACC{i}")))
             for i in range(2)]
+    if isinstance(line, str):
+        line = line.encode("utf-8")
     path = tmp_path / "corpus.jsonl"
-    path.write_text("\n".join([good[0], line, good[1]]) + "\n")
+    path.write_bytes(b"\n".join([meta.encode(), good[0].encode(), line, good[1].encode()])
+                     + b"\n")
     result = ingest_jsonl(path, registry)
-    assert [(r.line_no, r.reason) for r in result.rejections] == [(2, reason)]
+    assert [(r.line_no, r.reason) for r in result.rejections] == [(3, reason)]
     assert [r.record_id for r in result.store.records] == ["R0", "R1"]
 
 
