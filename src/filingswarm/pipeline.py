@@ -15,6 +15,7 @@ import re
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType, SchemaRegistry
@@ -295,8 +296,37 @@ class Finding:
     step_id: str
     matched_record_count: int
     sample_record_ids: tuple[str, ...]  # at most 10
-    field_coverage: tuple[tuple[str, float], ...]  # (field, non-null fraction)
-    semantic_neighbor_ids: tuple[str, ...] = ()
+    # (field, non-null fraction) over the matched records; () when none match
+    field_coverage: tuple[tuple[str, float], ...]
+    # When no record matches: the first filter after which no rows remain
+    # (None when the table itself is empty), and the distinct non-null values
+    # of that filter's field among the query's semantic neighbors in the
+    # table, at most 3, nearest first.
+    emptying_filter: Filter | None = None
+    neighbor_values: tuple[Any, ...] = ()
+
+
+def _emptying_filter(view: ReconciledView, step: Retrieve) -> Filter | None:
+    """The first filter of a step that matches nothing after which no rows
+    remain, found by matching ever longer prefixes of its filters."""
+    if not view.table_records(step.table):
+        return None
+    for n in range(1, len(step.filters)):
+        if not select_records(view, replace(step, filters=step.filters[:n])):
+            return step.filters[n - 1]
+    return step.filters[-1]
+
+
+def _neighbor_values(view: ReconciledView, record_ids, field: str) -> tuple[Any, ...]:
+    values: list[Any] = []
+    for record_id in record_ids:
+        record = view.by_record_id.get(record_id)
+        value = None if record is None else record.fields.get(field)
+        if value is not None and value not in values:
+            values.append(value)
+            if len(values) == 3:
+                break
+    return tuple(values)
 
 
 def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
@@ -304,34 +334,38 @@ def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
                               query_text: str | None = None,
                               table_indexes: dict[str, FlatIndex] | None = None,
                               embedder=None, k: int = 10) -> tuple[Finding, ...]:
-    """Each filing expert named by the plan probes its own tables: how many
-    records the draft filters actually match, which fields are populated,
-    and (given a table index) what a semantic neighborhood search turns up."""
+    """Each filing expert named by the plan probes its own tables.
+
+    A retrieve step that matches records reports how many, a sample of
+    their ids and how often each field is filled. A step that matches none
+    names the filter that empties its selection and, given a table index,
+    which values of that filter's field the query's k semantic neighbors
+    hold: what the filter missed. Only such a step searches the index, and
+    the query is embedded at most once per call."""
     findings = []
-    query_vector = None  # embedded on the first indexed step, then reused
+    query_vector = None
     for step in plan.steps:
         if not isinstance(step, Retrieve):
             continue
         matched = select_records(view, step)
-        coverage = tuple(
-            (name, round(matched.filled(name) / len(matched), 3) if matched else 0.0)
-            for name in registry.table(step.table).field_names)
-        neighbors: tuple[str, ...] = ()
-        if (table_indexes is not None and embedder is not None
-                and query_text and step.table in table_indexes):
+        if matched:
+            coverage = tuple((name, round(matched.filled(name) / len(matched), 3))
+                             for name in registry.table(step.table).field_names)
+            findings.append(Finding(step.agent, step.table, step.step_id, len(matched),
+                                    matched.record_ids()[:10], coverage))
+            continue
+        emptying = _emptying_filter(view, step)
+        values: tuple[Any, ...] = ()
+        index = (table_indexes or {}).get(step.table)
+        if (emptying is not None and index is not None and len(index)
+                and embedder is not None and query_text):
             if query_vector is None:
                 query_vector = embedder.embed(query_text)
-            index = table_indexes[step.table]
-            hits = knn(index, query_vector, min(k, len(index.record_ids)))
-            neighbors = tuple(record_id for record_id, _ in hits)
-        findings.append(Finding(
-            agent=step.agent,
-            table_id=step.table,
-            step_id=step.step_id,
-            matched_record_count=len(matched),
-            sample_record_ids=matched.record_ids()[:10],
-            field_coverage=coverage,
-            semantic_neighbor_ids=neighbors))
+            hits = knn(index, query_vector, min(k, len(index)))
+            values = _neighbor_values(view, (record_id for record_id, _ in hits),
+                                      emptying.field)
+        findings.append(Finding(step.agent, step.table, step.step_id, 0, (), (),
+                                emptying, values))
     return tuple(findings)
 
 
@@ -343,8 +377,12 @@ def findings_to_lines(findings: tuple[Finding, ...]) -> list[str]:
                 f"{f.matched_record_count} records match")
         if sparse:
             line += f"; sparse fields: {', '.join(sparse[:3])}"
-        if f.semantic_neighbor_ids:
-            line += f"; {len(f.semantic_neighbor_ids)} semantic neighbors"
+        e = f.emptying_filter
+        if e is not None:
+            line += f"; no rows remain after {e.field} {e.op} {e.value!r}"
+            if f.neighbor_values:
+                shown = ", ".join(map(repr, f.neighbor_values))
+                line += f"; nearest records have {e.field} {shown}"
         lines.append(line)
     return lines
 

@@ -6,18 +6,21 @@ failure-path guarantees use small scripted providers instead.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filingswarm.corpus.reconcile import reconcile
+from filingswarm.corpus.records import build_store
 from filingswarm.corpus.schema import FilingType
 from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatResponse, FixtureMissError
-from filingswarm import pipeline, plans
+from filingswarm import pipeline, plans, vindex
 from filingswarm.pipeline import (
     Finding,
     LongTermMemory,
@@ -378,9 +381,12 @@ def test_draft_fixture_miss_propagates(registry):
 # Findings
 
 
+_13F = FilingType.parse("13F")
+_PUTS_Q1 = (Filter("period", "eq", "2023-03-31"), Filter("put_call", "eq", "PUT"))
+
+
 def test_findings_probe_matches_and_coverage(registry, small_view):
-    plan = Plan((Retrieve("r1", FilingType.parse("13F"), "thirteenf_holdings"),
-                 Return("ret", "r1")))
+    plan = Plan((Retrieve("r1", _13F, "thirteenf_holdings"), Return("ret", "r1")))
     findings = gather_swarm_intelligence(plan, small_view, registry)
     assert len(findings) == 1
     finding = findings[0]
@@ -390,21 +396,8 @@ def test_findings_probe_matches_and_coverage(registry, small_view):
     coverage = dict(finding.field_coverage)
     assert coverage["value_usd"] == 1.0
     assert 0.0 < coverage["put_call"] < 1.0  # cash rows leave it null
-    assert finding.semantic_neighbor_ids == ()
-
-
-def test_findings_include_semantic_neighbors_when_indexed(registry, small_view):
-    embedder = HashFeatureEmbedder(32)
-    index = build_index(small_view, IndexScope.table("thirteenf_holdings"),
-                        embedder)
-    plan = Plan((Retrieve("r1", FilingType.parse("13F"), "thirteenf_holdings"),
-                 Return("ret", "r1")))
-    findings = gather_swarm_intelligence(
-        plan, small_view, registry, query_text="option positions",
-        table_indexes={"thirteenf_holdings": index}, embedder=embedder, k=5)
-    neighbors = findings[0].semantic_neighbor_ids
-    assert len(neighbors) == 5
-    assert set(neighbors) <= set(index.record_ids)
+    assert finding.emptying_filter is None
+    assert finding.neighbor_values == ()
 
 
 class _CountingEmbedder:
@@ -417,12 +410,134 @@ class _CountingEmbedder:
         return self.inner.embed(text)
 
 
-def test_findings_embed_the_query_once_per_call(registry, small_view):
+@pytest.fixture(scope="module")
+def indexed(small_view):
+    """A 32-dim embedder and a table index over every table of the view."""
     embedder = HashFeatureEmbedder(32)
-    steps = (Retrieve("r1", FilingType.parse("13F"), "thirteenf_holdings"),
-             Retrieve("r2", FilingType.parse("ADV"), "adv_entity"))
-    indexes = {s.table: build_index(small_view, IndexScope.table(s.table), embedder)
-               for s in steps}
+    return embedder, {table: build_index(small_view, IndexScope.table(table), embedder)
+                      for table in small_view.by_table}
+
+
+def _knn_calls(monkeypatch):
+    calls = []
+
+    def counting_knn(index, query, k):
+        calls.append(k)
+        return vindex.knn(index, query, k)
+
+    monkeypatch.setattr(pipeline, "knn", counting_knn)
+    return calls
+
+
+def test_findings_of_a_matching_step_search_nothing(registry, small_view, indexed,
+                                                    monkeypatch):
+    embedder, indexes = indexed
+    counting = _CountingEmbedder(embedder)
+    knn_calls = _knn_calls(monkeypatch)
+    plan = Plan((Retrieve("r1", _13F, "thirteenf_holdings", _PUTS_Q1),
+                 Retrieve("r2", FilingType.parse("ADV"), "adv_entity"),
+                 Return("ret", "r1")))
+    findings = gather_swarm_intelligence(
+        plan, small_view, registry, query_text="put options",
+        table_indexes=indexes, embedder=counting)
+    assert [f.matched_record_count > 0 for f in findings] == [True, True]
+    assert counting.calls == 0
+    assert knn_calls == []
+    assert findings == gather_swarm_intelligence(plan, small_view, registry)
+
+
+def _zero_match(filters):
+    return Plan((Retrieve("r1", _13F, "thirteenf_holdings", filters), Return("ret", "r1")))
+
+
+@pytest.mark.parametrize("filters, emptying", [
+    # the first filter already matches nothing
+    ((Filter("manager_id", "eq", "MGR9999"), Filter("period", "eq", "2023-03-31")), 0),
+    # the period keeps rows; the put_call value matches none of them
+    ((Filter("period", "eq", "2023-03-31"), Filter("put_call", "eq", "put"),
+      Filter("value_usd", "range", (0, 1e12))), 1),
+    # each filter alone keeps rows, the last empties their intersection
+    ((Filter("security_class", "eq", "COM"), Filter("put_call", "eq", "PUT")), 1),
+])
+def test_findings_name_the_filter_that_empties_the_selection(registry, small_view, indexed,
+                                                             filters, emptying):
+    embedder, indexes = indexed
+    plan = _zero_match(filters)
+    (finding,) = gather_swarm_intelligence(
+        plan, small_view, registry, query_text="put options on treasuries",
+        table_indexes=indexes, embedder=embedder, k=5)
+    assert finding.matched_record_count == 0
+    assert finding.sample_record_ids == ()
+    assert finding.field_coverage == ()
+    assert finding.emptying_filter == filters[emptying]
+    # every shorter prefix keeps rows; the prefix ending at that filter keeps none
+    for n in range(1, len(filters) + 1):
+        prefix = Retrieve("p", _13F, "thirteenf_holdings", filters[:n])
+        assert bool(plans.select_records(small_view, prefix)) == (n <= emptying)
+    # the values come from the 5 nearest records, nearest first, each once
+    field = filters[emptying].field
+    index = indexes["thirteenf_holdings"]
+    nearest = [small_view.by_record_id[rid].fields.get(field) for rid, _ in
+               vindex.knn(index, embedder.embed("put options on treasuries"), 5)]
+    expected = []
+    for value in nearest:
+        if value is not None and value not in expected:
+            expected.append(value)
+    assert finding.neighbor_values == tuple(expected[:3])
+    assert finding.neighbor_values
+
+    # without an index the filter is still named, with no values
+    (bare,) = gather_swarm_intelligence(plan, small_view, registry)
+    assert bare.emptying_filter == filters[emptying]
+    assert bare.neighbor_values == ()
+
+
+def test_findings_of_an_empty_table_name_no_filter(registry, monkeypatch):
+    empty = reconcile(build_store([], registry))
+    embedder = HashFeatureEmbedder(32)
+    indexes = {"thirteenf_holdings": build_index(
+        empty, IndexScope.table("thirteenf_holdings"), embedder)}
+    knn_calls = _knn_calls(monkeypatch)
+    for filters in ((), _PUTS_Q1):
+        (finding,) = gather_swarm_intelligence(
+            _zero_match(filters), empty, registry, query_text="put options",
+            table_indexes=indexes, embedder=embedder)
+        assert finding.matched_record_count == 0
+        assert finding.field_coverage == ()
+        assert finding.emptying_filter is None
+        assert finding.neighbor_values == ()
+        assert findings_to_lines((finding,)) == [
+            "13F/thirteenf_holdings step r1: 0 records match"]
+    assert knn_calls == []
+
+
+def test_findings_include_semantic_neighbors_when_indexed(registry, small_view, indexed,
+                                                          monkeypatch):
+    embedder, indexes = indexed
+    knn_calls = _knn_calls(monkeypatch)
+    plan = _zero_match((Filter("security_class", "eq", "OPT PUT"),))
+    (finding,) = gather_swarm_intelligence(
+        plan, small_view, registry, query_text="OPT-PUT option positions",
+        table_indexes=indexes, embedder=embedder, k=5)
+    assert knn_calls == [5]
+    assert finding.neighbor_values
+    assert len(finding.neighbor_values) <= 3
+    assert set(finding.neighbor_values) <= {"COM", "OPT-PUT", "OPT-CALL"}
+
+    # k beyond the index searches every row
+    knn_calls.clear()
+    gather_swarm_intelligence(
+        plan, small_view, registry, query_text="OPT-PUT option positions",
+        table_indexes=indexes, embedder=embedder, k=10_000)
+    assert knn_calls == [len(indexes["thirteenf_holdings"])]
+
+
+def test_findings_embed_the_query_once_per_call(registry, small_view, indexed):
+    embedder, indexes = indexed
+    steps = (Retrieve("r1", _13F, "thirteenf_holdings", (Filter("put_call", "eq", "put"),)),
+             Retrieve("r2", _13F, "thirteenf_holdings", _PUTS_Q1),
+             Retrieve("r3", FilingType.parse("ADV"), "adv_entity",
+                      (Filter("period", "eq", "1999-12-31"),)))
     expected = tuple(
         finding for step in steps
         for finding in gather_swarm_intelligence(
@@ -434,9 +549,9 @@ def test_findings_embed_the_query_once_per_call(registry, small_view):
         Plan(steps + (Return("ret", "r1"),)), small_view, registry,
         query_text="option positions", table_indexes=indexes,
         embedder=counting, k=5)
-    assert counting.calls == 1
+    assert counting.calls == 1  # two zero-match steps share one query vector
     assert findings == expected
-    assert all(len(f.semantic_neighbor_ids) == 5 for f in findings)
+    assert [bool(f.neighbor_values) for f in findings] == [True, False, True]
 
     gather_swarm_intelligence(
         Plan(steps + (Return("ret", "r1"),)), small_view, registry,
@@ -445,15 +560,41 @@ def test_findings_embed_the_query_once_per_call(registry, small_view):
 
 
 def test_findings_lines_format():
-    finding = Finding(
-        agent=FilingType.parse("13F"), table_id="thirteenf_holdings",
+    matched = Finding(
+        agent=_13F, table_id="thirteenf_holdings",
         step_id="r1", matched_record_count=2,
         sample_record_ids=("a", "b"),
-        field_coverage=(("period", 1.0), ("put_call", 0.5)),
-        semantic_neighbor_ids=("x", "y"))
-    assert findings_to_lines((finding,)) == [
-        "13F/thirteenf_holdings step r1: 2 records match; "
-        "sparse fields: put_call; 2 semantic neighbors"]
+        field_coverage=(("period", 1.0), ("put_call", 0.5)))
+    emptied = Finding(
+        agent=_13F, table_id="thirteenf_holdings", step_id="r2",
+        matched_record_count=0, sample_record_ids=(), field_coverage=(),
+        emptying_filter=Filter("value_usd", "range", (1, 2)))
+    assert findings_to_lines((
+        matched, emptied,
+        replace(emptied, emptying_filter=Filter("put_call", "eq", "put"),
+                neighbor_values=("PUT", "CALL")))) == [
+        "13F/thirteenf_holdings step r1: 2 records match; sparse fields: put_call",
+        "13F/thirteenf_holdings step r2: 0 records match; "
+        "no rows remain after value_usd range (1, 2)",
+        "13F/thirteenf_holdings step r2: 0 records match; "
+        "no rows remain after put_call eq 'put'; nearest records have put_call 'PUT', 'CALL'"]
+
+
+def test_findings_lines_golden(registry, small_view, indexed):
+    embedder, indexes = indexed
+    plan = Plan((Retrieve("r1", _13F, "thirteenf_holdings", _PUTS_Q1[:1]),
+                 Retrieve("r2", _13F, "thirteenf_holdings",
+                          (Filter("period", "eq", "2023-06-30"),
+                           Filter("security_class", "eq", "OPT PUT"))),
+                 Return("ret", "r1")))
+    findings = gather_swarm_intelligence(
+        plan, small_view, registry, query_text="OPT-PUT positions for period 2023-06-30",
+        table_indexes=indexes, embedder=embedder)
+    assert findings_to_lines(findings) == [
+        "13F/thirteenf_holdings step r1: 64 records match; sparse fields: put_call",
+        "13F/thirteenf_holdings step r2: 0 records match; "
+        "no rows remain after security_class eq 'OPT PUT'; "
+        "nearest records have security_class 'OPT-PUT', 'OPT-CALL', 'COM'"]
 
 
 # ---------------------------------------------------------------------------
