@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .schema import FilingType, SchemaError, SchemaRegistry
 
@@ -253,3 +253,34 @@ def to_embedding_text(record: FilingRecord) -> str:
     """
     kept = {k: v for k, v in record.fields.items() if v is not None}
     return _TEXT_ENCODER.encode({"fields": kept, "table": record.table_id})
+
+
+def embedding_text_rows(records: Sequence[FilingRecord]) -> tuple[list[str], list[int]] | None:
+    """Texts whose tokens add up to each record's ``to_embedding_text``,
+    with every record's fields rendered by one encoder call.
+
+    Row i < len(records) is record i's null-free fields as that text renders
+    them, without the braces around them. The rows after it are one per
+    distinct table: the embedding text of a record of that table with empty
+    fields, which holds the ``fields``, ``table`` and table-id tokens.
+    ``owners[i]`` is the row of record i's table. Tokens never span a brace,
+    a quote or ", ", so each record's text has exactly the tokens of its two
+    rows.
+
+    ``None`` when the rendering does not hold exactly one ``{`` and one
+    ``}`` per record (a brace in a key or value, or an object as a value).
+    JSON escapes no brace inside a string, so otherwise every brace
+    delimits a record, and the ``}, {`` between two records splits them
+    exactly.
+    """
+    if not records:
+        return [], []
+    rendered = _TEXT_ENCODER.encode(
+        [{k: v for k, v in r.fields.items() if v is not None} for r in records])
+    if rendered.count("{") != len(records) or rendered.count("}") != len(records):
+        return None
+    rows = rendered[2:-2].split("}, {")
+    tables = [r.table_id for r in records]
+    table_rows = {t: row for row, t in enumerate(dict.fromkeys(tables), start=len(rows))}
+    rows += [_TEXT_ENCODER.encode({"fields": {}, "table": t}) for t in table_rows]
+    return rows, list(map(table_rows.__getitem__, tables))

@@ -5,6 +5,8 @@ import json
 import os
 import threading
 import time
+from datetime import timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Protocol
 
@@ -112,15 +114,36 @@ class _TokenBucket:
             time.sleep(min(needed, 0.05))
 
 
+def retry_after_seconds(value: str | None, now: float) -> float | None:
+    """The wait a ``Retry-After`` header asks for (RFC 9110 section 10.2.3),
+    in seconds from ``now`` (a Unix time): delta-seconds, or an HTTP-date,
+    read as 0 once it has passed. ``None`` when the header is absent or is
+    neither form."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError, OverflowError):
+        return None
+    if when.tzinfo is None:  # an asctime date or "-0000"; HTTP dates are UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - now)
+
+
 class RemoteProvider:
     """Minimal chat-completion HTTP client.
 
     Sends {model, messages, temperature, max_tokens} and reads
     choices[0].message.content. Transient failures (connection errors,
-    HTTP 429/5xx) are retried with exponential backoff up to max_retries.
-    A token bucket plus a concurrency semaphore keep request pressure
-    bounded when many pipeline workers share one provider. A caller holds
-    a slot for one attempt at a time and backs off without it.
+    HTTP 429/5xx) are retried up to max_retries, after the wait that a
+    reply's ``Retry-After`` asks for, capped at ``timeout``, or else after
+    an exponential backoff. A token bucket plus a concurrency semaphore
+    keep request pressure bounded when many pipeline workers share one
+    provider. A caller holds a slot for one attempt at a time and backs off
+    without it.
     """
 
     provider_id = "remote"
@@ -159,7 +182,8 @@ class RemoteProvider:
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:  # back off without a slot, so other callers can use it
-                time.sleep(0.5 * (2 ** (attempt - 1)))
+                time.sleep(delay)
+            delay = 0.5 * (2 ** attempt)
             with self.slots:
                 self.bucket.acquire(timeout=self.timeout)
                 try:
@@ -180,6 +204,9 @@ class RemoteProvider:
                 if resp.status_code not in (429,) and resp.status_code < 500:
                     raise RemoteError(f"endpoint returned HTTP {resp.status_code}")
                 last_error = RemoteError(f"transient HTTP {resp.status_code}")
+                asked = retry_after_seconds(resp.headers.get("Retry-After"), time.time())
+                if asked is not None:
+                    delay = min(asked, self.timeout)
         raise RemoteError(f"remote completion failed after "
                           f"{self.max_retries + 1} attempts: {last_error}")
 

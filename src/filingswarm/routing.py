@@ -24,6 +24,8 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus.schema import FilingType, SchemaRegistry
 from .gateway.prompts import (
     build_route_agent_request,
@@ -32,7 +34,9 @@ from .gateway.prompts import (
     read_candidate,
 )
 from .gateway.types import ChatRequest, GatewayError
-from .vindex import FlatIndex, knn
+# knn is no longer called here; perfbench's tracer still wraps routing.knn,
+# so the name stays.
+from .vindex import FlatIndex, IndexError_, knn  # noqa: F401
 
 STRATEGIES = ("embedding", "generative", "swarm")
 
@@ -112,33 +116,46 @@ def route_embedding(query: str, persona_index: FlatIndex,
     """First slot is two-stage: nearest persona, then nearest table
     description within that filing. Further slots walk the remaining
     (agent, table) pairs ranked by persona distance plus table distance,
-    which lets a query land twice in the same filing."""
+    which lets a query land twice in the same filing.
+
+    Every distance is ``knn``'s canonical one, taken for the persona rows
+    and each persona's table rows in one pass, and each ranking is by
+    (distance, id), as ``knn`` ranks a whole index."""
     if n_routes < 1:
         raise ValueError("n_routes must be >= 1")
-    qvec = embedder.embed(query)
-    rankings: dict[str, list[tuple[str, float]]] = {}
-
-    def table_ranking(agent_value: str) -> list[tuple[str, float]]:
-        """The agent's tables by distance, ranked at most once per call."""
-        ranking = rankings.get(agent_value)
-        if ranking is None:
-            table_index = table_indexes.get(agent_value)
-            if table_index is None or len(table_index) == 0:
-                raise ValueError(f"no table description index for agent {agent_value}")
-            ranking = rankings[agent_value] = knn(table_index, qvec, k=len(table_index))
-        return ranking
-
+    q32 = np.asarray(embedder.embed(query), dtype=np.float32)
     if len(persona_index) == 0:
         raise ValueError("persona index is empty: no agent to route to")
-    persona_ranking = knn(persona_index, qvec, k=len(persona_index))
-    first_agent = persona_ranking[0][0]
-    first_table = table_ranking(first_agent)[0][0]
+    if q32.shape != (persona_index.dim,):
+        raise IndexError_(f"query dim {q32.shape} does not match index dim {persona_index.dim}")
+    blocks: list[tuple[str | None, FlatIndex]] = [(None, persona_index)]
+    for agent_value in persona_index.record_ids:
+        table_index = table_indexes.get(agent_value)
+        if table_index is not None and len(table_index):
+            blocks.append((agent_value, table_index))
+    x64 = np.concatenate([index.vectors for _, index in blocks]).astype(np.float64)
+    dists = np.sum((x64 - q32.astype(np.float64)) ** 2, axis=1).tolist()
+    rankings: dict[str | None, list[tuple[float, str]]] = {}
+    start = 0
+    for agent_value, index in blocks:
+        rankings[agent_value] = sorted(zip(dists[start:start + len(index)], index.record_ids))
+        start += len(index)
+
+    def table_ranking(agent_value: str) -> list[tuple[float, str]]:
+        ranking = rankings.get(agent_value)
+        if ranking is None:
+            raise ValueError(f"no table description index for agent {agent_value}")
+        return ranking
+
+    persona_ranking = rankings[None]
+    first_agent = persona_ranking[0][1]
+    first_table = table_ranking(first_agent)[0][1]
     routes = [Route(FilingType.parse(first_agent), first_table)]
 
     if n_routes > 1:
         pairs = []
-        for agent_value, persona_dist in persona_ranking:
-            for table_id, table_dist in table_ranking(agent_value):
+        for persona_dist, agent_value in persona_ranking:
+            for table_dist, table_id in table_ranking(agent_value):
                 pairs.append((persona_dist + table_dist, agent_value, table_id))
         pairs.sort()
         taken = {(first_agent, first_table)}

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus.records import to_embedding_text
+from .corpus.records import FilingRecord, embedding_text_rows, to_embedding_text
 from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType, SchemaRegistry
 
@@ -128,31 +128,61 @@ class HashFeatureEmbedder:
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Signed bucket counts per text, L2-normalized; zero for a text
         without tokens. Counts are exact integers in float64 up to the
-        division, so the result does not depend on the batch."""
+        division, so the result does not depend on the batch. A chunk of
+        ``build_index``'s record texts is counted from
+        ``embedding_text_rows``, which renders no record's text."""
         dim = self.dim
-        width = 2 * dim + 1  # positive buckets, negative buckets, separator
         out = np.empty((len(texts), dim), dtype=np.float32)
         for start in range(0, len(texts), _EMBED_CHUNK):
             chunk = texts[start:start + _EMBED_CHUNK]
-            joined = _JOINER.join(chunk)
-            if joined.count(_SEP) != len(chunk) - 1:
-                joined = _JOINER.join(t.replace(_SEP, " ") for t in chunk)
-            tokens = (joined.lower().encode("utf-8", "surrogatepass")
-                      .translate(_TOKEN_BYTES).split())
-            codes = np.fromiter(map(self._codes.__getitem__, tokens),
-                                dtype=np.intp, count=len(tokens))
-            # every code but the separator's is below 2 * dim, so the
-            # running count of separators is each token's row
-            cells = np.add.accumulate(codes // (2 * dim))
-            cells *= width
-            cells += codes
-            counts = np.bincount(cells, minlength=len(chunk) * width)
-            counts = counts.reshape(len(chunk), width)
+            split = (embedding_text_rows(chunk.records)
+                     if isinstance(chunk, _RecordTexts) else None)
+            if split is None:
+                counts = self._bucket_counts(list(chunk))
+            else:
+                rows, owners = split
+                counts = self._bucket_counts(rows)
+                counts = counts[:len(chunk)] + counts[owners]
             signed = (counts[:, :dim] - counts[:, dim:-1]).astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", signed, signed))
             # a nonzero count vector has norm >= 1; a zero one stays zero
             out[start:start + len(chunk)] = signed / np.maximum(norms, 1.0)[:, None]
         return out
+
+    def _bucket_counts(self, texts: list[str]) -> np.ndarray:
+        """Token counts per text, one row of positive buckets, negative
+        buckets and the separator column each, from one pass over the
+        joined texts."""
+        width = 2 * self.dim + 1
+        joined = _JOINER.join(texts)
+        if joined.count(_SEP) != len(texts) - 1:
+            joined = _JOINER.join(t.replace(_SEP, " ") for t in texts)
+        tokens = (joined.lower().encode("utf-8", "surrogatepass")
+                  .translate(_TOKEN_BYTES).split())
+        codes = np.fromiter(map(self._codes.__getitem__, tokens),
+                            dtype=np.intp, count=len(tokens))
+        # every code but the separator's is below 2 * dim, so the running
+        # count of separators is each token's row
+        cells = np.add.accumulate(codes // (2 * self.dim))
+        cells *= width
+        cells += codes
+        counts = np.bincount(cells, minlength=len(texts) * width)
+        return counts.reshape(len(texts), width)
+
+
+class _RecordTexts(Sequence):
+    """``to_embedding_text`` of each record, rendered only when read."""
+
+    def __init__(self, records: Sequence[FilingRecord]):
+        self.records = records
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _RecordTexts(self.records[i])
+        return to_embedding_text(self.records[i])
 
 
 class MappingEmbedder:
@@ -250,10 +280,12 @@ def _scope_records(view: ReconciledView, scope: IndexScope):
 
 
 def build_index(view: ReconciledView, scope: IndexScope, embedder) -> FlatIndex:
-    """Embed every reconciled record in scope, one entry per record."""
-    return build_text_index(
-        ((r.record_id, to_embedding_text(r)) for r in _scope_records(view, scope)),
-        embedder, scope)
+    """Embed every reconciled record in scope, one entry per record. The
+    embedder gets a lazy sequence of the records' embedding texts."""
+    records = _scope_records(view, scope)
+    return FlatIndex(scope=scope, dim=embedder.dim,
+                     record_ids=[r.record_id for r in records],
+                     vectors=embedder.embed_batch(_RecordTexts(records)) if records else None)
 
 
 def build_text_index(entries: Iterable[tuple[str, str]], embedder,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import email.utils
 import json
 import math
 import os
@@ -7,9 +8,11 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,7 @@ from filingswarm.gateway.providers import (
     RemoteProvider,
     ScriptedProvider,
     load_fixtures,
+    retry_after_seconds,
     save_fixtures,
 )
 from filingswarm.gateway.types import (
@@ -165,9 +169,10 @@ def test_remote_provider_wire_shape_and_credential(monkeypatch):
 
 
 class _Reply:
-    def __init__(self, status_code, content="ok"):
+    def __init__(self, status_code, content="ok", headers=None):
         self.status_code = status_code
         self.content = content
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         return {"choices": [{"message": {"content": self.content}}]}
@@ -220,6 +225,61 @@ def test_remote_provider_backs_off_without_holding_its_slot(monkeypatch):
     assert not caller_a.is_alive() and not caller_b.is_alive()
     assert b_done_during_backoff == [True]
     assert replies == {"A": "ok", "B": "ok"}
+
+
+class _Replies:
+    """Answers each request with the next of ``replies``."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+
+    def post(self, endpoint, json=None, headers=None, timeout=None):
+        return self.replies.pop(0)
+
+
+@pytest.mark.parametrize("retry_after, waits", [
+    (None, [0.5, 1.0]),
+    ("2", [2.0, 2.0]),
+    ("0", [0.0, 0.0]),
+    ("3600", [30.0, 30.0]),  # capped at the timeout
+    ("soon", [0.5, 1.0]),  # neither form: exponential backoff
+    ("Wed, 21 Oct 2015 07:28:00 GMT", [0.0, 0.0]),  # a date that has passed
+    (email.utils.formatdate(time.time() + 3600, usegmt=True), [30.0, 30.0]),
+])
+def test_remote_provider_waits_as_retry_after_asks(monkeypatch, retry_after, waits):
+    headers = {} if retry_after is None else {"retry-after": retry_after}
+    provider = RemoteProvider(endpoint="https://api.example/v1/chat", model="m",
+                              timeout=30.0, rate_per_sec=1000.0, max_concurrent=1,
+                              session=_Replies([_Reply(429, headers=headers),
+                                                _Reply(503, headers=headers),
+                                                _Reply(200)]))
+    slept = []
+
+    def sleep(seconds):  # the caller backs off without its slot
+        assert provider.slots.acquire(blocking=False)
+        provider.slots.release()
+        slept.append(seconds)
+
+    monkeypatch.setattr(providers.time, "sleep", sleep)
+    assert provider.complete(msg("hello")).content == "ok"
+    assert slept == waits
+
+
+def test_retry_after_reads_delta_seconds_and_each_http_date_form():
+    now = email.utils.parsedate_to_datetime("Wed, 21 Oct 2015 07:26:30 GMT").timestamp()
+    for value in ("Wed, 21 Oct 2015 07:28:00 GMT", "Wednesday, 21-Oct-15 07:28:00 GMT",
+                  "Wed Oct 21 07:28:00 2015", " 90 "):
+        assert retry_after_seconds(value, now) == 90.0
+    assert retry_after_seconds("Wed, 21 Oct 2015 07:26:00 GMT", now) == 0.0
+    for value in (None, "", "-5", "1.5", "\u00b2", "soon", "Wed, 32 Oct 2015 07:28:00 GMT"):
+        assert retry_after_seconds(value, now) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_retry_after_never_raises(value):
+    wait = retry_after_seconds(value, 1.4e9)
+    assert wait is None or wait >= 0.0
 
 
 # --- deterministic provider rules -------------------------------------------

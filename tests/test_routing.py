@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filingswarm import routing
 from filingswarm.corpus.schema import FilingType
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
@@ -178,24 +177,55 @@ def test_embedding_picks_nearest_persona_then_table():
     assert outcome.strategy == "embedding"
 
 
-def test_embedding_second_slot_can_stay_in_the_same_agent(monkeypatch):
+def _knn_routes(query, personas, tables, embedder, n_routes):
+    """The embedding rule, ranked by knn over each whole index: the nearest
+    persona's nearest table, then untaken pairs by summed distance."""
+    qvec = embedder.embed(query)
+    persona = knn(personas, qvec, k=len(personas))
+    ranked = {agent: knn(tables[agent], qvec, k=len(tables[agent])) for agent, _ in persona}
+    routes = [(persona[0][0], ranked[persona[0][0]][0][0])]
+    pairs = sorted((persona_dist + table_dist, agent, table)
+                   for agent, persona_dist in persona for table, table_dist in ranked[agent])
+    for _, agent, table in pairs:
+        if len(routes) < n_routes and (agent, table) not in routes:
+            routes.append((agent, table))
+    return tuple(Route(FilingType.parse(agent), table) for agent, table in routes)
+
+
+def test_embedding_second_slot_can_stay_in_the_same_agent():
     # pair distances from the advisor query: adv_entity 0, adv_brokers 2,
     # thirteenf 4; the second slot is the cheapest untaken pair
     personas, tables, embedder = _embedding_fixture()
-    searched = []
-
-    def counting_knn(index, query, k):
-        searched.append(index.scope)
-        return knn(index, query, k)
-
-    monkeypatch.setattr(routing, "knn", counting_knn)
     outcome = route_embedding("advisor question", personas, tables, embedder,
                               n_routes=2)
     assert outcome.predicted == (R_ADV, Route(FilingType.parse("ADV"),
                                               "adv_brokers"))
-    # the first slot's agent is ranked once, for both slots
-    assert sorted(map(repr, searched)) == sorted(
-        map(repr, [personas.scope, tables["ADV"].scope, tables["13F"].scope]))
+    for query in ("advisor question", "equity question"):
+        for n_routes in (1, 2, 3):
+            assert (route_embedding(query, personas, tables, embedder, n_routes).predicted
+                    == _knn_routes(query, personas, tables, embedder, n_routes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 6),
+       n_routes=st.integers(1, 5))
+def test_embedding_routes_rank_as_knn_does(seed, n_agents, n_routes):
+    # small integer coordinates make exact distance ties, which break by id
+    rng = np.random.default_rng(seed)
+    dim = 3
+    agents = [ft.value for ft in rng.permutation(list(FilingType))[:n_agents]]
+    personas = FlatIndex(scope=IndexScope.global_(), dim=dim, record_ids=agents,
+                         vectors=rng.integers(-2, 3, (n_agents, dim)).astype(np.float32))
+    tables = {}
+    for agent in agents:
+        n_tables = int(rng.integers(1, 4))
+        ids = [f"{agent.lower()}_t{i}" for i in rng.permutation(n_tables)]
+        tables[agent] = FlatIndex(
+            scope=IndexScope.agent(FilingType.parse(agent)), dim=dim, record_ids=ids,
+            vectors=(rng.integers(-2, 3, (n_tables, dim)) / 3).astype(np.float32))
+    embedder = MappingEmbedder(dim, {"q": rng.integers(-2, 3, dim) / 2})
+    assert (route_embedding("q", personas, tables, embedder, n_routes).predicted
+            == _knn_routes("q", personas, tables, embedder, n_routes))
 
 
 def test_embedding_caps_routes_at_available_pairs():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import zlib
+from datetime import date
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,9 @@ from hypothesis import strategies as st
 
 import filingswarm
 from filingswarm import vindex
+from filingswarm.corpus import records as records_module
+from filingswarm.corpus.records import FilingRecord, to_embedding_text
+from filingswarm.corpus.schema import FilingType
 from filingswarm.vindex import (
     FlatIndex,
     HashFeatureEmbedder,
@@ -381,6 +385,49 @@ def test_hash_embed_batch_reads_a_separator_in_a_text_as_a_space(texts):
     assert np.array_equal(batch.view(np.uint32), spaced.view(np.uint32))
     for row, text in zip(batch, texts):
         assert np.array_equal(row.view(np.uint32), _loop_embed(text, 16).view(np.uint32))
+
+
+_RECORD_PIECES = ["{", "}", "}, {", ", ", '"', "\\", ": ", vindex._SEP, "é", "\ud800",
+                  "Σς", "A1", "x", " ", "null"]
+_record_text = st.lists(st.one_of(st.sampled_from(_RECORD_PIECES), st.characters()),
+                        max_size=6).map("".join)
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _record_text)
+_field_value = st.one_of(_scalar, st.lists(_scalar, max_size=3),
+                         st.dictionaries(_record_text, _scalar, max_size=2))
+
+
+def _record(i: int, table_id: str, fields: dict) -> FilingRecord:
+    return FilingRecord(record_id=f"r{i}", accession_id="a", filing_type=FilingType.NPORT,
+                        table_id=table_id, filer_id="f", period=date(2024, 3, 31),
+                        is_amendment=False, amends=None, fields=fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["t1", "T{2}", "té 3", "t\x01"]),
+                               st.dictionaries(_record_text, _field_value, max_size=4)),
+                     max_size=10),
+       dim=st.sampled_from([1, 7, 64]),
+       chunk=st.integers(1, 5))
+def test_hash_embed_of_records_is_bit_identical_to_their_texts(rows, dim, chunk):
+    records = [_record(i, table_id, fields) for i, (table_id, fields) in enumerate(rows)]
+    texts = [to_embedding_text(r) for r in records]
+    with mock.patch.object(vindex, "_EMBED_CHUNK", chunk):
+        batch = HashFeatureEmbedder(dim).embed_batch(vindex._RecordTexts(records))
+        expected = HashFeatureEmbedder(dim).embed_batch(texts)
+    assert np.array_equal(batch.view(np.uint32), expected.view(np.uint32))
+
+
+def test_hash_build_index_renders_no_record_text(small_view, monkeypatch):
+    embedder = HashFeatureEmbedder(16)
+    expected = embedder.embed_batch([to_embedding_text(r) for r in small_view.records])
+
+    def unused(record):
+        raise AssertionError("a record's embedding text was rendered")
+
+    monkeypatch.setattr(vindex, "to_embedding_text", unused)
+    monkeypatch.setattr(records_module, "to_embedding_text", unused)
+    index = build_index(small_view, IndexScope.global_(), HashFeatureEmbedder(16))
+    assert np.array_equal(index.vectors.view(np.uint32), expected.view(np.uint32))
 
 
 def test_hash_embedder_text_without_tokens_is_zero():
