@@ -136,8 +136,12 @@ def _cmd_agentic_run(args: argparse.Namespace) -> int:
     instances = load_benchmark(args.bench)
     provider = _build_provider(args)
     memory = LongTermMemory(args.memory) if args.memory else None
-    section = run_agentic(instances, provider, view, registry, memory=memory,
-                          workers=args.workers)
+    try:
+        section = run_agentic(instances, provider, view, registry, memory=memory,
+                              workers=args.workers)
+    finally:
+        if memory is not None:
+            memory.close()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report_to_json(section))
     cell = section["splits"]["overall"]["both"]

@@ -42,8 +42,8 @@ from .plans import (
     execute_plan,
     plan_from_dict,
     plan_from_json,
-    plan_to_dict,
     plan_to_json,
+    restamp_plan,
     select_records,
     validate_plan,
 )
@@ -129,13 +129,17 @@ def decompose(query: Query, gateway) -> SubQuerySet:
 
 
 def _journal_line(key: str, plan: Plan) -> str:
-    return json.dumps({"key": key, "plan": plan_to_dict(plan)}, sort_keys=True) + "\n"
+    """``json.dumps({"key": key, "plan": plan_to_dict(plan)}, sort_keys=True)``
+    and a newline, from the plan's own JSON."""
+    return '{"key": ' + json.dumps(key) + ', "plan": ' + plan_to_json(plan) + '}\n'
 
 
 class LongTermMemory:
     """Query-text-keyed plan store. Keys are case- and whitespace-insensitive.
     With a path, every store appends a JSON line; loading keeps the last
     entry per key, and compact() rewrites the file to one line per key.
+    The first store opens one append handle, flushed after each line;
+    compact() and close() close it, and the next store opens it again.
 
     A final line without its newline that does not parse is what a crash
     mid-append leaves: loading cuts it from the journal and counts it in
@@ -145,6 +149,7 @@ class LongTermMemory:
         self.path = Path(path) if path is not None else None
         self._plans: dict[str, Plan] = {}
         self._lock = threading.Lock()
+        self._journal = None  # the append handle, opened by the first store
         self.torn_lines = 0
         if self.path is not None and self.path.exists():
             self._load()
@@ -186,21 +191,35 @@ class LongTermMemory:
             plan = self._plans.get(self.normalize(text))
         if plan is None:
             return None
-        return replace(plan, provenance="memory")
+        return restamp_plan(plan, "memory", plan.source_subquery)
 
     def store(self, text: str, plan: Plan) -> None:
         key = self.normalize(text)
-        stored = replace(plan, provenance="memory")
+        stored = restamp_plan(plan, "memory", plan.source_subquery)
         with self._lock:
             self._plans[key] = stored
             if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(_journal_line(key, stored))
+                if self._journal is None:
+                    self._journal = open(self.path, "a", encoding="utf-8")
+                self._journal.write(_journal_line(key, stored))
+                self._journal.flush()
+
+    def _close_journal(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+
+    def close(self) -> None:
+        """Close the journal's append handle; a later store opens it again."""
+        with self._lock:
+            self._close_journal()
 
     def compact(self) -> None:
         with self._lock:
             if self.path is None:
                 return
+            # The next store appends to the file renamed over the journal.
+            self._close_journal()
             # Written beside the journal and renamed over it, so a crash
             # leaves either the old journal or the new one.
             tmp = self.path.with_name(self.path.name + ".compact")
@@ -228,10 +247,17 @@ class DraftResult:
     fallback: bool
 
 
+def _validate(plan: Plan, registry: SchemaRegistry) -> None:
+    """validate_plan, unless the plan already passed against this registry
+    object: the rule execute_plan applies."""
+    if not plan.passed_against(registry):
+        validate_plan(plan, registry)
+
+
 def _accept(plan: Plan, registry: SchemaRegistry, provenance: str, source: str | None) -> Plan:
     """The plan with its provenance and source set, once that plan validates."""
-    plan = replace(plan, provenance=provenance, source_subquery=source)
-    validate_plan(plan, registry)
+    plan = restamp_plan(plan, provenance, source)
+    _validate(plan, registry)
     return plan
 
 
@@ -259,7 +285,7 @@ def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
         hit = memory.lookup(parent.text)
         if hit is not None:
             try:
-                validate_plan(hit, registry)
+                _validate(hit, registry)
             except PlanError:
                 log.warning("memory plan no longer validates; replanning")
             else:
@@ -391,9 +417,11 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
                 gateway, registry: SchemaRegistry,
                 memory: LongTermMemory | None = None) -> Plan:
     """One revision round over the draft given expert findings. An invalid
-    revision keeps the draft. The surviving plan is committed to memory."""
-    request = build_replan_request(query.text, plan_to_json(draft),
-                                  findings_to_lines(findings))
+    revision keeps the draft. A reply that is the draft's own JSON keeps the
+    draft's steps without decoding them. The surviving plan is committed to
+    memory."""
+    draft_json = plan_to_json(draft)
+    request = build_replan_request(query.text, draft_json, findings_to_lines(findings))
     final = draft
     try:
         content = gateway.complete(request).content
@@ -401,8 +429,9 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
         log.warning("revision failed (%s); keeping draft", exc)
     else:
         try:
-            final = _accept(plan_from_json(read_plan_reply(content)), registry,
-                            "optimized", draft.source_subquery)
+            reply = read_plan_reply(content)
+            proposed = draft if reply == draft_json else plan_from_json(reply)
+            final = _accept(proposed, registry, "optimized", draft.source_subquery)
         except (PlanError, ValueError) as exc:
             log.warning("revised plan rejected (%s); keeping draft", exc)
     if memory is not None:
@@ -421,6 +450,9 @@ class PipelineResult:
     answer: Answer | None = None
     error: str | None = None
     from_memory: bool = False
+    attempts: int = 0  # planning completions the draft consumed
+    fallback: bool = False  # the draft is the single-retrieve fallback
+    revised: bool = False  # the final plan's steps differ from the draft's
 
 
 def run_pipeline(text: str, gateway, view: ReconciledView,
@@ -453,4 +485,7 @@ def run_pipeline(text: str, gateway, view: ReconciledView,
         return PipelineResult(status="failed", error=f"{type(exc).__name__}: {exc}")
     return PipelineResult(status="answered", screen=screen, subqueries=subqueries,
                           draft=drafted.plan, findings=findings, final_plan=final,
-                          answer=answer, from_memory=drafted.from_memory)
+                          answer=answer, from_memory=drafted.from_memory,
+                          attempts=drafted.attempts, fallback=drafted.fallback,
+                          # an echoed revision holds the draft's own step objects
+                          revised=final.steps != drafted.plan.steps)

@@ -13,6 +13,12 @@ execution happens. A plan that passes keeps a record of the registry it
 passed against and of its execution order; ``execute_plan`` runs that order
 for the same registry object and validates any other plan first.
 
+A plan encodes its steps once: ``plan_to_json`` keeps their JSON on the plan
+and joins it with the provenance and source on each call. ``restamp_plan``
+gives a plan a new provenance and source and keeps its validation record and
+its steps' JSON, which depend only on the steps; a ``dataclasses.replace``
+copy keeps neither.
+
 Execution semantics, fixed here because they matter for scoring:
 - eq compares values exactly; contains is case-insensitive substring
   (false on null); range is inclusive on both ends, with None meaning open,
@@ -167,12 +173,29 @@ class Plan:
     provenance: str = "draft"
     source_subquery: str | None = None
     # (registry, execution order) of the last validate_plan this plan passed.
-    # Only validate_plan sets it, so a replace() copy starts without it.
+    # validate_plan sets it and restamp_plan carries it over; a replace()
+    # copy starts without it.
     _passed: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # The steps' JSON, set by the first plan_to_json; kept like _passed.
+    _steps_json: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise PlanError(f"unknown provenance {self.provenance!r}")
+
+    def passed_against(self, registry: SchemaRegistry) -> bool:
+        """Whether this plan passed validate_plan against this registry object."""
+        passed = self._passed
+        return passed is not None and passed[0] is registry
+
+
+def restamp_plan(plan: Plan, provenance: str, source_subquery: str | None) -> Plan:
+    """The plan with a new provenance and source. It keeps the validation
+    record and the steps' JSON, since both depend only on the steps."""
+    stamped = Plan(plan.steps, provenance, source_subquery)
+    object.__setattr__(stamped, "_passed", plan._passed)
+    object.__setattr__(stamped, "_steps_json", plan._steps_json)
+    return stamped
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +258,9 @@ def _filter_to_list(f: Filter) -> list:
     return [f.field, f.op, value]
 
 
-def plan_to_dict(plan: Plan) -> dict:
+def _steps_to_list(plan_steps: tuple[PlanStep, ...]) -> list[dict]:
     steps = []
-    for s in plan.steps:
+    for s in plan_steps:
         if isinstance(s, Retrieve):
             doc: dict[str, Any] = {"id": s.step_id, "kind": "retrieve",
                                    "agent": s.agent.value, "table": s.table,
@@ -262,7 +285,11 @@ def plan_to_dict(plan: Plan) -> dict:
         else:
             raise TypeError(f"unknown step {s!r}")
         steps.append(doc)
-    return {"steps": steps, "provenance": plan.provenance,
+    return steps
+
+
+def plan_to_dict(plan: Plan) -> dict:
+    return {"steps": _steps_to_list(plan.steps), "provenance": plan.provenance,
             "source_subquery": plan.source_subquery}
 
 
@@ -324,7 +351,14 @@ def plan_from_dict(doc: Mapping[str, Any]) -> Plan:
 
 
 def plan_to_json(plan: Plan) -> str:
-    return json.dumps(plan_to_dict(plan), sort_keys=True)
+    """``json.dumps(plan_to_dict(plan), sort_keys=True)``, with the steps'
+    JSON encoded on the first call and kept on the plan."""
+    steps = plan._steps_json
+    if steps is None:
+        steps = json.dumps(_steps_to_list(plan.steps), sort_keys=True)
+        object.__setattr__(plan, "_steps_json", steps)
+    return (f'{{"provenance": {json.dumps(plan.provenance)}, '
+            f'"source_subquery": {json.dumps(plan.source_subquery)}, "steps": {steps}}}')
 
 
 def plan_from_json(text: str) -> Plan:
@@ -658,8 +692,7 @@ def _join(left: _Table, right: _Table, on_fields: tuple[str, ...]) -> _Table:
 def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> Answer:
     """Run a plan over a reconciled view. A plan that has not passed
     ``validate_plan`` against this registry object is validated first."""
-    passed = plan._passed
-    order = passed[1] if passed and passed[0] is registry else validate_plan(plan, registry)
+    order = plan._passed[1] if plan.passed_against(registry) else validate_plan(plan, registry)
     values: dict[str, Any] = {}
     support: set[str] = set()
     result: Any = None

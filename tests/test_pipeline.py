@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from filingswarm.corpus.reconcile import reconcile
 from filingswarm.corpus.records import build_store
-from filingswarm.corpus.schema import FilingType
+from filingswarm.corpus.schema import FilingType, load_default_registry
 from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
@@ -193,6 +193,7 @@ def test_memory_persists_appends_and_compacts(tmp_path):
     memory.store("q", _tiny_plan("adv_entity"))
     memory.store("q", _tiny_plan("adv_brokers"))
     memory.store("other", _tiny_plan())
+    memory.close()
     assert len(path.read_text().splitlines()) == 3
 
     reloaded = LongTermMemory(path)
@@ -209,6 +210,7 @@ def _journal(tmp_path, n=3):
     memory = LongTermMemory(path)
     for i in range(n):
         memory.store(f"q{i}", _tiny_plan())
+    memory.close()
     return path
 
 
@@ -223,6 +225,7 @@ def test_memory_skips_and_cuts_a_torn_final_line(tmp_path, cut):
     assert len(memory) == 2 and memory.lookup("q2") is None
     assert path.read_bytes() == whole[:last_start]
     memory.store("q3", _tiny_plan())
+    memory.close()
     again = LongTermMemory(path)
     assert again.torn_lines == 0
     assert {k for k in ("q0", "q1", "q2", "q3") if again.lookup(k)} == {"q0", "q1", "q3"}
@@ -234,6 +237,7 @@ def test_memory_keeps_a_whole_final_line_without_its_newline(tmp_path):
     memory = LongTermMemory(path)
     assert memory.torn_lines == 0 and len(memory) == 3
     memory.store("q3", _tiny_plan())
+    memory.close()
     assert len(LongTermMemory(path)) == 4
 
 
@@ -263,17 +267,17 @@ def test_memory_compact_leaves_the_old_or_the_new_journal(tmp_path, monkeypatch,
     memory = LongTermMemory(path)
     memory.store("q0", _tiny_plan("adv_brokers"))
     old = path.read_bytes()
-    real_plan_to_dict = pipeline.plan_to_dict
+    real_journal_line = pipeline._journal_line
     calls = []
 
-    def second_line_fails(plan):
+    def second_line_fails(key, plan):
         calls.append(plan)
         if len(calls) == 2:
             raise OSError("disk full")
-        return real_plan_to_dict(plan)
+        return real_journal_line(key, plan)
 
     if fail_at == "write":
-        monkeypatch.setattr(pipeline, "plan_to_dict", second_line_fails)
+        monkeypatch.setattr(pipeline, "_journal_line", second_line_fails)
     else:
         monkeypatch.setattr(pipeline.os, "replace", mock.Mock(side_effect=OSError("crash")))
     with pytest.raises(OSError):
@@ -287,6 +291,36 @@ def test_memory_compact_leaves_the_old_or_the_new_journal(tmp_path, monkeypatch,
     assert len(new.splitlines()) == 3 and new != old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.jsonl"]
     assert LongTermMemory(path).lookup("q0").steps[0].table == "adv_brokers"
+
+
+def test_memory_store_after_compact_lands_in_the_renamed_journal(tmp_path):
+    path = tmp_path / "memory.jsonl"
+    memory = LongTermMemory(path)
+    memory.store("q0", _tiny_plan())
+    memory.store("q1", _tiny_plan())
+    memory.compact()
+    memory.store("q2", _tiny_plan("adv_brokers"))
+    memory.close()
+    assert len(path.read_bytes().splitlines()) == 3
+    reloaded = LongTermMemory(path)
+    assert {k for k in ("q0", "q1", "q2") if reloaded.lookup(k)} == {"q0", "q1", "q2"}
+    assert reloaded.lookup("q2").steps[0].table == "adv_brokers"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.jsonl"]
+
+
+def test_memory_line_is_readable_when_store_returns(tmp_path):
+    path = tmp_path / "memory.jsonl"
+    memory = LongTermMemory(path)
+    for i in range(3):
+        memory.store(f"q{i}", _tiny_plan())
+        assert path.read_bytes().count(b"\n") == i + 1
+        assert LongTermMemory(path).lookup(f"q{i}") is not None
+    memory.close()
+    memory.close()  # closing twice is harmless
+    memory.store("q3", _tiny_plan())  # opens the handle again
+    memory.close()
+    assert len(LongTermMemory(path)) == 4
+    LongTermMemory().close()  # no journal, nothing to close
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +647,56 @@ def test_revise_echo_marks_the_plan_optimized(registry):
     assert memory.lookup(AUM_QUERY).steps == draft.steps
 
 
+def _counted_validations(monkeypatch):
+    validated = []
+    real = plans.validate_plan
+
+    def counted(plan, registry):
+        validated.append(plan.provenance)
+        return real(plan, registry)
+    monkeypatch.setattr(plans, "validate_plan", counted)
+    monkeypatch.setattr(pipeline, "validate_plan", counted)
+    return validated
+
+
+def test_revise_decodes_and_validates_a_different_plan(registry, monkeypatch):
+    draft = draft_plan(_wrap(AUM_QUERY), DeterministicProvider(), registry).plan
+    other = _tiny_plan("adv_brokers")
+    validated = _counted_validations(monkeypatch)
+    query = Query(AUM_QUERY, "user", (AUM_QUERY,))
+    provider = _TagProvider({"replan": " " + plans.plan_to_json(other) + "\n"})
+    final = revise_plan(query, draft, (), provider, registry)
+    assert validated == ["optimized"]
+    assert final.provenance == "optimized"
+    assert final.steps == other.steps != draft.steps
+    assert final.source_subquery == draft.source_subquery
+    assert final.passed_against(registry)
+
+
+@pytest.mark.parametrize("reply", ["{not json", '{"steps": []}', "[1]"])
+def test_revise_keeps_the_draft_when_the_reply_is_not_a_plan(registry, reply):
+    draft = draft_plan(_wrap(AUM_QUERY), DeterministicProvider(), registry).plan
+    query = Query(AUM_QUERY, "user", (AUM_QUERY,))
+    final = revise_plan(query, draft, (), _TagProvider({"replan": reply}), registry)
+    assert final == draft
+    assert final.provenance == "draft"
+
+
+def test_a_plan_is_validated_again_against_another_registry(registry, monkeypatch):
+    memory = LongTermMemory()
+    draft = draft_plan(_wrap(AUM_QUERY), DeterministicProvider(), registry).plan
+    memory.store(AUM_QUERY, draft)
+    validated = _counted_validations(monkeypatch)
+    assert draft_plan(_wrap(AUM_QUERY), None, registry, memory).from_memory
+    assert validated == []
+    other = load_default_registry()
+    assert other is not registry
+    hit = draft_plan(_wrap(AUM_QUERY), None, other, memory)
+    assert hit.from_memory
+    assert validated == ["memory"]
+    assert hit.plan.passed_against(other) and not hit.plan.passed_against(registry)
+
+
 def test_revise_keeps_the_draft_when_the_reviser_fails(registry):
     draft = draft_plan(_wrap(AUM_QUERY), DeterministicProvider(), registry).plan
     query = Query(AUM_QUERY, "user", (AUM_QUERY,))
@@ -708,12 +792,51 @@ def test_pipeline_validates_each_plan_once(registry, small_view, bench, monkeypa
     first = run_pipeline(instance.text, DeterministicProvider(), small_view,
                          registry, memory=memory)
     assert first.status == "answered" and not first.from_memory
-    assert validated == ["draft", "optimized"]  # the planner reply, the revision
+    assert validated == ["draft"]  # the planner reply; the reviser echoed it
     validated.clear()
     second = run_pipeline(instance.text, DeterministicProvider(), small_view,
                           registry, memory=memory)
     assert second.status == "answered" and second.from_memory
-    assert validated == ["memory"]
+    assert validated == []  # the stored plan passed against this registry
+
+
+class _PlansWith:
+    """The rule provider, with fixed replies for some tags."""
+
+    def __init__(self, **replies):
+        self.inner = DeterministicProvider()
+        self.replies = replies
+
+    def complete(self, request):
+        if request.tag in self.replies:
+            return ChatResponse(content=self.replies[request.tag], provider_id="test")
+        return self.inner.complete(request)
+
+
+def test_pipeline_result_says_how_the_plan_was_drafted_and_revised(registry, small_view,
+                                                                   bench):
+    instance = next(i for i in bench if i.template_id == "E0")
+    memory = LongTermMemory()
+    first = run_pipeline(instance.text, DeterministicProvider(), small_view, registry,
+                         memory=memory)
+    assert (first.attempts, first.fallback, first.revised) == (1, False, False)
+    second = run_pipeline(instance.text, DeterministicProvider(), small_view, registry,
+                          memory=memory)
+    assert second.from_memory
+    assert (second.attempts, second.fallback, second.revised) == (0, False, False)
+
+    head = first.draft.steps[0]
+    open_range = Filter(head.filters[0].field, "range", (None, None))
+    other = plans.plan_to_json(replace(first.draft, steps=(
+        replace(head, filters=head.filters + (open_range,)), *first.draft.steps[1:])))
+    revised = run_pipeline(instance.text, _PlansWith(replan=other), small_view, registry)
+    assert revised.status == "answered"
+    assert revised.revised and revised.final_plan.steps != revised.draft.steps
+
+    fell_back = run_pipeline(instance.text, _PlansWith(plan="CANNOT PLAN"), small_view,
+                             registry)
+    assert fell_back.status == "answered"
+    assert (fell_back.attempts, fell_back.fallback) == (2, True)
 
 
 def test_pipeline_fixture_miss_propagates(registry, small_view):
