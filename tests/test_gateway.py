@@ -244,9 +244,12 @@ class _Replies:
     ("3600", [30.0, 30.0]),  # capped at the timeout
     ("soon", [0.5, 1.0]),  # neither form: exponential backoff
     ("Wed, 21 Oct 2015 07:28:00 GMT", [0.0, 0.0]),  # a date that has passed
-    (email.utils.formatdate(time.time() + 3600, usegmt=True), [30.0, 30.0]),
+    ("Mon, 19 Oct 2026 00:07:07 GMT", [30.0, 30.0]),  # an hour after the pinned clock
 ])
 def test_remote_provider_waits_as_retry_after_asks(monkeypatch, retry_after, waits):
+    # A fixed clock keeps both the dates' meaning and the case names stable.
+    now = email.utils.parsedate_to_datetime("Sun, 18 Oct 2026 23:07:07 GMT").timestamp()
+    monkeypatch.setattr(providers.time, "time", lambda: now)
     headers = {} if retry_after is None else {"retry-after": retry_after}
     provider = RemoteProvider(endpoint="https://api.example/v1/chat", model="m",
                               timeout=30.0, rate_per_sec=1000.0, max_concurrent=1,
