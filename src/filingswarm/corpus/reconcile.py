@@ -98,7 +98,9 @@ class ReconciledView:
         return record_id in self.by_record_id
 
     def check_key_uniqueness(self) -> list[str]:
-        """Return violations of the visible-record key-uniqueness invariant."""
+        """Return violations of the visible-record key-uniqueness invariant:
+        the check that a generated or ingested corpus keeps one visible row
+        per table key, which the corpus tests run on generated corpora."""
         seen: dict[tuple, str] = {}
         problems = []
         for r in self.records:

@@ -219,7 +219,9 @@ def build_oracle_retrieval_embedder(units: list[RetrievalUnit],
     """Constructed embedder that puts every relevant record strictly nearer
     its unit's query than anything else, at every scope. Query texts get
     basis vectors; records get the normalized sum of the bases of the units
-    they are relevant to; everything else is banished to a distant sink."""
+    they are relevant to; everything else is banished to a distant sink.
+    It sets the retrieval ceiling that the ablation's scores are read
+    against, the twin of ``build_oracle_route_embedder``."""
     axis_of: dict[str, int] = {}
     for unit in units:
         if unit.query_text not in axis_of:

@@ -468,24 +468,26 @@ def run_pipeline(text: str, gateway, view: ReconciledView,
     if screen.verdict != "non_hallucinatory":
         return PipelineResult(status="rejected", screen=screen,
                               error="screened out as hallucination-prone")
+    # What the stages have produced so far; a failed result keeps it too.
+    reached: dict = {"screen": screen}
     try:
-        subqueries = decompose(screen.query, gateway)
+        subqueries = reached["subqueries"] = decompose(screen.query, gateway)
         drafted = draft_plan(subqueries, gateway, registry, memory)
+        reached.update(draft=drafted.plan, attempts=drafted.attempts,
+                       fallback=drafted.fallback)
         if drafted.from_memory:
-            findings: tuple[Finding, ...] = ()
             final = drafted.plan
         else:
-            findings = gather_swarm_intelligence(
+            reached["findings"] = gather_swarm_intelligence(
                 drafted.plan, view, registry, query_text=screen.query.text,
                 table_indexes=table_indexes, embedder=embedder)
-            final = revise_plan(screen.query, drafted.plan, findings,
+            final = revise_plan(screen.query, drafted.plan, reached["findings"],
                                 gateway, registry, memory)
+        # an echoed revision holds the draft's own step objects
+        reached.update(final_plan=final, revised=final.steps != drafted.plan.steps)
         answer = execute_plan(final, view, registry)
     except (GatewayError, PlanError, ExecutionError) as exc:
-        return PipelineResult(status="failed", error=f"{type(exc).__name__}: {exc}")
-    return PipelineResult(status="answered", screen=screen, subqueries=subqueries,
-                          draft=drafted.plan, findings=findings, final_plan=final,
-                          answer=answer, from_memory=drafted.from_memory,
-                          attempts=drafted.attempts, fallback=drafted.fallback,
-                          # an echoed revision holds the draft's own step objects
-                          revised=final.steps != drafted.plan.steps)
+        return PipelineResult(status="failed", error=f"{type(exc).__name__}: {exc}",
+                              **reached)
+    return PipelineResult(status="answered", answer=answer,
+                          from_memory=drafted.from_memory, **reached)

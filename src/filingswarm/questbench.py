@@ -79,162 +79,166 @@ class QuestionInstance:
 
 
 # ---------------------------------------------------------------------------
-# Per-template implementations. Templates that ask one question of different
-# tables share their functions, which take the table and fields as arguments.
+# Per-template implementations. Every single-table candidate list comes from
+# ``_distinct_slots``, every oracle finds its rows with ``_rows``, and every
+# summed oracle adds up with ``_sum``. The oracles stay plain scans of the
+# view, independent of the executor, and follow its null rules (see
+# ``plans``): a null adds nothing to a sum, a group whose values are all
+# null is kept with 0.0, a null group key sorts first, a single-column
+# answer skips nulls, and a matched row is relevant whatever its value.
 
 _TF = "thirteenf_holdings"
+_REGISTRY = "ncen_fund_registry"
+
+# Each template's slots, paired with the fields they fill, in sort order.
+_BY_MANAGER = (("manager", "manager_name"), ("period", "period"))
+_BY_ADVISOR = (("advisor", "advisor_name"), ("period", "period"))
+_BY_FUND = (("fund", "fund_name"), ("period", "period"))
+
+_Names = tuple[tuple[str, str], ...]
+_Keep = Callable[[dict], bool]
 
 
-def _cands_positions(view: ReconciledView, want_option: bool) -> list[dict]:
+def _any_row(fields: dict) -> bool:
+    return True
+
+
+def _distinct_slots(view: ReconciledView, table: str, names: _Names,
+                    keep: _Keep = _any_row) -> list[dict]:
+    """The sorted distinct fillings of the slots ``names`` pairs with fields,
+    by the rows of ``table`` that pass ``keep``. A row with a null slot
+    value fills none."""
     seen = set()
-    for r in view.table_records(_TF):
-        is_opt = str(r.fields["security_class"]).startswith("OPT")
-        if is_opt == want_option and r.fields["manager_name"] is not None:
-            seen.add((r.fields["manager_name"], r.fields["period"]))
-    return [{"manager": m, "period": p} for m, p in sorted(seen)]
+    for r in view.table_records(table):
+        values = tuple(r.fields.get(f) for _, f in names)
+        if None not in values and keep(r.fields):
+            seen.add(values)
+    slot_names = tuple(s for s, _ in names)
+    return [dict(zip(slot_names, values)) for values in sorted(seen)]
 
 
-def _solve_positions(view: ReconciledView, slots: dict, want_option: bool):
+def _rows(view: ReconciledView, table: str, slots: dict, names: _Names,
+          keep: _Keep = _any_row) -> list[FilingRecord]:
+    """The rows of ``table``, in table order, whose fields in ``names`` hold
+    the slots' values and that pass ``keep``."""
+    want = tuple(slots[s] for s, _ in names)
+    return [r for r in view.table_records(table)
+            if tuple(r.fields.get(f) for _, f in names) == want and keep(r.fields)]
+
+
+def _sum(values: Iterable) -> float:
+    """0.0 plus each value in order; a null adds nothing."""
     total = 0.0
-    ids = set()
-    for r in view.table_records(_TF):
-        if r.fields["manager_name"] != slots["manager"]:
-            continue
-        if r.fields["period"] != slots["period"]:
-            continue
-        is_opt = str(r.fields["security_class"]).startswith("OPT")
-        if is_opt != want_option:
-            continue
-        total += r.fields["value_usd"]
-        ids.add(r.record_id)
-    return Scalar(total, frozenset(ids)), frozenset(ids)
+    for v in values:
+        if v is not None:
+            total += v
+    return total
 
 
-def _plan_positions(slots: dict, want_option: bool) -> Plan:
-    class_filter = (Filter("security_class", "contains", "OPT") if want_option
-                    else Filter("security_class", "eq", "COM"))
+def _solve_sum(view: ReconciledView, slots: dict, table: str, names: _Names,
+               value_field: str, keep: _Keep = _any_row):
+    """Sum of ``value_field`` over the rows the slots match."""
+    rows = _rows(view, table, slots, names, keep)
+    ids = frozenset(r.record_id for r in rows)
+    return Scalar(_sum(r.fields.get(value_field) for r in rows), ids), ids
+
+
+def _plan_sum(agent: FilingType, table: str, filters: tuple[Filter, ...],
+              value_field: str) -> Plan:
     return Plan((
-        Retrieve("r1", FilingType.THIRTEEN_F, _TF, (
-            Filter("manager_name", "eq", slots["manager"]),
-            Filter("period", "eq", slots["period"]),
-            class_filter)),
-        Aggregate("a1", "r1", "sum", value_field="value_usd"),
+        Retrieve("r1", agent, table, filters),
+        Aggregate("a1", "r1", "sum", value_field=value_field),
         Return("ret", "a1")))
 
 
-def _cands_e2(view: ReconciledView) -> list[dict]:
-    seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in view.table_records("adv_entity")
-            if r.fields["regulatory_aum"] is not None
-            and r.fields["advisor_name"] is not None}
-    return [{"advisor": a, "period": p} for a, p in sorted(seen)]
+def _is_option(fields: dict) -> bool:
+    return str(fields.get("security_class")).startswith("OPT")
 
 
-def _solve_e2(view: ReconciledView, slots: dict):
-    total = 0.0
-    ids = set()
-    for r in view.table_records("adv_entity"):
-        if (r.fields["advisor_name"] == slots["advisor"]
-                and r.fields["period"] == slots["period"]
-                and r.fields["regulatory_aum"] is not None):
-            total += r.fields["regulatory_aum"]
-            ids.add(r.record_id)
-    return Scalar(total, frozenset(ids)), frozenset(ids)
+def _is_cash(fields: dict) -> bool:
+    return not _is_option(fields)
 
 
-def _plan_e2(view: ReconciledView, slots: dict) -> Plan:
-    return Plan((
-        Retrieve("r1", FilingType.ADV, "adv_entity", (
-            Filter("advisor_name", "eq", slots["advisor"]),
-            Filter("period", "eq", slots["period"]))),
-        Aggregate("a1", "r1", "sum", value_field="regulatory_aum"),
-        Return("ret", "a1")))
+def _plan_positions(slots: dict, class_filter: Filter) -> Plan:
+    return _plan_sum(FilingType.THIRTEEN_F, _TF, (
+        Filter("manager_name", "eq", slots["manager"]),
+        Filter("period", "eq", slots["period"]),
+        class_filter), "value_usd")
 
 
-def _cands_advisors(view: ReconciledView) -> list[dict]:
-    seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in view.table_records("ncen_fund_registry")
-            if r.fields["advisor_name"] is not None}
-    return [{"advisor": a, "period": p} for a, p in sorted(seen)]
+def _has_aum(fields: dict) -> bool:
+    return fields.get("regulatory_aum") is not None
 
 
-def _cands_e4(view: ReconciledView) -> list[dict]:
-    seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in view.table_records("adv_brokers")
-            if r.fields["relation"] == "prime broker"}
-    return [{"advisor": a, "period": p} for a, p in sorted(seen)]
+def _names_a_fund(fields: dict) -> bool:
+    return fields.get("fund_name") is not None
 
 
-_PRIME_BROKER = (("relation", "prime broker"),)
+def _is_prime_broker(fields: dict) -> bool:
+    return fields.get("relation") == "prime broker"
 
 
 def _solve_advisor_names(view: ReconciledView, slots: dict, table: str,
-                         name_field: str, where: tuple[tuple[str, str], ...] = ()):
+                         name_field: str, keep: _Keep = _any_row):
     """``name_field`` of the advisor's rows of ``table`` for the period that
-    also hold every ``(field, value)`` of ``where``."""
-    names = []
-    ids = set()
-    for r in view.table_records(table):
-        if (r.fields["advisor_name"] == slots["advisor"]
-                and r.fields["period"] == slots["period"]
-                and all(r.fields[f] == v for f, v in where)):
-            names.append(str(r.fields[name_field]))
-            ids.add(r.record_id)
-    return ListValue(tuple(names), frozenset(ids)), frozenset(ids)
+    pass ``keep``; a null name is left out and its row stays relevant."""
+    rows = _rows(view, table, slots, _BY_ADVISOR, keep)
+    names = tuple(str(r.fields[name_field]) for r in rows
+                  if r.fields.get(name_field) is not None)
+    ids = frozenset(r.record_id for r in rows)
+    return ListValue(names, ids), ids
 
 
 def _plan_advisor_names(slots: dict, agent: FilingType, table: str,
-                        name_field: str, where: tuple[tuple[str, str], ...] = ()) -> Plan:
+                        name_field: str, where: tuple[Filter, ...] = ()) -> Plan:
     return Plan((
         Retrieve("r1", agent, table, (
             Filter("advisor_name", "eq", slots["advisor"]),
-            *(Filter(f, "eq", v) for f, v in where),
+            *where,
             Filter("period", "eq", slots["period"])), (name_field,)),
         Return("ret", "r1")))
 
 
-def _advisor_funds(view: ReconciledView, advisor: str, period: str) -> tuple[set, set]:
-    fund_ids = set()
-    registry_ids = set()
-    for r in view.table_records("ncen_fund_registry"):
-        if r.fields["advisor_name"] == advisor and r.fields["period"] == period:
-            fund_ids.add(r.fields["fund_id"])
-            registry_ids.add(r.record_id)
-    return fund_ids, registry_ids
+def _is_money_market(fields: dict) -> bool:
+    return fields.get("fund_type") == "money market"
 
 
-def _cands_advisor_split(view: ReconciledView, table: str) -> list[dict]:
-    table_funds: dict[str, set] = {}
-    for r in view.table_records(table):
-        table_funds.setdefault(r.fields["period"], set()).add(r.fields["fund_id"])
-    out = []
-    for slots in _cands_advisors(view):
-        fund_ids, _ = _advisor_funds(view, slots["advisor"], slots["period"])
-        if fund_ids & table_funds.get(slots["period"], set()):
-            out.append(slots)
-    return out
+def _cands_advisor_split(view: ReconciledView, table: str,
+                         where: _Keep = _any_row) -> list[dict]:
+    """The advisor fillings of the registry rows that pass ``where`` and
+    whose funds file in ``table`` for the period."""
+    filed = {(r.fields["period"], r.fields["fund_id"]) for r in view.table_records(table)}
+    return [slots for slots in _distinct_slots(view, _REGISTRY, _BY_ADVISOR, where)
+            if any((slots["period"], r.fields["fund_id"]) in filed
+                   for r in _rows(view, _REGISTRY, slots, _BY_ADVISOR, where))]
 
 
 def _solve_advisor_split(view: ReconciledView, slots: dict, table: str,
-                         group_field: str, value_field: str):
+                         group_field: str, value_field: str, where: _Keep = _any_row):
     """Sum of ``value_field`` per ``group_field`` over the period's rows of
-    ``table`` that belong to the advisor's funds."""
-    fund_ids, registry_ids = _advisor_funds(view, slots["advisor"], slots["period"])
-    sums: dict[str, float] = {}
-    ids = set(registry_ids)
+    ``table`` that belong to the advisor's funds passing ``where``. As in
+    the plan's join, a group field the registry has is read from the
+    registry row."""
+    registry_rows = _rows(view, _REGISTRY, slots, _BY_ADVISOR, where)
+    funds = {r.fields["fund_id"]: r.fields for r in registry_rows}
+    ids = {r.record_id for r in registry_rows}
+    from_registry = group_field in view.registry.table(_REGISTRY).field_name_set
+    groups: dict = {}
     for r in view.table_records(table):
-        if r.fields["period"] == slots["period"] and r.fields["fund_id"] in fund_ids:
-            group = r.fields[group_field]
-            sums[group] = sums.get(group, 0.0) + r.fields[value_field]
+        fund = funds.get(r.fields["fund_id"])
+        if fund is not None and r.fields["period"] == slots["period"]:
+            group = (fund if from_registry else r.fields).get(group_field)
+            groups.setdefault(group, []).append(r.fields.get(value_field))
             ids.add(r.record_id)
-    rows = tuple((group, sums[group]) for group in sorted(sums))
+    rows = tuple((group, _sum(groups[group]))
+                 for group in sorted(groups, key=lambda g: (g is not None, g)))
     return TableValue((group_field, value_field), rows, frozenset(ids)), frozenset(ids)
 
 
 def _plan_advisor_split(slots: dict, table: str, group_field: str,
                         value_field: str) -> Plan:
     return Plan((
-        Retrieve("r1", FilingType.NCEN, "ncen_fund_registry", (
+        Retrieve("r1", FilingType.NCEN, _REGISTRY, (
             Filter("advisor_name", "eq", slots["advisor"]),
             Filter("period", "eq", slots["period"])), ("fund_id",)),
         Retrieve("r2", FilingType.NPORT, table, (
@@ -245,47 +249,9 @@ def _plan_advisor_split(slots: dict, table: str, group_field: str,
         Return("ret", "g1")))
 
 
-def _cands_e6(view: ReconciledView) -> list[dict]:
-    nmfp_funds: dict[str, set] = {}
-    for r in view.table_records("nmfp_fund_info"):
-        nmfp_funds.setdefault(r.fields["period"], set()).add(r.fields["fund_id"])
-    out = []
-    seen = {(r.fields["advisor_name"], r.fields["period"])
-            for r in view.table_records("ncen_fund_registry")
-            if r.fields["fund_type"] == "money market"
-            and r.fields["advisor_name"] is not None}
-    for advisor, period in sorted(seen):
-        fund_ids = {r.fields["fund_id"] for r in view.table_records("ncen_fund_registry")
-                    if r.fields["advisor_name"] == advisor
-                    and r.fields["period"] == period
-                    and r.fields["fund_type"] == "money market"}
-        if fund_ids & nmfp_funds.get(period, set()):
-            out.append({"advisor": advisor, "period": period})
-    return out
-
-
-def _solve_e6(view: ReconciledView, slots: dict):
-    mm: dict[str, str] = {}
-    ids = set()
-    for r in view.table_records("ncen_fund_registry"):
-        if (r.fields["advisor_name"] == slots["advisor"]
-                and r.fields["period"] == slots["period"]
-                and r.fields["fund_type"] == "money market"):
-            mm[r.fields["fund_id"]] = str(r.fields["fund_name"])
-            ids.add(r.record_id)
-    sums: dict[str, float] = {}
-    for r in view.table_records("nmfp_fund_info"):
-        if r.fields["period"] == slots["period"] and r.fields["fund_id"] in mm:
-            name = mm[r.fields["fund_id"]]
-            sums[name] = sums.get(name, 0.0) + r.fields["net_assets"]
-            ids.add(r.record_id)
-    rows = tuple((name, sums[name]) for name in sorted(sums))
-    return TableValue(("fund_name", "net_assets"), rows, frozenset(ids)), frozenset(ids)
-
-
 def _plan_e6(view: ReconciledView, slots: dict) -> Plan:
     return Plan((
-        Retrieve("r1", FilingType.NCEN, "ncen_fund_registry", (
+        Retrieve("r1", FilingType.NCEN, _REGISTRY, (
             Filter("advisor_name", "eq", slots["advisor"]),
             Filter("fund_type", "eq", "money market"),
             Filter("period", "eq", slots["period"])), ("fund_id", "fund_name")),
@@ -298,7 +264,7 @@ def _plan_e6(view: ReconciledView, slots: dict) -> Plan:
 
 def _fund_name_to_id(view: ReconciledView, fund_name: str, period: str) -> tuple[str | None, set]:
     for r in view.table_records("nport_fund_info"):
-        if r.fields["fund_name"] == fund_name and r.fields["period"] == period:
+        if r.fields.get("fund_name") == fund_name and r.fields["period"] == period:
             return r.fields["fund_id"], {r.record_id}
     return None, set()
 
@@ -314,7 +280,7 @@ def _solve_fund_rows(view: ReconciledView, slots: dict, table: str,
         if (r.fields["fund_id"] == fund_id
                 and r.fields["period"] == slots["period"]
                 and keep(r.fields, slots)):
-            rows.append(tuple(r.fields[c] for c in columns))
+            rows.append(tuple(r.fields.get(c) for c in columns))
             ids.add(r.record_id)
     return TableValue(columns, tuple(rows), frozenset(ids)), frozenset(ids)
 
@@ -335,18 +301,18 @@ _H0_COLS = ("fund_id", "issuer_name", "cusip", "country", "value_usd", "shares")
 
 
 def _cands_h0(view: ReconciledView) -> list[dict]:
-    names = {r.fields["fund_id"]: r.fields["fund_name"]
+    names = {r.fields["fund_id"]: r.fields.get("fund_name")
              for r in view.table_records("nport_fund_info")}
     seen = set()
     for r in view.table_records("nport_holdings"):
         name = names.get(r.fields["fund_id"])
-        if name is not None and r.fields["instrument_type"] is not None:
-            seen.add((name, r.fields["instrument_type"], r.fields["period"]))
+        if name is not None and r.fields.get("instrument_type") is not None:
+            seen.add((name, r.fields.get("instrument_type"), r.fields["period"]))
     return [{"fund": f, "instrument": i, "period": p} for f, i, p in sorted(seen)]
 
 
 def _is_h0_row(fields: dict, slots: dict) -> bool:
-    return fields["instrument_type"] == slots["instrument"]
+    return fields.get("instrument_type") == slots["instrument"]
 
 
 _H2_COLS = ("fund_id", "derivative_type", "counterparty_name", "underlying",
@@ -357,13 +323,13 @@ _H2_OFFSETS = (90, 180, 365)
 def _cands_h2(view: ReconciledView) -> list[dict]:
     from datetime import date, timedelta
 
-    names = {r.fields["fund_id"]: r.fields["fund_name"]
+    names = {r.fields["fund_id"]: r.fields.get("fund_name")
              for r in view.table_records("nport_fund_info")}
     by_fund_period: dict[tuple, list[str]] = {}
     for r in view.table_records("nport_derivatives"):
         if r.fields["derivative_type"] == "custom basket":
             key = (r.fields["fund_id"], r.fields["period"])
-            by_fund_period.setdefault(key, []).append(r.fields["expiration_date"])
+            by_fund_period.setdefault(key, []).append(r.fields.get("expiration_date"))
     out = []
     for (fund_id, period), expiries in sorted(by_fund_period.items()):
         name = names.get(fund_id)
@@ -382,50 +348,27 @@ def _is_h2_row(fields: dict, slots: dict) -> bool:
     # a null expiry never satisfies the cutoff, matching range-filter
     # semantics in the executable plan
     return (fields["derivative_type"] == "custom basket"
-            and fields["expiration_date"] is not None
-            and fields["expiration_date"] <= slots["cutoff"])
+            and fields.get("expiration_date") is not None
+            and fields.get("expiration_date") <= slots["cutoff"])
 
 
 _TOTAL_ASSETS_LABELS = frozenset(STATEMENT_LABELS["TOTAL_ASSETS"][1])
 
 
-def _cands_h3(view: ReconciledView) -> list[dict]:
-    seen = set()
-    for r in view.table_records("ncsr_statement_items"):
-        if (r.fields["statement"] == "assets_liabilities"
-                and r.fields["label"] in _TOTAL_ASSETS_LABELS
-                and r.fields["fund_name"] is not None):
-            seen.add((r.fields["fund_name"], r.fields["period"]))
-    return [{"fund": f, "period": p} for f, p in sorted(seen)]
-
-
-def _h3_rows(view: ReconciledView, slots: dict) -> list[FilingRecord]:
-    return [r for r in view.table_records("ncsr_statement_items")
-            if r.fields["fund_name"] == slots["fund"]
-            and r.fields["period"] == slots["period"]
-            and r.fields["statement"] == "assets_liabilities"
-            and r.fields["label"] in _TOTAL_ASSETS_LABELS]
-
-
-def _solve_h3(view: ReconciledView, slots: dict):
-    rows = _h3_rows(view, slots)
-    total = sum(r.fields["value_usd"] for r in rows)
-    ids = frozenset(r.record_id for r in rows)
-    return Scalar(total, ids), ids
+def _is_total_assets(fields: dict) -> bool:
+    return (fields.get("statement") == "assets_liabilities"
+            and fields.get("label") in _TOTAL_ASSETS_LABELS)
 
 
 def _plan_h3(view: ReconciledView, slots: dict) -> Plan:
-    rows = _h3_rows(view, slots)
+    rows = _rows(view, "ncsr_statement_items", slots, _BY_FUND, _is_total_assets)
     # the canonical plan pins the filer's exact wording, read off the corpus
     label = rows[0].fields["label"] if rows else "Total assets"
-    return Plan((
-        Retrieve("r1", FilingType.NCSR, "ncsr_statement_items", (
-            Filter("fund_name", "eq", slots["fund"]),
-            Filter("period", "eq", slots["period"]),
-            Filter("statement", "eq", "assets_liabilities"),
-            Filter("label", "eq", label))),
-        Aggregate("a1", "r1", "sum", value_field="value_usd"),
-        Return("ret", "a1")))
+    return _plan_sum(FilingType.NCSR, "ncsr_statement_items", (
+        Filter("fund_name", "eq", slots["fund"]),
+        Filter("period", "eq", slots["period"]),
+        Filter("statement", "eq", "assets_liabilities"),
+        Filter("label", "eq", label)), "value_usd")
 
 
 TEMPLATES: dict[str, QuestionTemplate] = {}
@@ -439,49 +382,53 @@ _register(QuestionTemplate(
     "E0", "easy",
     'Get the aggregate cash equity positions for manager "{manager}" for period {period}.',
     "float", (Route(FilingType.THIRTEEN_F, _TF),),
-    lambda view: _cands_positions(view, want_option=False),
-    lambda view, slots: _solve_positions(view, slots, want_option=False),
-    lambda view, slots: _plan_positions(slots, want_option=False)))
+    lambda view: _distinct_slots(view, _TF, _BY_MANAGER, _is_cash),
+    lambda view, slots: _solve_sum(view, slots, _TF, _BY_MANAGER, "value_usd", _is_cash),
+    lambda view, slots: _plan_positions(slots, Filter("security_class", "eq", "COM"))))
 
 _register(QuestionTemplate(
     "E1", "easy",
     'Get the aggregate option positions for manager "{manager}" for period {period}.',
     "float", (Route(FilingType.THIRTEEN_F, _TF),),
-    lambda view: _cands_positions(view, want_option=True),
-    lambda view, slots: _solve_positions(view, slots, want_option=True),
-    lambda view, slots: _plan_positions(slots, want_option=True)))
+    lambda view: _distinct_slots(view, _TF, _BY_MANAGER, _is_option),
+    lambda view, slots: _solve_sum(view, slots, _TF, _BY_MANAGER, "value_usd", _is_option),
+    lambda view, slots: _plan_positions(slots, Filter("security_class", "contains", "OPT"))))
 
 _register(QuestionTemplate(
     "E2", "easy",
     'Get the regulatory AUM for advisor "{advisor}" for period {period}.',
     "float", (Route(FilingType.ADV, "adv_entity"),),
-    _cands_e2, _solve_e2, _plan_e2))
+    lambda view: _distinct_slots(view, "adv_entity", _BY_ADVISOR, _has_aum),
+    lambda view, slots: _solve_sum(view, slots, "adv_entity", _BY_ADVISOR, "regulatory_aum"),
+    lambda view, slots: _plan_sum(FilingType.ADV, "adv_entity", (
+        Filter("advisor_name", "eq", slots["advisor"]),
+        Filter("period", "eq", slots["period"])), "regulatory_aum")))
 
 _register(QuestionTemplate(
     "E3", "easy",
     'Get all funds managed by investment advisor "{advisor}" for period {period}.',
-    "list", (Route(FilingType.NCEN, "ncen_fund_registry"),),
-    _cands_advisors,
-    lambda view, slots: _solve_advisor_names(view, slots, "ncen_fund_registry",
-                                             "fund_name"),
-    lambda view, slots: _plan_advisor_names(slots, FilingType.NCEN,
-                                            "ncen_fund_registry", "fund_name")))
+    "list", (Route(FilingType.NCEN, _REGISTRY),),
+    lambda view: _distinct_slots(view, _REGISTRY, _BY_ADVISOR, _names_a_fund),
+    lambda view, slots: _solve_advisor_names(view, slots, _REGISTRY, "fund_name"),
+    lambda view, slots: _plan_advisor_names(slots, FilingType.NCEN, _REGISTRY,
+                                            "fund_name")))
 
 _register(QuestionTemplate(
     "E4", "easy",
     'Get all prime brokers for advisor "{advisor}" for period {period}.',
     "list", (Route(FilingType.ADV, "adv_brokers"),),
-    _cands_e4,
+    lambda view: _distinct_slots(view, "adv_brokers", _BY_ADVISOR, _is_prime_broker),
     lambda view, slots: _solve_advisor_names(view, slots, "adv_brokers", "broker_name",
-                                             _PRIME_BROKER),
+                                             _is_prime_broker),
     lambda view, slots: _plan_advisor_names(slots, FilingType.ADV, "adv_brokers",
-                                            "broker_name", _PRIME_BROKER)))
+                                            "broker_name",
+                                            (Filter("relation", "eq", "prime broker"),))))
 
 _register(QuestionTemplate(
     "E5", "easy",
     'Get the country-level AUM for manager "{advisor}" for period {period}.',
     "dataframe",
-    (Route(FilingType.NCEN, "ncen_fund_registry"),
+    (Route(FilingType.NCEN, _REGISTRY),
      Route(FilingType.NPORT, "nport_holdings")),
     lambda view: _cands_advisor_split(view, "nport_holdings"),
     lambda view, slots: _solve_advisor_split(view, slots, "nport_holdings",
@@ -493,9 +440,12 @@ _register(QuestionTemplate(
     "E6", "easy",
     'Get the money market net assets per fund for advisor "{advisor}" for period {period}.',
     "dataframe",
-    (Route(FilingType.NCEN, "ncen_fund_registry"),
+    (Route(FilingType.NCEN, _REGISTRY),
      Route(FilingType.NMFP, "nmfp_fund_info")),
-    _cands_e6, _solve_e6, _plan_e6))
+    lambda view: _cands_advisor_split(view, "nmfp_fund_info", where=_is_money_market),
+    lambda view, slots: _solve_advisor_split(view, slots, "nmfp_fund_info", "fund_name",
+                                             "net_assets", where=_is_money_market),
+    _plan_e6))
 
 _register(QuestionTemplate(
     "H0", "hard",
@@ -513,7 +463,7 @@ _register(QuestionTemplate(
     "H1", "hard",
     'Calculate the counterparty split for advisor "{advisor}" for period {period}.',
     "dataframe",
-    (Route(FilingType.NCEN, "ncen_fund_registry"),
+    (Route(FilingType.NCEN, _REGISTRY),
      Route(FilingType.NPORT, "nport_derivatives")),
     lambda view: _cands_advisor_split(view, "nport_derivatives"),
     lambda view, slots: _solve_advisor_split(view, slots, "nport_derivatives",
@@ -538,7 +488,10 @@ _register(QuestionTemplate(
     "H3", "hard",
     'Get the total assets from the annual report for fund "{fund}" for period {period}.',
     "float", (Route(FilingType.NCSR, "ncsr_statement_items"),),
-    _cands_h3, _solve_h3, _plan_h3))
+    lambda view: _distinct_slots(view, "ncsr_statement_items", _BY_FUND, _is_total_assets),
+    lambda view, slots: _solve_sum(view, slots, "ncsr_statement_items", _BY_FUND,
+                                   "value_usd", _is_total_assets),
+    _plan_h3))
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +564,6 @@ def generate_benchmark(view: ReconciledView, per_template: int,
             if gateway is not None and variegate_n > 0:
                 instances.extend(variegate(base, gateway, variegate_n))
     return instances
-
-
-def datapoint_stats(instances: list[QuestionInstance]) -> dict[str, dict]:
-    """Median and total relevant-record counts per template, templated
-    instances only."""
-    by_template: dict[str, list[int]] = {}
-    for inst in instances:
-        if inst.variant != "templated":
-            continue
-        by_template.setdefault(inst.template_id, []).append(len(inst.relevant_record_ids))
-    out = {}
-    for template_id in sorted(by_template):
-        counts = sorted(by_template[template_id])
-        n = len(counts)
-        mid = n // 2
-        median = counts[mid] if n % 2 else (counts[mid - 1] + counts[mid]) / 2
-        out[template_id] = {"median": median, "total": sum(counts), "instances": n}
-    return out
 
 
 # ---------------------------------------------------------------------------

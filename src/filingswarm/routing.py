@@ -63,11 +63,6 @@ class Route:
         return f"{self.agent.value}/{self.table}"
 
 
-def validate_route(route: Route, registry: SchemaRegistry) -> None:
-    if route.table not in registry.table_ids_for(route.agent):
-        raise ValueError(f"table {route.table!r} does not belong to {route.agent.value}")
-
-
 @dataclass(frozen=True)
 class SwarmConfig:
     n_agents: int = 5

@@ -22,6 +22,7 @@ import json
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,13 @@ class FlatIndex:
 def scope_positions(view: ReconciledView) -> dict[IndexScope, list[int]]:
     """Positions in ``view.records`` of each agent and table scope's
     records, in view order: the rows ``build_index`` embeds for that scope.
-    Scopes without records are absent."""
+    Scopes without records are absent. The records are walked once per
+    view: the result is kept in the view's memo, keyed by this function,
+    which no plan step's memo key can equal. It is shared; do not change it."""
+    return view.memo(scope_positions, partial(_walk_scopes, view))
+
+
+def _walk_scopes(view: ReconciledView) -> dict[IndexScope, list[int]]:
     agents: dict[FilingType, list[int]] = {}
     tables: dict[str, list[int]] = {}
     for pos, record in enumerate(view.records):
@@ -315,7 +322,9 @@ def build_table_description_index(registry: SchemaRegistry,
 
 
 def canonical_distance(x: np.ndarray, q: np.ndarray) -> float:
-    """The one true squared-L2: float32 inputs widened to float64."""
+    """The one true squared-L2: float32 inputs widened to float64. It is
+    ``knn``'s reference, one row at a time: the knn-versus-naive gates in
+    ``perfbench`` and the vindex tests check against it."""
     x64 = np.asarray(x, dtype=np.float32).astype(np.float64)
     q64 = np.asarray(q, dtype=np.float32).astype(np.float64)
     return float(np.sum((x64 - q64) ** 2))

@@ -5,6 +5,8 @@ import dataclasses
 
 import pytest
 
+from filingswarm import vindex
+from filingswarm.corpus.reconcile import reconcile
 from filingswarm.corpus.schema import FilingType
 from filingswarm.evalrun import (
     ABS_TOL,
@@ -181,6 +183,19 @@ def test_retrieval_ablation_embeds_queries_in_one_batch(bench, small_view, regis
     assert embedder.batches == 2  # the records, then the distinct query texts
     assert report == run_retrieval_ablation(bench, small_view,
                                             HashFeatureEmbedder(64), registry)
+
+
+def test_retrieval_ablation_walks_the_view_once(bench, small_store, registry,
+                                                monkeypatch):
+    walked = []
+    walk = vindex._walk_scopes
+    monkeypatch.setattr(vindex, "_walk_scopes",
+                        lambda view: walked.append(view) or walk(view))
+    view = reconcile(small_store)
+    report = run_retrieval_ablation(bench, view, HashFeatureEmbedder(64), registry)
+    assert report == run_retrieval_ablation(bench, view, HashFeatureEmbedder(64),
+                                            registry)
+    assert walked == [view]
 
 
 def test_retrieval_ablation_narrower_scope_never_hurts(bench, small_view, registry):

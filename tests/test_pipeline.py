@@ -19,7 +19,7 @@ from filingswarm.corpus.schema import FilingType, load_default_registry
 from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import ChatResponse, FixtureMissError
+from filingswarm.gateway.types import ChatResponse, FixtureMissError, GatewayError
 from filingswarm import pipeline, plans, vindex
 from filingswarm.pipeline import (
     Finding,
@@ -745,6 +745,24 @@ def test_pipeline_reports_execution_failures(registry, small_view):
                           registry)
     assert result.status == "failed"
     assert result.error.startswith("ExecutionError")
+    # the result keeps what the stages reached before execution failed
+    assert result.screen is not None and result.subqueries is not None
+    assert result.attempts == 1 and not result.fallback
+    assert result.draft is not None and result.final_plan == result.draft
+    assert not result.revised and not result.from_memory
+    assert result.answer is None
+
+
+def test_a_failed_decompose_leaves_no_draft(registry, small_view):
+    def refuse(request):
+        raise GatewayError("provider is down")
+    provider = _TagProvider({"classify": "non_hallucinatory 0.99", "decompose": refuse})
+    result = run_pipeline(AUM_QUERY, provider, small_view, registry)
+    assert result.status == "failed"
+    assert result.error == "GatewayError: provider is down"
+    assert result.screen is not None
+    assert result.subqueries is None and result.draft is None
+    assert result.final_plan is None and result.attempts == 0
 
 
 def test_pipeline_fails_on_an_unparseable_verdict(registry, small_view):

@@ -84,6 +84,7 @@ def test_pipeline_wire_bytes_are_pinned(registry, small_view, bench, tmp_path):
         }
         digest.update(json.dumps(row, sort_keys=True).encode("utf-8") + b"\n")
         hits += result.from_memory
+    memory.close()
     journal = path.read_bytes()
     digest.update(journal)
     assert len(journal.splitlines()) == len(provider.replan_digests) > 0

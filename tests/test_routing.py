@@ -24,7 +24,6 @@ from filingswarm.routing import (
     route_generative,
     route_swarm,
     score_routing,
-    validate_route,
 )
 from filingswarm.vindex import FlatIndex, IndexScope, MappingEmbedder, knn
 
@@ -44,11 +43,8 @@ SPLIT_QUERY = ("Break down the derivative notional by counterparty and the "
                "money market maturity profile.")
 
 
-def test_route_label_and_validation(registry):
+def test_route_label():
     assert R_13F.label() == "13F/thirteenf_holdings"
-    validate_route(R_13F, registry)
-    with pytest.raises(ValueError, match="does not belong"):
-        validate_route(Route(FilingType.parse("13F"), "adv_entity"), registry)
 
 
 def test_outcome_requires_routes_unless_unroutable():
