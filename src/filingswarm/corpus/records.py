@@ -95,7 +95,8 @@ def record_from_dict(doc: dict) -> FilingRecord:
         table_id=_string(doc, "table_id"),
         filer_id=_string(doc, "filer_id"),
         period=date.fromisoformat(_string(doc, "period")),
-        is_amendment=bool(doc.get("is_amendment", False)),
+        is_amendment=_typed("is_amendment", doc.get("is_amendment", False), bool,
+                            "a boolean"),
         amends=_typed("amends", doc.get("amends"), (str, type(None)), "a string or null"),
         fields=dict(_typed("fields", doc.get("fields", {}), dict, "an object")),
     )

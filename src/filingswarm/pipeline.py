@@ -43,7 +43,6 @@ from .plans import (
     plan_from_dict,
     plan_from_json,
     plan_to_json,
-    restamp_plan,
     select_records,
     validate_plan,
 )
@@ -188,20 +187,16 @@ class LongTermMemory:
 
     def lookup(self, text: str) -> Plan | None:
         with self._lock:
-            plan = self._plans.get(self.normalize(text))
-        if plan is None:
-            return None
-        return restamp_plan(plan, "memory", plan.source_subquery)
+            return self._plans.get(self.normalize(text))
 
     def store(self, text: str, plan: Plan) -> None:
         key = self.normalize(text)
-        stored = restamp_plan(plan, "memory", plan.source_subquery)
         with self._lock:
-            self._plans[key] = stored
+            self._plans[key] = plan
             if self.path is not None:
                 if self._journal is None:
                     self._journal = open(self.path, "a", encoding="utf-8")
-                self._journal.write(_journal_line(key, stored))
+                self._journal.write(_journal_line(key, plan))
                 self._journal.flush()
 
     def _close_journal(self) -> None:
@@ -247,17 +242,12 @@ class DraftResult:
     fallback: bool
 
 
-def _validate(plan: Plan, registry: SchemaRegistry) -> None:
-    """validate_plan, unless the plan already passed against this registry
-    object: the rule execute_plan applies."""
+def _validate(plan: Plan, registry: SchemaRegistry) -> Plan:
+    """The plan, once it passes validate_plan; a plan that already passed
+    against this registry object is not validated again, the rule
+    execute_plan applies."""
     if not plan.passed_against(registry):
         validate_plan(plan, registry)
-
-
-def _accept(plan: Plan, registry: SchemaRegistry, provenance: str, source: str | None) -> Plan:
-    """The plan with its provenance and source set, once that plan validates."""
-    plan = restamp_plan(plan, provenance, source)
-    _validate(plan, registry)
     return plan
 
 
@@ -272,8 +262,8 @@ def _fallback_plan(query: Query, gateway, registry: SchemaRegistry) -> Plan:
     m = _RE_PERIOD.search(query.text)
     if m:
         filters = (Filter("period", "eq", m.group(1)),)
-    return _accept(Plan((Retrieve("r1", route.agent, route.table, filters),
-                         Return("ret", "r1"))), registry, "draft", query.text)
+    return _validate(Plan((Retrieve("r1", route.agent, route.table, filters),
+                           Return("ret", "r1"))), registry)
 
 
 def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
@@ -303,8 +293,7 @@ def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
             break
         attempts += 1
         try:
-            plan = _accept(plan_from_json(read_plan_reply(content)), registry,
-                           "draft", parent.text)
+            plan = _validate(plan_from_json(read_plan_reply(content)), registry)
         except (PlanError, ValueError) as exc:
             last_error = str(exc)
             request = build_plan_retry(request, content, exc)
@@ -431,7 +420,7 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
         try:
             reply = read_plan_reply(content)
             proposed = draft if reply == draft_json else plan_from_json(reply)
-            final = _accept(proposed, registry, "optimized", draft.source_subquery)
+            final = _validate(proposed, registry)
         except (PlanError, ValueError) as exc:
             log.warning("revised plan rejected (%s); keeping draft", exc)
     if memory is not None:

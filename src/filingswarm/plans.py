@@ -2,9 +2,10 @@
 
 A plan is a small DAG of five step kinds: Retrieve rows from one table,
 Aggregate them, Join two row sets, combine scalars with Arithmetic, and
-Return exactly one step's value as the final answer. Plans serialize to JSON
-so they can round trip through a text generator, be stored in long-term
-memory, and be injected directly in tests.
+Return exactly one step's value as the final answer. A plan is its steps,
+and its wire form is ``{"steps": [...]}``, the language the planner prompt
+(``assets/prompts/plan.txt``) teaches; it round trips through a text
+generator, is stored in long-term memory, and is injected directly in tests.
 
 Step output types are table (rows), scalar, or the final Answer. Validation
 checks reference integrity, acyclicity, registry membership for tables and
@@ -13,11 +14,10 @@ execution happens. A plan that passes keeps a record of the registry it
 passed against and of its execution order; ``execute_plan`` runs that order
 for the same registry object and validates any other plan first.
 
-A plan encodes its steps once: ``plan_to_json`` keeps their JSON on the plan
-and joins it with the provenance and source on each call. ``restamp_plan``
-gives a plan a new provenance and source and keeps its validation record and
-its steps' JSON, which depend only on the steps; a ``dataclasses.replace``
-copy keeps neither.
+A plan is encoded once: ``plan_to_json`` keeps its JSON on the plan. The
+validation record and the JSON depend only on the steps, so one plan object
+can be shared, by memory among threads too; a ``dataclasses.replace`` copy
+keeps neither.
 
 Execution semantics, fixed here because they matter for scoring:
 - eq compares values exactly; contains is case-insensitive substring
@@ -65,7 +65,6 @@ from .corpus.schema import FilingType, SchemaError, SchemaRegistry
 FILTER_OPS = ("eq", "contains", "range")
 AGG_FUNCTIONS = ("sum", "mean", "count", "groupby-sum")
 ARITH_OPS = ("add", "sub", "mul", "div")
-PROVENANCES = ("draft", "optimized", "memory")
 
 
 class PlanError(ValueError):
@@ -170,32 +169,16 @@ PlanStep = Retrieve | Aggregate | Arithmetic | Join | Return
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[PlanStep, ...]
-    provenance: str = "draft"
-    source_subquery: str | None = None
-    # (registry, execution order) of the last validate_plan this plan passed.
-    # validate_plan sets it and restamp_plan carries it over; a replace()
-    # copy starts without it.
+    # (registry, execution order) of the last validate_plan this plan passed,
+    # set by validate_plan; a replace() copy starts without it.
     _passed: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    # The steps' JSON, set by the first plan_to_json; kept like _passed.
-    _steps_json: str | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise PlanError(f"unknown provenance {self.provenance!r}")
+    # The plan's JSON, set by the first plan_to_json; kept like _passed.
+    _json: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def passed_against(self, registry: SchemaRegistry) -> bool:
         """Whether this plan passed validate_plan against this registry object."""
         passed = self._passed
         return passed is not None and passed[0] is registry
-
-
-def restamp_plan(plan: Plan, provenance: str, source_subquery: str | None) -> Plan:
-    """The plan with a new provenance and source. It keeps the validation
-    record and the steps' JSON, since both depend only on the steps."""
-    stamped = Plan(plan.steps, provenance, source_subquery)
-    object.__setattr__(stamped, "_passed", plan._passed)
-    object.__setattr__(stamped, "_steps_json", plan._steps_json)
-    return stamped
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +272,7 @@ def _steps_to_list(plan_steps: tuple[PlanStep, ...]) -> list[dict]:
 
 
 def plan_to_dict(plan: Plan) -> dict:
-    return {"steps": _steps_to_list(plan.steps), "provenance": plan.provenance,
-            "source_subquery": plan.source_subquery}
+    return {"steps": _steps_to_list(plan.steps)}
 
 
 def _step_from_dict(raw: Mapping[str, Any], step_id: str, kind: Any) -> PlanStep:
@@ -322,7 +304,9 @@ def _step_from_dict(raw: Mapping[str, Any], step_id: str, kind: Any) -> PlanStep
 
 def plan_from_dict(doc: Mapping[str, Any]) -> Plan:
     """Build a plan from its document form. A document of the wrong shape
-    raises PlanError, naming the step when one is at fault."""
+    raises PlanError, naming the step when one is at fault. Keys other than
+    ``steps`` are ignored: older journals and replies also carried
+    ``provenance`` and ``source_subquery``."""
     try:
         raw_steps = doc["steps"]
     except (KeyError, TypeError):
@@ -344,21 +328,17 @@ def plan_from_dict(doc: Mapping[str, Any]) -> Plan:
             # a filter that is not a [field, op, value] list, an agent that
             # is not a string, or field names that are not a list
             raise PlanError(f"step {step_id}: malformed {kind!r} step ({exc!r})") from exc
-    raw_source = doc.get("source_subquery")
-    return Plan(tuple(steps),
-                provenance=doc.get("provenance", "draft"),
-                source_subquery=None if raw_source is None else str(raw_source))
+    return Plan(tuple(steps))
 
 
 def plan_to_json(plan: Plan) -> str:
-    """``json.dumps(plan_to_dict(plan), sort_keys=True)``, with the steps'
-    JSON encoded on the first call and kept on the plan."""
-    steps = plan._steps_json
-    if steps is None:
-        steps = json.dumps(_steps_to_list(plan.steps), sort_keys=True)
-        object.__setattr__(plan, "_steps_json", steps)
-    return (f'{{"provenance": {json.dumps(plan.provenance)}, '
-            f'"source_subquery": {json.dumps(plan.source_subquery)}, "steps": {steps}}}')
+    """``json.dumps(plan_to_dict(plan), sort_keys=True)``, encoded on the
+    first call and kept on the plan."""
+    text = plan._json
+    if text is None:
+        text = json.dumps(plan_to_dict(plan), sort_keys=True)
+        object.__setattr__(plan, "_json", text)
+    return text
 
 
 def plan_from_json(text: str) -> Plan:

@@ -28,8 +28,10 @@ from filingswarm.evalrun import (
     run_retrieval_ablation,
     run_routing_ablation,
 )
+from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatRequest, FixtureMissError, GatewayError
+from filingswarm.pipeline import LongTermMemory
 from filingswarm.plans import ListValue, Scalar, TableValue
 from filingswarm.routing import route_generative
 from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index
@@ -350,6 +352,28 @@ def test_run_agentic_threaded_matches_serial(reps, small_view, registry, gold):
     serial = run_agentic(reps[:4], gold, small_view, registry, workers=1)
     threaded = run_agentic(reps[:4], gold, small_view, registry, workers=3)
     assert serial["records"] == threaded["records"]
+
+
+def test_run_agentic_threaded_with_shared_memory_matches_serial(bench, small_view,
+                                                                 registry, tmp_path):
+    # Memory hands one plan object to every thread that asks for it. Whether
+    # a repeat hits memory depends on thread timing, so from_memory is not
+    # compared.
+    instances = bench + bench[::3]
+
+    def records(workers):
+        memory = LongTermMemory(tmp_path / f"memory-{workers}.jsonl")
+        report = run_agentic(instances, DeterministicProvider(), small_view, registry,
+                             memory=memory, workers=workers)
+        memory.close()
+        return report["records"]
+
+    def outcomes(records):
+        return [(r["status"], r["success"], r["error"]) for r in records]
+
+    serial = records(1)
+    assert any(r["from_memory"] for r in serial) and any(r["success"] for r in serial)
+    assert outcomes(records(3)) == outcomes(serial)
 
 
 def test_run_agentic_records_failures_instead_of_aborting(reps, small_view, registry):

@@ -170,10 +170,10 @@ def _tiny_plan(table="adv_entity", agent="ADV"):
 
 def test_memory_normalizes_keys_and_marks_provenance():
     memory = LongTermMemory()
-    memory.store("What Is  The AUM?", _tiny_plan())
+    plan = _tiny_plan()
+    memory.store("What Is  The AUM?", plan)
     hit = memory.lookup("what is the aum?")
-    assert hit is not None
-    assert hit.provenance == "memory"
+    assert hit is plan  # the stored object itself, not a copy
     assert memory.lookup("a different question") is None
     assert len(memory) == 1
 
@@ -332,8 +332,6 @@ def test_draft_uses_the_planner(registry):
     assert not result.from_memory
     assert not result.fallback
     assert result.attempts == 1
-    assert result.plan.provenance == "draft"
-    assert result.plan.source_subquery == AUM_QUERY
     assert result.plan.steps[0].table == "adv_entity"
 
 
@@ -344,7 +342,7 @@ def test_draft_prefers_a_valid_memory_hit(registry):
                         memory)
     assert result.from_memory
     assert result.attempts == 0
-    assert result.plan.provenance == "memory"
+    assert result.plan is memory.lookup(AUM_QUERY)
 
 
 def test_draft_skips_a_memory_hit_that_no_longer_validates(registry):
@@ -641,18 +639,17 @@ def test_revise_echo_marks_the_plan_optimized(registry):
     query = Query(AUM_QUERY, "user", (AUM_QUERY,))
     final = revise_plan(query, draft, (), DeterministicProvider(), registry,
                         memory)
-    assert final.provenance == "optimized"
-    assert final.steps == draft.steps
-    assert final.source_subquery == draft.source_subquery
+    assert final is draft  # an echo keeps the draft itself
     assert memory.lookup(AUM_QUERY).steps == draft.steps
 
 
 def _counted_validations(monkeypatch):
+    """The plans validate_plan is called on from here on."""
     validated = []
     real = plans.validate_plan
 
     def counted(plan, registry):
-        validated.append(plan.provenance)
+        validated.append(plan)
         return real(plan, registry)
     monkeypatch.setattr(plans, "validate_plan", counted)
     monkeypatch.setattr(pipeline, "validate_plan", counted)
@@ -666,10 +663,8 @@ def test_revise_decodes_and_validates_a_different_plan(registry, monkeypatch):
     query = Query(AUM_QUERY, "user", (AUM_QUERY,))
     provider = _TagProvider({"replan": " " + plans.plan_to_json(other) + "\n"})
     final = revise_plan(query, draft, (), provider, registry)
-    assert validated == ["optimized"]
-    assert final.provenance == "optimized"
+    assert len(validated) == 1
     assert final.steps == other.steps != draft.steps
-    assert final.source_subquery == draft.source_subquery
     assert final.passed_against(registry)
 
 
@@ -679,7 +674,6 @@ def test_revise_keeps_the_draft_when_the_reply_is_not_a_plan(registry, reply):
     query = Query(AUM_QUERY, "user", (AUM_QUERY,))
     final = revise_plan(query, draft, (), _TagProvider({"replan": reply}), registry)
     assert final == draft
-    assert final.provenance == "draft"
 
 
 def test_a_plan_is_validated_again_against_another_registry(registry, monkeypatch):
@@ -693,7 +687,7 @@ def test_a_plan_is_validated_again_against_another_registry(registry, monkeypatc
     assert other is not registry
     hit = draft_plan(_wrap(AUM_QUERY), None, other, memory)
     assert hit.from_memory
-    assert validated == ["memory"]
+    assert len(validated) == 1
     assert hit.plan.passed_against(other) and not hit.plan.passed_against(registry)
 
 
@@ -703,7 +697,6 @@ def test_revise_keeps_the_draft_when_the_reviser_fails(registry):
     provider = _TagProvider({"replan": "CANNOT PLAN"})
     final = revise_plan(query, draft, (), provider, registry)
     assert final == draft
-    assert final.provenance == "draft"
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +708,7 @@ def test_pipeline_answers_a_benchmark_question(registry, small_view, bench):
     result = run_pipeline(instance.text, DeterministicProvider(), small_view,
                           registry)
     assert result.status == "answered"
-    assert result.final_plan.provenance == "optimized"
+    assert not result.revised  # the rule reviser echoes the draft
     assert judge_success(result.answer, instance.gold_answer)
 
 
@@ -784,7 +777,7 @@ def test_pipeline_memory_short_circuits_the_second_run(registry, small_view,
     assert not first.from_memory
     assert second.from_memory
     assert second.findings == ()
-    assert second.final_plan.provenance == "memory"
+    assert second.final_plan is first.final_plan
     assert judge_success(second.answer, first.answer)
 
 
@@ -798,19 +791,12 @@ def test_pipeline_fails_on_a_blank_query_without_a_completion(registry, small_vi
 
 def test_pipeline_validates_each_plan_once(registry, small_view, bench, monkeypatch):
     instance = next(i for i in bench if i.template_id == "E0")
-    validated = []
-    real = plans.validate_plan
-
-    def counted(plan, registry):
-        validated.append(plan.provenance)
-        return real(plan, registry)
-    monkeypatch.setattr(plans, "validate_plan", counted)
-    monkeypatch.setattr(pipeline, "validate_plan", counted)
+    validated = _counted_validations(monkeypatch)
     memory = LongTermMemory()
     first = run_pipeline(instance.text, DeterministicProvider(), small_view,
                          registry, memory=memory)
     assert first.status == "answered" and not first.from_memory
-    assert validated == ["draft"]  # the planner reply; the reviser echoed it
+    assert len(validated) == 1  # the planner reply; the reviser echoed it
     validated.clear()
     second = run_pipeline(instance.text, DeterministicProvider(), small_view,
                           registry, memory=memory)

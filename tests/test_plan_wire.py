@@ -13,12 +13,19 @@ from hypothesis import strategies as st
 from filingswarm import pipeline
 from filingswarm.corpus.schema import FilingType
 from filingswarm.gateway.deterministic import DeterministicProvider
-from filingswarm.gateway.types import request_digest
-from filingswarm.pipeline import LongTermMemory, run_pipeline
+from filingswarm.gateway.types import ChatResponse, request_digest
+from filingswarm.pipeline import (
+    LongTermMemory,
+    Query,
+    SubQuery,
+    SubQuerySet,
+    draft_plan,
+    revise_plan,
+    run_pipeline,
+)
 from filingswarm.plans import (
     AGG_FUNCTIONS,
     ARITH_OPS,
-    PROVENANCES,
     Aggregate,
     Arithmetic,
     Filter,
@@ -32,30 +39,35 @@ from filingswarm.plans import (
     plan_from_json,
     plan_to_dict,
     plan_to_json,
-    restamp_plan,
     validate_plan,
 )
 from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index
 
 
 class _RecordingProvider:
-    """The rule provider, recording the digest of every replan request."""
+    """The rule provider, recording the digest of every replan request, and
+    its DRAFT_PLAN line's JSON beside the reply."""
 
     def __init__(self):
         self.inner = DeterministicProvider()
         self.replan_digests: list[str] = []
+        self.echoes: list[tuple[str, str]] = []
 
     def complete(self, request):
+        response = self.inner.complete(request)
         if request.tag == "replan":
             self.replan_digests.append(request_digest(request))
-        return self.inner.complete(request)
+            line = next(line for line in request.last_user_content().splitlines()
+                        if line.startswith("DRAFT_PLAN: "))
+            self.echoes.append((line[len("DRAFT_PLAN: "):], response.content))
+        return response
 
 
 # sha256 over the replan request digests, the draft and final plan JSON, the
 # answer, status, error and from_memory of every op, then the journal bytes.
 # Computed on the code that decoded the reviser's echo and re-encoded each
-# plan for its journal line.
-GOLDEN_PIPELINE_SHA256 = "143768f967a3bba36ecf7cfd507abdd6b14564cf251937e85c0366c7dc35a3f2"
+# plan for its journal line; a plan's JSON is ``{"steps": [...]}``.
+GOLDEN_PIPELINE_SHA256 = "6eb917da6eb110a676f0b6c6ef26a9ed1dae6b51294e8fdbf896b63e434356a4"
 
 
 def test_pipeline_wire_bytes_are_pinned(registry, small_view, bench, tmp_path):
@@ -112,9 +124,7 @@ _STEPS = st.one_of(
     st.builds(Arithmetic, _TEXT, _TEXT, _TEXT, st.sampled_from(ARITH_OPS)),
     st.builds(Join, _TEXT, _TEXT, _TEXT, st.lists(_TEXT, min_size=1, max_size=3).map(tuple)),
     st.builds(Return, _TEXT, _TEXT))
-_SOURCES = st.none() | _TEXT
-_PLANS = st.builds(Plan, st.lists(_STEPS, min_size=1, max_size=5).map(tuple),
-                   st.sampled_from(PROVENANCES), _SOURCES)
+_PLANS = st.builds(Plan, st.lists(_STEPS, min_size=1, max_size=5).map(tuple))
 
 
 def _dumps(plan):
@@ -124,21 +134,11 @@ def _dumps(plan):
 @settings(max_examples=300, deadline=None)
 @given(_PLANS, _TEXT)
 def test_plan_json_and_journal_line_are_the_dict_encodings(plan, key):
+    assert json.loads(plan_to_json(plan)).keys() == {"steps"}
     assert plan_to_json(plan) == _dumps(plan)
-    assert plan_to_json(plan) == _dumps(plan)  # from the kept steps JSON
+    assert plan_to_json(plan) == _dumps(plan)  # from the kept JSON
     assert pipeline._journal_line(key, plan) == json.dumps(
         {"key": key, "plan": plan_to_dict(plan)}, sort_keys=True) + "\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(_PLANS, st.sampled_from(PROVENANCES), _SOURCES)
-def test_a_restamped_plan_encodes_its_own_provenance_and_source(plan, provenance, source):
-    before = plan_to_json(plan)
-    stamped = restamp_plan(plan, provenance, source)
-    assert stamped.steps is plan.steps
-    assert (stamped.provenance, stamped.source_subquery) == (provenance, source)
-    assert plan_to_json(stamped) == _dumps(stamped)
-    assert plan_to_json(plan) == before
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,15 +154,73 @@ def test_restamp_keeps_the_validation_record_and_replace_does_not(registry):
     plan = Plan((Retrieve("r1", FilingType.ADV, "adv_entity"), Return("ret", "r1")))
     validate_plan(plan, registry)
     plan_to_json(plan)
-    stamped = restamp_plan(plan, "memory", "q")
-    assert stamped.passed_against(registry)
-    assert stamped._steps_json == plan._steps_json
-    copy = replace(plan, provenance="memory")
-    assert not copy.passed_against(registry) and copy._steps_json is None
+    copy = replace(plan)
+    assert not copy.passed_against(registry) and copy._json is None
 
 
 def test_execute_plan_validates_a_plan_nobody_validated(registry, small_view):
     bad = Plan((Retrieve("r1", FilingType.ADV, "no_such_table"), Return("ret", "r1")))
-    for plan in (bad, restamp_plan(bad, "optimized", "q")):
-        with pytest.raises(PlanError, match="unknown table"):
-            execute_plan(plan, small_view, registry)
+    with pytest.raises(PlanError, match="unknown table"):
+        execute_plan(bad, small_view, registry)
+
+
+# ---------------------------------------------------------------------------
+# Plans written before a plan was its steps alone
+
+_STAMPS = {"provenance": "memory", "source_subquery": "What is the AUM?"}
+
+
+def _stamped_json(plan):
+    """The plan as older code wrote it: its steps plus the two stamps."""
+    return json.dumps({**plan_to_dict(plan), **_STAMPS}, sort_keys=True)
+
+
+def test_an_older_journal_line_loads_and_its_hit_answers_alike(registry, small_view,
+                                                               bench, tmp_path):
+    instance = next(i for i in bench if i.template_id == "E0")
+    first = run_pipeline(instance.text, DeterministicProvider(), small_view, registry)
+    assert first.status == "answered" and not first.from_memory
+    key = LongTermMemory.normalize(instance.text)
+    path = tmp_path / "memory.jsonl"
+    path.write_text('{"key": ' + json.dumps(key) + ', "plan": '
+                    + _stamped_json(first.final_plan) + '}\n', encoding="utf-8")
+    memory = LongTermMemory(path)
+    assert memory.lookup(instance.text).steps == first.final_plan.steps
+    hit = run_pipeline(instance.text, DeterministicProvider(), small_view, registry,
+                       memory=memory)
+    memory.close()
+    assert hit.status == "answered" and hit.from_memory
+    assert answer_to_dict(hit.answer) == answer_to_dict(first.answer)
+
+
+class _Replies:
+    """Fixed replies by request tag."""
+
+    def __init__(self, **replies):
+        self.replies = replies
+
+    def complete(self, request):
+        return ChatResponse(content=self.replies[request.tag], provider_id="test")
+
+
+def test_planner_and_reviser_replies_with_the_older_stamps_parse_to_equal_steps(registry):
+    entity = Plan((Retrieve("r1", FilingType.ADV, "adv_entity"), Return("ret", "r1")))
+    brokers = Plan((Retrieve("r1", FilingType.ADV, "adv_brokers"), Return("ret", "r1")))
+    text = _STAMPS["source_subquery"]
+    query = Query(text, "user", (text,))
+    drafted = draft_plan(SubQuerySet(query, (SubQuery(0, text),)),
+                         _Replies(plan=_stamped_json(entity)), registry)
+    assert not drafted.fallback and drafted.plan.steps == entity.steps
+    final = revise_plan(query, drafted.plan, (),
+                        _Replies(replan=_stamped_json(brokers)), registry)
+    assert final.steps == brokers.steps
+
+
+def test_the_rule_reviser_echoes_the_draft_plan_line_byte_for_byte(registry, small_view,
+                                                                   bench):
+    provider = _RecordingProvider()
+    for instance in bench:
+        result = run_pipeline(instance.text, provider, small_view, registry)
+        if result.final_plan is not None:
+            assert not result.revised
+    assert provider.echoes and all(sent == reply for sent, reply in provider.echoes)

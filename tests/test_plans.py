@@ -395,8 +395,6 @@ def test_step_constructor_guards():
         Arithmetic(step_id="a", left_step="l", right_step="r", op="pow")
     with pytest.raises(PlanError):
         Join(step_id="j", left_step="l", right_step="r", on_fields=())
-    with pytest.raises(PlanError):
-        Plan((), provenance="guessed")
 
 
 # --- serialization -----------------------------------------------------------
@@ -412,7 +410,7 @@ def full_plan():
                   value_field="value_usd"),
         Arithmetic(step_id="share", left_step="num", right_step="den", op="div"),
         Return(step_id="ret", input_step="share"),
-    ), provenance="optimized", source_subquery="wallet share of options")
+    ))
 
 
 def test_plan_json_round_trip():
@@ -876,7 +874,7 @@ def test_column_executor_equals_the_rowwise_reference(case):
 def test_a_validated_plan_executes_like_an_equal_plan_nobody_validated(case):
     rows, plan = case
     validate_plan(plan, _T_REGISTRY)
-    fresh = Plan(plan.steps, plan.provenance, plan.source_subquery)
+    fresh = Plan(plan.steps)
     assert fresh == plan
     assert (_outcome(lambda: execute_plan(plan, _free_view(rows), _T_REGISTRY))
             == _outcome(lambda: execute_plan(fresh, _free_view(rows), _T_REGISTRY)))

@@ -293,7 +293,7 @@ def test_benchmark_file_round_trip(tmp_path, bench):
 # The export bytes of a variegated benchmark, every canonical plan and every
 # template's candidate list on the shared corpus, hashed together: any change
 # to a template's candidates, oracle or plan changes this digest.
-BENCH_DIGEST = "f4e2e604106ac64ab1bbf83ed83b512d932b101badf7ceb2b2f8141be10b3244"
+BENCH_DIGEST = "ea1a2864aa76b1ac487cfc0b7a389fed210814bbba58638af9bbb416c685cd12"
 
 
 def test_bench_plans_and_candidates_are_pinned(tmp_path, small_view):

@@ -134,6 +134,11 @@ _WRONG_TYPES = {
     "filer_id a number": (_with(filer_id=7), "filer_id must be a string, got 7"),
     "amends a list": (_with(amends=["ACC0"], is_amendment=True),
                       "amends must be a string or null, got ['ACC0']"),
+    "is_amendment a string": (_with(is_amendment="false", amends="ACC0"),
+                              "is_amendment must be a boolean, got 'false'"),
+    "is_amendment a number": (_with(is_amendment=1, amends="ACC0"),
+                              "is_amendment must be a boolean, got 1"),
+    "is_amendment null": (_with(is_amendment=None), "is_amendment must be a boolean, got None"),
     "not UTF-8": (b"\xff", "not valid UTF-8"),
 }
 
