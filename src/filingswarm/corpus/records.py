@@ -13,7 +13,7 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .schema import FilingType, SchemaError, SchemaRegistry
+from .schema import FilingType, SchemaError, SchemaRegistry, parse_iso_date
 
 META_KIND = "corpus_meta"
 
@@ -52,17 +52,13 @@ def validate_record(record: FilingRecord, registry: SchemaRegistry) -> None:
             f"record {record.record_id}: table {record.table_id} belongs to "
             f"{schema.filing_type.name}, not {record.filing_type.name}"
         )
-    known = schema.field_name_set
-    for name, value in record.fields.items():
-        if name not in known:
-            raise SchemaError(f"record {record.record_id}: unknown field {name!r} for {record.table_id}")
-        schema.check_value(name, value)
+    schema.check_fields(record.record_id, record.fields)
     for key in schema.key_fields:
         if record.fields.get(key) is None:
             raise SchemaError(f"record {record.record_id}: key field {key!r} is null")
     # When the schema carries an explicit period column it must agree with the
     # record-level reporting period.
-    if "period" in known:
+    if "period" in schema.field_name_set:
         value = record.fields.get("period")
         if value != record.period.isoformat():
             raise SchemaError(
@@ -94,7 +90,7 @@ def record_from_dict(doc: dict) -> FilingRecord:
         filing_type=FilingType.parse(_string(doc, "filing_type")),
         table_id=_string(doc, "table_id"),
         filer_id=_string(doc, "filer_id"),
-        period=date.fromisoformat(_string(doc, "period")),
+        period=parse_iso_date(_string(doc, "period")),
         is_amendment=_typed("is_amendment", doc.get("is_amendment", False), bool,
                             "a boolean"),
         amends=_typed("amends", doc.get("amends"), (str, type(None)), "a string or null"),

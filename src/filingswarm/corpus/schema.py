@@ -43,6 +43,22 @@ _FILING_TYPE_NAMES: dict[str, FilingType] = {
 
 FIELD_KINDS = ("number", "text", "date", "identifier", "list")
 
+# The exact JSON types a field of each kind accepts without a closer look
+# (see ``TableSchema.check_fields``); ``check_value`` judges every other value.
+_PLAIN_TYPES = {"number": (int, float), "text": (str,), "identifier": (str,),
+                "date": (), "list": ()}
+
+
+def parse_iso_date(value: str) -> date:
+    """The date ``value`` spells as exactly ``YYYY-MM-DD``. Any other string
+    raises ValueError, as ``date.fromisoformat`` does on Python 3.10; later
+    versions also read forms such as ``20231231`` and ``2023-W52-7``, which
+    would not sort with the rest as text."""
+    parsed = date.fromisoformat(value)
+    if parsed.isoformat() != value:
+        raise ValueError(f"Invalid isoformat string: {value!r}")
+    return parsed
+
 
 class SchemaError(ValueError):
     """Raised when a schema definition or a record violates the registry."""
@@ -61,8 +77,9 @@ class FieldDef:
 @dataclass(frozen=True)
 class TableSchema:
     """Schema for one sub-table of one filing type. The field names, their
-    set and each name's kind are computed once, when the schema is built;
-    they take no part in ``==``, ``hash`` or ``repr``."""
+    set, each name's kind and each name's plain JSON types (see
+    ``check_fields``) are computed once, when the schema is built; they take
+    no part in ``==``, ``hash`` or ``repr``."""
 
     table_id: str
     filing_type: FilingType
@@ -72,6 +89,7 @@ class TableSchema:
     field_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     field_name_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _kinds: dict[str, str] = field(init=False, repr=False, compare=False)
+    _plain_types: dict[str, tuple[type, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(f.name for f in self.fields)
@@ -83,12 +101,27 @@ class TableSchema:
         object.__setattr__(self, "field_names", names)
         object.__setattr__(self, "field_name_set", frozenset(names))
         object.__setattr__(self, "_kinds", {f.name: f.kind for f in self.fields})
+        object.__setattr__(self, "_plain_types",
+                           {f.name: _PLAIN_TYPES[f.kind] for f in self.fields})
 
     def field_kind(self, name: str) -> str:
         try:
             return self._kinds[name]
         except KeyError:
             raise SchemaError(f"{self.table_id}: no field named {name!r}") from None
+
+    def check_fields(self, record_id: str, fields: dict[str, Any]) -> None:
+        """Check one record's field values in order, as ``check_value`` does.
+        A name this table lacks raises a SchemaError that names the record. A
+        value whose exact type is its kind's plain JSON type passes at once,
+        bar ``""``, which an identifier refuses."""
+        plain_types = self._plain_types
+        for name, value in fields.items():
+            types = plain_types.get(name)
+            if types is None:
+                raise SchemaError(f"record {record_id}: unknown field {name!r} for {self.table_id}")
+            if type(value) not in types or value == "":
+                self.check_value(name, value)
 
     def check_value(self, name: str, value: Any) -> None:
         """Validate one field value against its declared kind. None is allowed."""
@@ -105,7 +138,7 @@ class TableSchema:
             if not isinstance(value, str):
                 raise SchemaError(f"{self.table_id}.{name}: expected ISO date string, got {value!r}")
             try:
-                date.fromisoformat(value)
+                parse_iso_date(value)
             except ValueError as exc:
                 raise SchemaError(f"{self.table_id}.{name}: bad date {value!r}") from exc
         elif kind == "list":

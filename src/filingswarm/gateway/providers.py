@@ -1,4 +1,9 @@
-"""Scripted, recording, and remote completion providers plus fixture I/O."""
+"""Scripted, recording, and remote completion providers plus fixture I/O.
+
+Only ``RemoteProvider`` talks HTTP, so it alone loads ``requests``: when it
+is built or sends a request. Importing this module, as every replay and
+benchmark run does, loads no network stack.
+"""
 from __future__ import annotations
 
 import json
@@ -6,11 +11,11 @@ import os
 import threading
 import time
 from datetime import timezone
-from email.utils import parsedate_to_datetime
 from pathlib import Path
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .types import (
     ChatRequest,
@@ -124,6 +129,8 @@ def retry_after_seconds(value: str | None, now: float) -> float | None:
     value = value.strip()
     if value.isascii() and value.isdigit():
         return float(value)
+    from email.utils import parsedate_to_datetime  # only an HTTP-date needs it
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError, IndexError, OverflowError):
@@ -158,7 +165,11 @@ class RemoteProvider:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_retries = max_retries
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.bucket = _TokenBucket(rate_per_sec, burst=max(1.0, rate_per_sec))
         self.slots = threading.BoundedSemaphore(max_concurrent)
 
@@ -178,6 +189,8 @@ class RemoteProvider:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        import requests  # for RequestException; see the module docstring
+
         start = time.perf_counter()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):

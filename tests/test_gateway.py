@@ -285,6 +285,26 @@ def test_retry_after_never_raises(value):
     assert wait is None or wait >= 0.0
 
 
+def test_only_a_remote_provider_loads_requests():
+    run = _fresh_python(
+        "import sys, filingswarm.cli, filingswarm.evalrun, filingswarm.gateway.providers\n"
+        "loaded = [m for m in ('requests', 'email.utils') if m in sys.modules]\n"
+        "provider = filingswarm.gateway.providers.RemoteProvider('https://api.example/v1', 'm')\n"
+        "import requests\n"
+        "print(loaded, isinstance(provider.session, requests.Session))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[] True"
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this package."""
+    package_root = str(Path(filingswarm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
 # --- deterministic provider rules -------------------------------------------
 
 def _verdict(provider, query):
@@ -442,13 +462,8 @@ def test_plan_reply_refuses_a_question_without_its_slot():
 @pytest.mark.parametrize("first", ["filingswarm.questbench",
                                    "filingswarm.gateway.deterministic"])
 def test_questbench_and_the_provider_import_in_either_order(first):
-    package_root = str(Path(filingswarm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = (f"import {first}; import filingswarm.questbench, "
-            "filingswarm.gateway.deterministic")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
+    run = _fresh_python(f"import {first}; import filingswarm.questbench, "
+                        "filingswarm.gateway.deterministic")
     assert run.returncode == 0, run.stderr
 
 

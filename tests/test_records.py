@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,14 @@ from filingswarm.corpus.records import (
     to_embedding_text,
     validate_record,
 )
-from filingswarm.corpus.schema import FilingType, SchemaError
+from filingswarm.corpus.schema import (
+    FIELD_KINDS,
+    FieldDef,
+    FilingType,
+    SchemaError,
+    SchemaRegistry,
+    TableSchema,
+)
 
 PERIOD = date(2023, 3, 31)
 
@@ -118,6 +126,13 @@ def _with(**changes):
     return json.dumps(doc)
 
 
+def _disclosure(event_date):
+    """A well-formed adv_disclosures line but for its event_date."""
+    fields = {"period": PERIOD.isoformat(), "advisor_id": "ADV0001",
+              "event_type": "regulatory", "event_date": event_date}
+    return _with(table_id="adv_disclosures", fields=fields)
+
+
 _WRONG_TYPES = {
     "a list": ("[1, 2]", "not a JSON object"),
     "a string": ('"x"', "not a JSON object"),
@@ -140,6 +155,14 @@ _WRONG_TYPES = {
                               "is_amendment must be a boolean, got 1"),
     "is_amendment null": (_with(is_amendment=None), "is_amendment must be a boolean, got None"),
     "not UTF-8": (b"\xff", "not valid UTF-8"),
+    # Python 3.11's date.fromisoformat reads these; they would sort as text
+    # after every YYYY-MM-DD date
+    "period basic form": (_with(period="20230331"), "Invalid isoformat string: '20230331'"),
+    "period week form": (_with(period="2023-W13-5"), "Invalid isoformat string: '2023-W13-5'"),
+    "event_date basic form": (_disclosure("20231231"),
+                              "adv_disclosures.event_date: bad date '20231231'"),
+    "event_date week form": (_disclosure("2023-W52-7"),
+                             "adv_disclosures.event_date: bad date '2023-W52-7'"),
 }
 
 
@@ -194,6 +217,42 @@ def test_ingest_never_raises_and_loads_every_well_formed_line(registry, tmp_path
     assert well_formed <= set(result.store.by_record_id)
     assert not any(r.line_no == i for r in result.rejections
                    for i, (_, ok) in enumerate(lines, start=1) if ok)
+
+
+class _Int(int):
+    pass
+
+
+# one field of each kind, named after it, beside a key
+_KINDS_TABLE = TableSchema(
+    table_id="t", filing_type=FilingType.ADV, description="d",
+    fields=(FieldDef("k", "identifier"),) + tuple(FieldDef(kind, kind) for kind in FIELD_KINDS),
+    key_fields=("k",))
+_KINDS_REGISTRY = SchemaRegistry(version="t", tables={"t": _KINDS_TABLE})
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4), st.just(""),
+    st.integers().map(_Int),
+    st.sampled_from([np.int64(3), np.float64(0.5), np.float32(1.5), np.bool_(True),
+                     np.str_("x"), np.str_(""), "2023-12-31", "20231231", "2023-W52-7"]),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2), st.booleans(), st.none()),
+             max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except SchemaError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(FIELD_KINDS), value=_ANY_VALUE)
+def test_validate_record_accepts_exactly_what_check_value_accepts(kind, value):
+    record = make_record(table_id="t", fields={"k": "K", kind: value})
+    assert (_outcome(validate_record, record, _KINDS_REGISTRY)
+            == _outcome(_KINDS_TABLE.check_value, kind, value))
 
 
 def test_export_ingest_round_trip(registry, tmp_path):

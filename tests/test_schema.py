@@ -139,7 +139,8 @@ def test_field_kind_checks():
     schema.check_value("d", "2023-03-31")
     schema.check_value("l", ["a", 1])
     for name, bad in [("n", "x"), ("n", True), ("s", 3), ("i", ""),
-                      ("d", "not-a-date"), ("l", "a"), ("l", [[1]])]:
+                      ("d", "not-a-date"), ("d", "20230331"), ("d", "2023-W13-5"),
+                      ("l", "a"), ("l", [[1]])]:
         with pytest.raises(SchemaError):
             schema.check_value(name, bad)
 
@@ -156,6 +157,7 @@ def test_schema_lookups_are_built_once_and_leave_eq_hash_repr_alone():
     assert schema.field_names == ("a", "b")
     assert schema.field_name_set == frozenset({"a", "b"})
     assert schema.field_kind("a") == "text" and schema.field_kind("b") == "number"
+    assert schema._plain_types == {"a": (str,), "b": (int, float)}
     assert schema.field_names is schema.field_names
     # equality, hash and repr see only the five declared fields
     assert schema == _schema() and hash(schema) == hash(_schema())
@@ -169,7 +171,7 @@ def test_schema_lookups_are_built_once_and_leave_eq_hash_repr_alone():
     wider = replace(schema, fields=schema.fields + (FieldDef("c", "date"),))
     assert wider.field_names == ("a", "b", "c") and wider.field_kind("c") == "date"
     assert schema.field_names == ("a", "b")
-    for name in ("field_names", "field_name_set", "_kinds"):
+    for name in ("field_names", "field_name_set", "_kinds", "_plain_types"):
         with pytest.raises(TypeError):
             _schema(**{name: None})
 
