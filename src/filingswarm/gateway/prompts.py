@@ -98,7 +98,7 @@ def build_route_table_request(query: str, agent: str, candidates: Sequence[str],
                                                 persona, history))
 
 
-def build_plan_request(subquery_texts: list[str]) -> ChatRequest:
+def build_plan_request(subquery_texts: Sequence[str]) -> ChatRequest:
     return _request("plan", [f"QUERY: {text}" for text in subquery_texts],
                     max_tokens=2048)
 

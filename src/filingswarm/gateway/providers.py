@@ -84,14 +84,18 @@ def save_fixtures(provider: RecordingProvider, path: str | Path) -> None:
 
 
 def load_fixtures(path: str | Path) -> dict[str, str]:
+    """A damaged line raises ValueError naming the file and the line."""
     fixtures: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            fixtures[doc["digest"]] = doc["content"]
+            try:
+                doc = json.loads(line)
+                fixtures[doc["digest"]] = doc["content"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path} line {lineno}: {exc!r}") from exc
     return fixtures
 
 

@@ -4,7 +4,8 @@ A query is first screened (with a bounded rewrite loop for queries that look
 unanswerable as phrased), then split into sub-queries, drafted into a plan,
 enriched by per-filing expert findings, revised, and finally executed against
 a reconciled corpus view. Long-term memory short-circuits planning for
-queries seen before.
+queries seen before. Stages hand each other plain text, and a result field
+that other fields determine (a rewrite count, a memory hit) is a property.
 """
 from __future__ import annotations
 
@@ -55,41 +56,18 @@ _RE_PERIOD = re.compile(r"period\s+(\d{4}-\d{2}-\d{2})")
 
 
 @dataclass(frozen=True)
-class Query:
-    text: str
-    origin: str  # user | rewritten
-    lineage: tuple[str, ...]  # oldest first, current text last
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValueError("query text must be non-empty")
-        if self.origin not in ("user", "rewritten"):
-            raise ValueError(f"bad origin {self.origin!r}")
-        if not self.lineage or self.lineage[-1] != self.text:
-            raise ValueError("lineage must end with the current text")
-
-
-@dataclass(frozen=True)
 class ScreenResult:
-    query: Query
+    lineage: tuple[str, ...]  # the user's text first, the screened text last
     verdict: str  # non_hallucinatory | hallucinatory
     confidence: float
-    rewrites: int
 
+    @property
+    def text(self) -> str:
+        return self.lineage[-1]
 
-@dataclass(frozen=True)
-class SubQuery:
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
-class SubQuerySet:
-    parent: Query
-    subqueries: tuple[SubQuery, ...]
-
-    def texts(self) -> list[str]:
-        return [sq.text for sq in self.subqueries]
+    @property
+    def rewrites(self) -> int:
+        return len(self.lineage) - 1
 
 
 def screen_query(text: str, gateway, max_rewrites: int = 2) -> ScreenResult:
@@ -100,31 +78,26 @@ def screen_query(text: str, gateway, max_rewrites: int = 2) -> ScreenResult:
     if not text.strip():
         raise ValueError("query must be non-empty")
     lineage = [text]
-    current = text
-    rewrites = 0
     while True:
+        current = lineage[-1]
         label, confidence = read_verdict(
             gateway.complete(build_classify_request(current)).content)
-        if label == "non_hallucinatory" or rewrites >= max_rewrites:
+        if label == "non_hallucinatory" or len(lineage) > max_rewrites:
             break
         rewritten = gateway.complete(build_rewrite_request(current)).content.strip()
         if not rewritten or rewritten == current:
             break  # a no-op rewrite would loop forever; accept the verdict as is
-        current = rewritten
-        lineage.append(current)
-        rewrites += 1
-    query = Query(current, "user" if rewrites == 0 else "rewritten", tuple(lineage))
-    return ScreenResult(query, label, confidence, rewrites)
+        lineage.append(rewritten)
+    return ScreenResult(tuple(lineage), label, confidence)
 
 
-def decompose(query: Query, gateway) -> SubQuerySet:
+def decompose(text: str, gateway) -> tuple[str, ...]:
     """Split a query into retrieval-sized sub-queries, first line first."""
-    texts = read_subqueries(gateway.complete(build_decompose_request(query.text)).content)
-    if not texts:
+    subqueries = read_subqueries(gateway.complete(build_decompose_request(text)).content)
+    if not subqueries:
         log.warning("decomposition came back empty; using the query itself")
-        texts = [query.text]
-    subqueries = tuple(SubQuery(i, t) for i, t in enumerate(texts))
-    return SubQuerySet(query, subqueries)
+        return (text,)
+    return tuple(subqueries)
 
 
 def _journal_line(key: str, plan: Plan) -> str:
@@ -237,9 +210,12 @@ class LongTermMemory:
 @dataclass(frozen=True)
 class DraftResult:
     plan: Plan
-    from_memory: bool
-    attempts: int  # planning completions consumed
+    attempts: int  # planning completions consumed; only a memory hit spends none
     fallback: bool
+
+    @property
+    def from_memory(self) -> bool:
+        return self.attempts == 0
 
 
 def _validate(plan: Plan, registry: SchemaRegistry) -> Plan:
@@ -251,57 +227,54 @@ def _validate(plan: Plan, registry: SchemaRegistry) -> Plan:
     return plan
 
 
-def _fallback_plan(query: Query, gateway, registry: SchemaRegistry) -> Plan:
+def _fallback_plan(text: str, gateway, registry: SchemaRegistry) -> Plan:
     """A validated draft: a single retrieve at the generatively routed table.
     Wrong answers beat no answers here; the judge will score it."""
-    outcome = route_generative(query.text, gateway, registry)
+    outcome = route_generative(text, gateway, registry)
     if outcome.unroutable or not outcome.predicted:
         raise PlanError("planning failed and the query is unroutable")
     route = outcome.predicted[0]
     filters = ()
-    m = _RE_PERIOD.search(query.text)
+    m = _RE_PERIOD.search(text)
     if m:
         filters = (Filter("period", "eq", m.group(1)),)
     return _validate(Plan((Retrieve("r1", route.agent, route.table, filters),
                            Return("ret", "r1"))), registry)
 
 
-def draft_plan(subqueries: SubQuerySet, gateway, registry: SchemaRegistry,
+def draft_plan(text: str, subqueries: tuple[str, ...], gateway,
+               registry: SchemaRegistry,
                memory: LongTermMemory | None = None) -> DraftResult:
-    """Produce a validated draft plan: memory hit, then up to two planner
-    completions, then the single-retrieve fallback."""
-    parent = subqueries.parent
+    """Produce a validated draft plan for the query ``text``: memory hit,
+    then up to two planner completions over its sub-queries, then the
+    single-retrieve fallback."""
     if memory is not None:
-        hit = memory.lookup(parent.text)
+        hit = memory.lookup(text)
         if hit is not None:
             try:
                 _validate(hit, registry)
             except PlanError:
                 log.warning("memory plan no longer validates; replanning")
             else:
-                return DraftResult(hit, True, 0, False)
+                return DraftResult(hit, 0, False)
 
-    request = build_plan_request(subqueries.texts())
-    attempts = 0
-    last_error = ""
-    for _ in range(2):
+    request = build_plan_request(subqueries)
+    for attempts in (1, 2):
         try:
             content = gateway.complete(request).content
         except GatewayError as exc:
-            attempts += 1
             last_error = str(exc)
             break
-        attempts += 1
         try:
             plan = _validate(plan_from_json(read_plan_reply(content)), registry)
         except (PlanError, ValueError) as exc:
             last_error = str(exc)
             request = build_plan_retry(request, content, exc)
             continue
-        return DraftResult(plan, False, attempts, False)
+        return DraftResult(plan, attempts, False)
 
     log.warning("planner failed twice (%s); using fallback retrieve", last_error)
-    return DraftResult(_fallback_plan(parent, gateway, registry), False, attempts, True)
+    return DraftResult(_fallback_plan(text, gateway, registry), attempts, True)
 
 
 @dataclass(frozen=True)
@@ -402,7 +375,7 @@ def findings_to_lines(findings: tuple[Finding, ...]) -> list[str]:
     return lines
 
 
-def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
+def revise_plan(text: str, draft: Plan, findings: tuple[Finding, ...],
                 gateway, registry: SchemaRegistry,
                 memory: LongTermMemory | None = None) -> Plan:
     """One revision round over the draft given expert findings. An invalid
@@ -410,7 +383,7 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
     draft's steps without decoding them. The surviving plan is committed to
     memory."""
     draft_json = plan_to_json(draft)
-    request = build_replan_request(query.text, draft_json, findings_to_lines(findings))
+    request = build_replan_request(text, draft_json, findings_to_lines(findings))
     final = draft
     try:
         content = gateway.complete(request).content
@@ -424,7 +397,7 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
         except (PlanError, ValueError) as exc:
             log.warning("revised plan rejected (%s); keeping draft", exc)
     if memory is not None:
-        memory.store(query.text, final)
+        memory.store(text, final)
     return final
 
 
@@ -432,16 +405,24 @@ def revise_plan(query: Query, draft: Plan, findings: tuple[Finding, ...],
 class PipelineResult:
     status: str  # answered | rejected | failed
     screen: ScreenResult | None = None
-    subqueries: SubQuerySet | None = None
+    subqueries: tuple[str, ...] | None = None
     draft: Plan | None = None
     findings: tuple[Finding, ...] = ()
     final_plan: Plan | None = None
     answer: Answer | None = None
     error: str | None = None
-    from_memory: bool = False
     attempts: int = 0  # planning completions the draft consumed
     fallback: bool = False  # the draft is the single-retrieve fallback
-    revised: bool = False  # the final plan's steps differ from the draft's
+
+    @property
+    def from_memory(self) -> bool:
+        """The draft came from long-term memory."""
+        return self.draft is not None and self.attempts == 0
+
+    @property
+    def revised(self) -> bool:
+        """The final plan's steps differ from the draft's."""
+        return self.final_plan is not None and self.final_plan.steps != self.draft.steps
 
 
 def run_pipeline(text: str, gateway, view: ReconciledView,
@@ -457,26 +438,24 @@ def run_pipeline(text: str, gateway, view: ReconciledView,
     if screen.verdict != "non_hallucinatory":
         return PipelineResult(status="rejected", screen=screen,
                               error="screened out as hallucination-prone")
+    query = screen.text
     # What the stages have produced so far; a failed result keeps it too.
     reached: dict = {"screen": screen}
     try:
-        subqueries = reached["subqueries"] = decompose(screen.query, gateway)
-        drafted = draft_plan(subqueries, gateway, registry, memory)
+        subqueries = reached["subqueries"] = decompose(query, gateway)
+        drafted = draft_plan(query, subqueries, gateway, registry, memory)
         reached.update(draft=drafted.plan, attempts=drafted.attempts,
                        fallback=drafted.fallback)
-        if drafted.from_memory:
-            final = drafted.plan
-        else:
+        final = drafted.plan
+        if not drafted.from_memory:
             reached["findings"] = gather_swarm_intelligence(
-                drafted.plan, view, registry, query_text=screen.query.text,
+                drafted.plan, view, registry, query_text=query,
                 table_indexes=table_indexes, embedder=embedder)
-            final = revise_plan(screen.query, drafted.plan, reached["findings"],
+            final = revise_plan(query, drafted.plan, reached["findings"],
                                 gateway, registry, memory)
-        # an echoed revision holds the draft's own step objects
-        reached.update(final_plan=final, revised=final.steps != drafted.plan.steps)
+        reached["final_plan"] = final
         answer = execute_plan(final, view, registry)
     except (GatewayError, PlanError, ExecutionError) as exc:
         return PipelineResult(status="failed", error=f"{type(exc).__name__}: {exc}",
                               **reached)
-    return PipelineResult(status="answered", answer=answer,
-                          from_memory=drafted.from_memory, **reached)
+    return PipelineResult(status="answered", answer=answer, **reached)

@@ -10,9 +10,12 @@ generator, is stored in long-term memory, and is injected directly in tests.
 Step output types are table (rows), scalar, or the final Answer. Validation
 checks reference integrity, acyclicity, registry membership for tables and
 fields, and type agreement between producers and consumers before any
-execution happens. A plan that passes keeps a record of the registry it
-passed against and of its execution order; ``execute_plan`` runs that order
-for the same registry object and validates any other plan first.
+execution happens. Type agreement covers column kinds: each table step's
+columns keep their registry kinds through Join and groupby-sum, sum, mean
+and groupby-sum add only a ``number`` column, and no ``list`` column may be
+a group field or a join key. A plan that passes keeps a record of the registry
+it passed against and of its execution order; ``execute_plan`` runs that
+order for the same registry object and validates any other plan first.
 
 A plan is encoded once: ``plan_to_json`` keeps its JSON on the plan. The
 validation record and the JSON depend only on the steps, so one plan object
@@ -276,6 +279,7 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def _step_from_dict(raw: Mapping[str, Any], step_id: str, kind: Any) -> PlanStep:
+    # Field names are looked up in sets and dicts, so each is made a string.
     if kind == "retrieve":
         try:
             agent = FilingType.parse(raw["agent"])
@@ -283,20 +287,20 @@ def _step_from_dict(raw: Mapping[str, Any], step_id: str, kind: Any) -> PlanStep
             raise PlanError(f"step {step_id}: bad agent ({exc})")
         filters = tuple(Filter(str(f[0]), str(f[1]), f[2]) for f in raw.get("filters", ()))
         columns = raw.get("columns")
-        # Column names are looked up in a set, so each must be hashable.
         return Retrieve(step_id, agent, str(raw.get("table", "")), filters,
                         tuple(map(str, columns)) if columns is not None else None)
     if kind == "aggregate":
+        value_field = raw.get("value_field")
         return Aggregate(step_id, str(raw.get("input", "")),
                          str(raw.get("function", "")),
-                         tuple(raw.get("group_fields", ())),
-                         raw.get("value_field"))
+                         tuple(map(str, raw.get("group_fields", ()))),
+                         str(value_field) if value_field is not None else None)
     if kind == "arithmetic":
         return Arithmetic(step_id, str(raw.get("left", "")),
                           str(raw.get("right", "")), str(raw.get("op", "")))
     if kind == "join":
         return Join(step_id, str(raw.get("left", "")),
-                    str(raw.get("right", "")), tuple(raw.get("on", ())))
+                    str(raw.get("right", "")), tuple(map(str, raw.get("on", ()))))
     if kind == "return":
         return Return(step_id, str(raw.get("input", "")))
     raise PlanError(f"step {step_id}: unknown kind {kind!r}")
@@ -358,6 +362,16 @@ _SCALAR = "scalar"
 _TABLE = "table"
 
 
+def _check_value_field(s: Aggregate, cols: dict[str, str]) -> None:
+    """Raise PlanError unless the step adds up a number column of its input."""
+    kind = cols.get(s.value_field)
+    if kind is None:
+        raise PlanError(f"step {s.step_id}: value_field must name an input column")
+    if kind != "number":
+        raise PlanError(f"step {s.step_id}: {s.function} needs a number column, "
+                        f"{s.value_field!r} is {kind}")
+
+
 def _toposort(plan: Plan) -> tuple[PlanStep, ...]:
     ids = [s.step_id for s in plan.steps]
     if len(set(ids)) != len(ids):
@@ -397,7 +411,7 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
         raise PlanError(f"plan must have exactly one return step, found {len(returns)}")
 
     out_type: dict[str, str] = {}
-    out_cols: dict[str, tuple[str, ...]] = {}
+    out_cols: dict[str, dict[str, str]] = {}  # a table step's column kinds
     for s in order:
         if isinstance(s, Retrieve):
             try:
@@ -418,7 +432,7 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
             if not cols:
                 raise PlanError(f"step {s.step_id}: empty column projection")
             out_type[s.step_id] = _TABLE
-            out_cols[s.step_id] = tuple(cols)
+            out_cols[s.step_id] = {c: schema.field_kind(c) for c in cols}
         elif isinstance(s, Aggregate):
             if out_type[s.input_step] != _TABLE:
                 raise PlanError(f"step {s.step_id}: aggregate input must be a table")
@@ -430,21 +444,23 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
             elif s.function in ("sum", "mean"):
                 if s.group_fields:
                     raise PlanError(f"step {s.step_id}: {s.function} takes no group fields")
-                if s.value_field is None or s.value_field not in cols:
-                    raise PlanError(f"step {s.step_id}: value_field must name an input column")
+                _check_value_field(s, cols)
                 out_type[s.step_id] = _SCALAR
             else:  # groupby-sum
                 if not s.group_fields:
                     raise PlanError(f"step {s.step_id}: groupby-sum requires group fields")
                 for g in s.group_fields:
-                    if g not in cols:
+                    kind = cols.get(g)
+                    if kind is None:
                         raise PlanError(f"step {s.step_id}: unknown group field {g!r}")
-                if s.value_field is None or s.value_field not in cols:
-                    raise PlanError(f"step {s.step_id}: value_field must name an input column")
+                    if kind == "list":
+                        raise PlanError(f"step {s.step_id}: cannot group by list column {g!r}")
+                _check_value_field(s, cols)
                 if s.value_field in s.group_fields:
                     raise PlanError(f"step {s.step_id}: value_field cannot be grouped")
                 out_type[s.step_id] = _TABLE
-                out_cols[s.step_id] = tuple(s.group_fields) + (s.value_field,)
+                out_cols[s.step_id] = ({g: cols[g] for g in s.group_fields}
+                                       | {s.value_field: "number"})
         elif isinstance(s, Arithmetic):
             for ref in (s.left_step, s.right_step):
                 if out_type[ref] != _SCALAR:
@@ -457,11 +473,13 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
             left_cols = out_cols[s.left_step]
             right_cols = out_cols[s.right_step]
             for key in s.on_fields:
-                if key not in left_cols or key not in right_cols:
+                kinds = (left_cols.get(key), right_cols.get(key))
+                if None in kinds:
                     raise PlanError(f"step {s.step_id}: join key {key!r} missing from an operand")
-            merged = list(left_cols) + [c for c in right_cols if c not in left_cols]
+                if "list" in kinds:
+                    raise PlanError(f"step {s.step_id}: cannot join on list column {key!r}")
             out_type[s.step_id] = _TABLE
-            out_cols[s.step_id] = tuple(merged)
+            out_cols[s.step_id] = right_cols | left_cols  # the left kind wins, as its value does
         elif isinstance(s, Return):
             out_type[s.step_id] = out_type[s.input_step]
 

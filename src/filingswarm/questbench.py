@@ -601,10 +601,14 @@ def export_benchmark(instances: list[QuestionInstance], path: str | Path) -> Non
 
 
 def load_benchmark(path: str | Path) -> list[QuestionInstance]:
+    """A damaged line raises ValueError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(instance_from_dict(json.loads(line)))
+                try:
+                    out.append(instance_from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc!r}") from exc
     return out

@@ -457,7 +457,8 @@ def test_09_screening_respects_rewrite_budget(capsys):
                                   provider, max_rewrites=max_rewrites)
             assert provider.rewrite_calls <= max_rewrites
             assert result.rewrites <= provider.rewrite_calls
-            assert len(result.query.lineage) == result.rewrites + 1
+            assert result.lineage[0] == f"case {case} question with no cue"
+            assert all(a != b for a, b in zip(result.lineage, result.lineage[1:]))
             assert result.verdict in ("hallucinatory", "non_hallucinatory")
             if mode == "always":
                 # the hostile classifier burns the whole budget, never more

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -50,7 +51,7 @@ from filingswarm.gateway.types import (
     GatewayError,
     request_digest,
 )
-from filingswarm.pipeline import Query, SubQuery, SubQuerySet, draft_plan
+from filingswarm.pipeline import draft_plan
 from filingswarm.plans import Filter, plan_from_json, validate_plan
 from filingswarm.questbench import ALL_IDS, canonical_plan
 from filingswarm.routing import SwarmConfig, route_generative, route_swarm
@@ -107,6 +108,17 @@ def test_recording_then_scripted_replay(tmp_path):
     scripted = ScriptedProvider(load_fixtures(path))
     replayed = scripted.complete(request)
     assert replayed.content == live.content
+
+
+@pytest.mark.parametrize("line, error", [
+    ('{"digest": "d2", "content": ', "JSONDecodeError"),
+    ('{"digest": "d2", "reply": "x"}', "KeyError('content')"),
+])
+def test_a_damaged_fixture_line_names_the_file_and_line(tmp_path, line, error):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text('{"digest": "d1", "content": "ok"}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: {re.escape(error)}"):
+        load_fixtures(path)
 
 
 def test_scripted_raises_on_unknown_digest():
@@ -582,8 +594,7 @@ def _wire_request(name, registry):
             {"id": "r1", "kind": "retrieve", "agent": "ADV", "table": "adv_entity",
              "filters": []},
             {"id": "ret", "kind": "return", "input": "r1"}]})])
-        draft_plan(SubQuerySet(Query(E2, "user", (E2,)), (SubQuery(0, E2),)),
-                   capture, registry)
+        draft_plan(E2, (E2,), capture, registry)
     return capture.requests[1]
 
 

@@ -16,9 +16,6 @@ from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.types import ChatResponse, request_digest
 from filingswarm.pipeline import (
     LongTermMemory,
-    Query,
-    SubQuery,
-    SubQuerySet,
     draft_plan,
     revise_plan,
     run_pipeline,
@@ -207,11 +204,9 @@ def test_planner_and_reviser_replies_with_the_older_stamps_parse_to_equal_steps(
     entity = Plan((Retrieve("r1", FilingType.ADV, "adv_entity"), Return("ret", "r1")))
     brokers = Plan((Retrieve("r1", FilingType.ADV, "adv_brokers"), Return("ret", "r1")))
     text = _STAMPS["source_subquery"]
-    query = Query(text, "user", (text,))
-    drafted = draft_plan(SubQuerySet(query, (SubQuery(0, text),)),
-                         _Replies(plan=_stamped_json(entity)), registry)
+    drafted = draft_plan(text, (text,), _Replies(plan=_stamped_json(entity)), registry)
     assert not drafted.fallback and drafted.plan.steps == entity.steps
-    final = revise_plan(query, drafted.plan, (),
+    final = revise_plan(text, drafted.plan, (),
                         _Replies(replan=_stamped_json(brokers)), registry)
     assert final.steps == brokers.steps
 

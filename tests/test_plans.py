@@ -310,6 +310,15 @@ def test_unknown_filter_field_and_column():
         validate_plan(Plan((retrieve_13f(columns=()), ret())), REGISTRY)
 
 
+def _reply_plan(*steps):
+    """The plan that a planner reply decodes to: each step as sent (a dict)
+    or in its wire form, then a return of the last one."""
+    docs = [s if isinstance(s, dict) else plans.plan_to_dict(Plan((s,)))["steps"][0]
+            for s in steps]
+    docs.append({"id": "ret", "kind": "return", "input": docs[-1]["id"]})
+    return plan_from_json(json.dumps({"steps": docs}))
+
+
 def test_aggregate_validation():
     base = retrieve_13f()
     with pytest.raises(PlanError, match="value_field"):
@@ -333,6 +342,39 @@ def test_aggregate_validation():
                             Aggregate(step_id="a", input_step="r1", function="count"),
                             Aggregate(step_id="b", input_step="a", function="count"),
                             ret("b"))), REGISTRY)
+    for function in ("sum", "mean"):
+        with pytest.raises(PlanError, match=f"{function} needs a number column, "
+                                            "'issuer_name' is text"):
+            validate_plan(Plan((base, Aggregate(step_id="a", input_step="r1",
+                                                function=function,
+                                                value_field="issuer_name"),
+                                ret("a"))), REGISTRY)
+    with pytest.raises(PlanError, match="groupby-sum needs a number column"):
+        validate_plan(Plan((base, Aggregate(step_id="a", input_step="r1",
+                                            function="groupby-sum",
+                                            group_fields=("cusip",),
+                                            value_field="issuer_name"), ret("a"))), REGISTRY)
+    trusts = Retrieve("r1", FilingType.NCEN, "ncen_trust_registry")
+    with pytest.raises(PlanError, match="cannot group by list column 'fund_ids'"):
+        validate_plan(Plan((trusts, Aggregate(step_id="a", input_step="r1",
+                                              function="groupby-sum",
+                                              group_fields=("fund_ids",),
+                                              value_field="fund_count"), ret("a"))), REGISTRY)
+    # a name that is not a string in the reply names no column
+    for unhashable in (["value_usd"], {"value_usd": 1}):
+        step = {"id": "a", "kind": "aggregate", "input": "r1", "function": "sum",
+                "value_field": unhashable}
+        with pytest.raises(PlanError, match="value_field must name an input column"):
+            validate_plan(_reply_plan(base, step), REGISTRY)
+        step = dict(step, function="groupby-sum", group_fields=[unhashable],
+                    value_field="value_usd")
+        with pytest.raises(PlanError, match="unknown group field"):
+            validate_plan(_reply_plan(base, step), REGISTRY)
+    # a groupby-sum's value column is a number column downstream
+    validate_plan(Plan((base, Aggregate(step_id="g", input_step="r1", function="groupby-sum",
+                                        group_fields=("cusip",), value_field="value_usd"),
+                        Aggregate(step_id="a", input_step="g", function="sum",
+                                  value_field="value_usd"), ret("a"))), REGISTRY)
 
 
 def test_arithmetic_needs_scalars():
@@ -356,6 +398,21 @@ def test_join_needs_tables_and_shared_keys():
                             Join(step_id="j", left_step="x", right_step="y",
                                  on_fields=("cusip",)),
                             ret("j"))), REGISTRY)
+    join = {"id": "j", "kind": "join", "left": "x", "right": "y", "on": [["cusip"]]}
+    with pytest.raises(PlanError, match="join key"):
+        validate_plan(_reply_plan(retrieve_13f("x"), retrieve_13f("y"), join), REGISTRY)
+    trusts = [Retrieve(sid, FilingType.NCEN, "ncen_trust_registry") for sid in "xy"]
+    with pytest.raises(PlanError, match="cannot join on list column 'fund_ids'"):
+        validate_plan(Plan((*trusts, Join(step_id="j", left_step="x", right_step="y",
+                                          on_fields=("fund_ids",)),
+                            ret("j"))), REGISTRY)
+    # the joined table keeps each column's kind: a text column cannot be summed
+    with pytest.raises(PlanError, match="sum needs a number column, 'trust_name' is text"):
+        validate_plan(Plan((*trusts, Join(step_id="j", left_step="x", right_step="y",
+                                          on_fields=("trust_id",)),
+                            Aggregate(step_id="a", input_step="j", function="sum",
+                                      value_field="trust_name"),
+                            ret("a"))), REGISTRY)
 
 
 def test_dangling_and_cyclic_references():
@@ -481,6 +538,16 @@ def _raw_step(draw):
 
 
 _RETURN_R1 = {"id": "ret", "kind": "return", "input": "r1"}
+_ENTITY = {"id": "r1", "kind": "retrieve", "agent": "ADV", "table": "adv_entity"}
+_TRUSTS = {"kind": "retrieve", "agent": "NCEN", "table": "ncen_trust_registry"}
+
+
+def _aggregate(function, value_field, *group_fields):
+    step = {"id": "a1", "kind": "aggregate", "input": "r1", "function": function,
+            "value_field": value_field}
+    if group_fields:
+        step["group_fields"] = list(group_fields)
+    return [step, {"id": "ret", "kind": "return", "input": "a1"}]
 
 
 @settings(max_examples=400, deadline=None)
@@ -489,13 +556,30 @@ _RETURN_R1 = {"id": "ret", "kind": "return", "input": "r1"}
 # too deep for random search: validation looks an unhashable column name up
 @example(steps=[{"id": "r1", "kind": "retrieve", "agent": "ADV", "table": "adv_entity",
                  "columns": [[1]]}], returns=True)
-def test_a_planner_reply_parses_and_validates_or_raises_plan_error(steps, returns):
+# plans whose column kinds the executor cannot run
+@example(steps=[_ENTITY, *_aggregate("sum", "advisor_name")], returns=False)
+@example(steps=[_ENTITY, *_aggregate("mean", "period")], returns=False)
+@example(steps=[_ENTITY, *_aggregate("groupby-sum", "advisor_name", "advisor_id")],
+         returns=False)
+@example(steps=[dict(_TRUSTS, id="r1"), *_aggregate("groupby-sum", "fund_count", "fund_ids")],
+         returns=False)
+@example(steps=[dict(_TRUSTS, id="x"), dict(_TRUSTS, id="y"),
+                {"id": "r1", "kind": "join", "left": "x", "right": "y", "on": ["fund_ids"]}],
+         returns=True)
+def test_a_planner_reply_parses_and_validates_or_raises_plan_error(small_view, steps,
+                                                                   returns):
     """Steps with the real keys and arbitrary JSON values either give a valid
-    plan or raise PlanError: no other exception escapes to the pipeline."""
+    plan or raise PlanError, and a valid plan runs on a schema-valid view or
+    raises ExecutionError: no other exception escapes to the pipeline."""
     try:
         reply = json.dumps({"steps": steps + [_RETURN_R1] * returns})
-        validate_plan(plan_from_json(reply), REGISTRY)
+        plan = plan_from_json(reply)
+        validate_plan(plan, REGISTRY)
     except PlanError:
+        return
+    try:
+        execute_plan(plan, small_view, REGISTRY)
+    except ExecutionError:
         pass
 
 

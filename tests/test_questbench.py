@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -288,6 +289,20 @@ def test_benchmark_file_round_trip(tmp_path, bench):
     path = tmp_path / "bench.jsonl"
     export_benchmark(bench, path)
     assert load_benchmark(path) == bench
+
+
+@pytest.mark.parametrize("damage, error", [
+    (lambda line: line[:-5], "JSONDecodeError"),
+    (lambda line: line.replace('"text"', '"txet"'), "KeyError('text')"),
+])
+def test_a_damaged_benchmark_line_names_the_file_and_line(tmp_path, bench, damage, error):
+    path = tmp_path / "bench.jsonl"
+    export_benchmark(bench[:3], path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = damage(lines[1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 2: {re.escape(error)}"):
+        load_benchmark(path)
 
 
 # The export bytes of a variegated benchmark, every canonical plan and every
