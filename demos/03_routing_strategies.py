@@ -14,7 +14,6 @@ from filingswarm.corpus.schema import load_default_registry
 from filingswarm.corpus.synthetic import SyntheticConfig, generate_synthetic
 from filingswarm.evalrun import (
     build_oracle_route_embedder,
-    build_routing_indexes,
     run_routing_ablation,
 )
 from filingswarm.gateway.deterministic import DeterministicProvider
@@ -52,14 +51,11 @@ def main() -> None:
 
     # full-benchmark comparison, one line per strategy
     oracle = build_oracle_route_embedder(bench, registry)
-    persona_index, table_indexes = build_routing_indexes(registry, oracle)
     runs = [
         run_routing_ablation(bench, "generative", registry, provider=provider),
         run_routing_ablation(bench, "swarm", registry, provider=provider,
                              swarm_config=config),
-        run_routing_ablation(bench, "embedding", registry, embedder=oracle,
-                             persona_index=persona_index,
-                             table_desc_indexes=table_indexes),
+        run_routing_ablation(bench, "embedding", registry, embedder=oracle),
     ]
     print("\n=== benchmark accuracy ===")
     print(f"{'strategy':12s} {'agent':>7s} {'table|agent':>12s} {'overall':>8s}")

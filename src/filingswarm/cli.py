@@ -21,7 +21,6 @@ from .corpus.reconcile import reconcile
 from .corpus.schema import load_default_registry
 from .corpus.synthetic import SyntheticConfig, generate_synthetic
 from .evalrun import (
-    build_routing_indexes,
     report_to_json,
     report_to_markdown,
     run_agentic,
@@ -111,11 +110,8 @@ def _cmd_route_run(args: argparse.Namespace) -> int:
     instances = load_benchmark(args.bench)
     strategy = STRATEGY_NAMES[args.strategy]
     if strategy == "embedding":
-        embedder = HashFeatureEmbedder(args.dim)
-        persona_index, table_desc = build_routing_indexes(registry, embedder)
         section = run_routing_ablation(
-            instances, strategy, registry, embedder=embedder,
-            persona_index=persona_index, table_desc_indexes=table_desc,
+            instances, strategy, registry, embedder=HashFeatureEmbedder(args.dim),
             partial_credit=args.partial_credit)
     else:
         provider = _build_provider(args)

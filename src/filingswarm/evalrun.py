@@ -44,8 +44,7 @@ from .vindex import (
     IndexScope,
     MappingEmbedder,
     build_index,
-    build_persona_index,
-    build_table_description_index,
+    build_text_index,
     knn,
     r_precision,
     scope_positions,
@@ -276,22 +275,23 @@ def routing_score_to_dict(score: RoutingScore, confusion: bool = False) -> dict:
 
 
 def run_routing_ablation(instances: list[QuestionInstance], strategy: str,
-                         registry: SchemaRegistry, provider=None,
-                         embedder=None, persona_index: FlatIndex | None = None,
-                         table_desc_indexes: dict[str, FlatIndex] | None = None,
+                         registry: SchemaRegistry, provider=None, embedder=None,
                          swarm_config: SwarmConfig | None = None,
                          partial_credit: str = "fractional") -> dict:
     """Route every instance with one strategy; score split by difficulty
-    and by templated/variegated."""
+    and by templated/variegated. The embedding strategy builds its persona
+    and table-description indexes from ``embedder``."""
+    if strategy == "embedding":
+        if embedder is None:
+            raise ValueError("embedding strategy needs an embedder")
+        persona_index, table_indexes = build_routing_indexes(registry, embedder)
     outcomes: list[tuple[RoutingOutcome, list[Route]]] = []
     for instance in instances:
         n = len(instance.gold_routes)
         try:
             if strategy == "embedding":
-                if persona_index is None or table_desc_indexes is None or embedder is None:
-                    raise ValueError("embedding strategy needs embedder and indexes")
                 outcome = route_embedding(instance.text, persona_index,
-                                          table_desc_indexes, embedder, n_routes=n)
+                                          table_indexes, embedder, n_routes=n)
             elif strategy == "generative":
                 outcome = route_generative(instance.text, provider, registry, n_routes=n)
             elif strategy == "swarm":
@@ -327,9 +327,13 @@ def run_routing_ablation(instances: list[QuestionInstance], strategy: str,
 
 
 def build_routing_indexes(registry: SchemaRegistry, embedder) -> tuple[FlatIndex, dict[str, FlatIndex]]:
-    persona = build_persona_index(registry, embedder)
-    tables = {ft.value: build_table_description_index(registry, ft, embedder)
-              for ft in FilingType}
+    """The persona index, at global scope, and each agent's
+    table-description index, at that agent's scope."""
+    persona = build_text_index(
+        ((ft.value, registry.profile(ft).persona) for ft in FilingType), embedder)
+    tables = {ft.value: build_text_index(
+        ((schema.table_id, schema.description) for schema in registry.tables_for(ft)),
+        embedder, scope=IndexScope.agent(ft)) for ft in FilingType}
     return persona, tables
 
 
@@ -375,10 +379,8 @@ class GoldProvider:
 
     provider_id = "gold"
 
-    def __init__(self, instances: list[QuestionInstance], view: ReconciledView,
-                 registry: SchemaRegistry):
+    def __init__(self, instances: list[QuestionInstance], view: ReconciledView):
         self.view = view
-        self.registry = registry
         self._by_text: dict[str, QuestionInstance] = {}
         for instance in instances:
             self._by_text.setdefault(LongTermMemory.normalize(instance.text), instance)
@@ -419,7 +421,7 @@ def build_perfect_fixtures(instances: list[QuestionInstance], view: ReconciledVi
                            swarm_config: SwarmConfig | None = None) -> RecordingProvider:
     """Record gold transcripts for every flow so a ScriptedProvider can
     replay them. Returns the recorder; save_fixtures() serializes it."""
-    recorder = RecordingProvider(GoldProvider(instances, view, registry))
+    recorder = RecordingProvider(GoldProvider(instances, view))
     config = swarm_config or SwarmConfig()
     for instance in instances:
         n = len(instance.gold_routes)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .corpus.records import FilingRecord, embedding_text_rows, to_embedding_text
 from .corpus.reconcile import ReconciledView
-from .corpus.schema import FilingType, SchemaRegistry
+from .corpus.schema import FilingType
 
 # Tokens are the runs of [a-z0-9] in the lowercased text. UTF-8 encodes every
 # non-ASCII code point (lone surrogates too, under "surrogatepass") with bytes
@@ -304,21 +304,6 @@ def build_text_index(entries: Iterable[tuple[str, str]], embedder,
     vectors = embedder.embed_batch(texts) if texts else None
     return FlatIndex(scope=scope or IndexScope.global_(), dim=embedder.dim,
                      record_ids=[eid for eid, _ in pairs], vectors=vectors)
-
-
-def build_persona_index(registry: SchemaRegistry, embedder) -> FlatIndex:
-    return build_text_index(
-        ((ft.value, registry.profile(ft).persona) for ft in FilingType),
-        embedder)
-
-
-def build_table_description_index(registry: SchemaRegistry,
-                                  filing_type: FilingType, embedder) -> FlatIndex:
-    return build_text_index(
-        ((schema.table_id, schema.description)
-         for schema in registry.tables_for(filing_type)),
-        embedder,
-        scope=IndexScope.agent(filing_type))
 
 
 def canonical_distance(x: np.ndarray, q: np.ndarray) -> float:

@@ -25,7 +25,6 @@ from filingswarm.corpus.synthetic import SyntheticConfig, generate_synthetic
 from filingswarm.evalrun import (
     build_oracle_route_embedder,
     build_perfect_fixtures,
-    build_routing_indexes,
     judge_success,
     report_to_markdown,
     run_agentic,
@@ -258,11 +257,8 @@ def test_06_perfect_provider_ceiling(capsys, bench, small_view, registry):
         assert agentic["splits"]["overall"]["both"]["success_rate"] == 1.0
 
         oracle = build_oracle_route_embedder(bench, registry)
-        persona_index, table_indexes = build_routing_indexes(registry, oracle)
         emb = run_routing_ablation(bench, "embedding", registry,
-                                   embedder=oracle,
-                                   persona_index=persona_index,
-                                   table_desc_indexes=table_indexes)
+                                   embedder=oracle)
         assert emb["splits"]["overall"]["both"]["acc_overall"] == 1.0
 
 

@@ -15,7 +15,6 @@ from filingswarm.evalrun import (
     build_oracle_retrieval_embedder,
     build_oracle_route_embedder,
     build_perfect_fixtures,
-    build_routing_indexes,
     build_scope_indexes,
     judge_success,
     render_agentic_markdown,
@@ -39,7 +38,7 @@ from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index
 
 @pytest.fixture(scope="module")
 def gold(bench, small_view, registry):
-    return GoldProvider(bench, small_view, registry)
+    return GoldProvider(bench, small_view)
 
 
 @pytest.fixture(scope="module")
@@ -231,11 +230,8 @@ def test_oracle_retrieval_embedder_is_a_true_ceiling(bench, small_view, registry
 
 def test_oracle_route_embedder_routes_every_question(bench, registry):
     oracle = build_oracle_route_embedder(bench, registry)
-    persona_index, table_indexes = build_routing_indexes(registry, oracle)
     report = run_routing_ablation(bench, "embedding", registry,
-                                  embedder=oracle,
-                                  persona_index=persona_index,
-                                  table_desc_indexes=table_indexes)
+                                  embedder=oracle)
     assert report["strategy"] == "embedding"
     cell = report["splits"]["overall"]["both"]
     assert cell["acc_agent"] == 1.0
@@ -250,7 +246,7 @@ def test_oracle_route_embedder_routes_every_question(bench, registry):
 
 
 def test_routing_ablation_guards(bench, registry):
-    with pytest.raises(ValueError, match="embedding strategy needs"):
+    with pytest.raises(ValueError, match="embedding strategy needs an embedder"):
         run_routing_ablation(bench[:1], "embedding", registry)
     with pytest.raises(ValueError, match="unknown strategy"):
         run_routing_ablation(bench[:1], "psychic", registry)
@@ -461,9 +457,6 @@ def test_report_json_is_key_sorted_and_byte_stable(bench, registry):
     assert report_to_json(first).endswith("\n")
 
     oracle = build_oracle_route_embedder(bench, registry)
-    persona_index, table_indexes = build_routing_indexes(registry, oracle)
-    runs = [run_routing_ablation(bench, "embedding", registry, embedder=oracle,
-                                 persona_index=persona_index,
-                                 table_desc_indexes=table_indexes)
+    runs = [run_routing_ablation(bench, "embedding", registry, embedder=oracle)
             for _ in range(2)]
     assert report_to_json(runs[0]) == report_to_json(runs[1])

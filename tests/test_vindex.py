@@ -21,6 +21,7 @@ from filingswarm import vindex
 from filingswarm.corpus import records as records_module
 from filingswarm.corpus.records import FilingRecord, to_embedding_text
 from filingswarm.corpus.schema import FilingType
+from filingswarm.evalrun import build_routing_indexes
 from filingswarm.vindex import (
     FlatIndex,
     HashFeatureEmbedder,
@@ -28,8 +29,6 @@ from filingswarm.vindex import (
     IndexScope,
     MappingEmbedder,
     build_index,
-    build_persona_index,
-    build_table_description_index,
     build_text_index,
     canonical_distance,
     knn,
@@ -189,10 +188,9 @@ def test_index_rejects_duplicate_ids():
 
 def test_persona_and_table_description_indexes(registry):
     embedder = HashFeatureEmbedder(32)
-    personas = build_persona_index(registry, embedder)
+    personas, table_indexes = build_routing_indexes(registry, embedder)
     assert sorted(personas.record_ids) == ["13F", "ADV", "NCEN", "NCSR", "NMFP", "NPORT"]
-    from filingswarm.corpus.schema import FilingType
-    tables = build_table_description_index(registry, FilingType.NPORT, embedder)
+    tables = table_indexes[FilingType.NPORT.value]
     assert sorted(tables.record_ids) == [
         "nport_derivatives", "nport_fund_info", "nport_holdings"]
 
