@@ -213,6 +213,8 @@ class RemoteProvider:
                 if resp.status_code == 200:
                     try:
                         content = resp.json()["choices"][0]["message"]["content"]
+                        if not isinstance(content, str):  # null for a refusal or tool call
+                            raise TypeError(f"content is {content!r}")
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise RemoteError(f"malformed completion response: {exc}")
                     return ChatResponse(content=content,

@@ -273,7 +273,8 @@ def draft_plan(text: str, subqueries: tuple[str, ...], gateway,
             continue
         return DraftResult(plan, attempts, False)
 
-    log.warning("planner failed twice (%s); using fallback retrieve", last_error)
+    log.warning("planner failed after %d attempt(s) (%s); using fallback retrieve",
+                attempts, last_error)
     return DraftResult(_fallback_plan(text, gateway, registry), attempts, True)
 
 

@@ -28,6 +28,8 @@ Execution semantics, fixed here because they matter for scoring:
   and ISO date strings compare lexicographically.
 - sum of an empty input is 0.0; mean of an empty input is an execution
   error; nulls are skipped by sum and mean.
+- A sum, mean, groupby-sum or arithmetic result that is not a finite float
+  (inf, nan, or an integer too large for a float) is an execution error.
 - Join is an inner equi-join; null keys never match; on column-name
   collisions the left value wins.
 - Return coerces: scalar stays Scalar, a single-column table becomes a
@@ -687,6 +689,13 @@ def _join(left: _Table, right: _Table, on_fields: tuple[str, ...]) -> _Table:
     return _Table(left.columns + extra, data)
 
 
+def _finite(value: float | _Table) -> bool:
+    """A scalar, or the sum column of a groupby-sum table, holds no inf or nan."""
+    if isinstance(value, _Table):
+        return all(map(math.isfinite, value.data[value.columns[-1]]))
+    return math.isfinite(value)
+
+
 def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> Answer:
     """Run a plan over a reconciled view. A plan that has not passed
     ``validate_plan`` against this registry object is validated first."""
@@ -704,17 +713,20 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
                                        selected)
         elif isinstance(s, Aggregate):
             table_in: _Table = values[s.input_step]
-            if s.function == "count":
-                values[s.step_id] = float(len(table_in))
-            elif s.function == "sum":
-                values[s.step_id] = float(sum(filter(_present, table_in.data[s.value_field])))
-            elif s.function == "mean":
-                present = list(filter(_present, table_in.data[s.value_field]))
-                if not present:
-                    raise ExecutionError(f"step {s.step_id}: mean of empty input")
-                values[s.step_id] = float(sum(present)) / len(present)
-            else:
-                values[s.step_id] = _groupby_sum(table_in, s.group_fields, s.value_field)
+            try:
+                if s.function == "count":
+                    values[s.step_id] = float(len(table_in))
+                elif s.function == "sum":
+                    values[s.step_id] = float(sum(filter(_present, table_in.data[s.value_field])))
+                elif s.function == "mean":
+                    present = list(filter(_present, table_in.data[s.value_field]))
+                    if not present:
+                        raise ExecutionError(f"step {s.step_id}: mean of empty input")
+                    values[s.step_id] = float(sum(present)) / len(present)
+                else:
+                    values[s.step_id] = _groupby_sum(table_in, s.group_fields, s.value_field)
+            except OverflowError:  # an integer too large for a float
+                raise ExecutionError(f"step {s.step_id}: non-finite result") from None
         elif isinstance(s, Arithmetic):
             left = values[s.left_step]
             right = values[s.right_step]
@@ -728,12 +740,12 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
                 if right == 0:
                     raise ExecutionError(f"step {s.step_id}: division by zero")
                 values[s.step_id] = left / right
-            if not math.isfinite(values[s.step_id]):
-                raise ExecutionError(f"step {s.step_id}: non-finite result")
         elif isinstance(s, Join):
             values[s.step_id] = _join(values[s.left_step], values[s.right_step], s.on_fields)
         elif isinstance(s, Return):
             result = values[s.input_step]
+        if isinstance(s, (Aggregate, Arithmetic)) and not _finite(values[s.step_id]):
+            raise ExecutionError(f"step {s.step_id}: non-finite result")
 
     return _coerce_answer(result, frozenset(support))
 

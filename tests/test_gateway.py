@@ -49,9 +49,11 @@ from filingswarm.gateway.types import (
     ChatResponse,
     FixtureMissError,
     GatewayError,
+    RateLimitError,
+    RemoteError,
     request_digest,
 )
-from filingswarm.pipeline import draft_plan
+from filingswarm.pipeline import draft_plan, run_pipeline
 from filingswarm.plans import Filter, plan_from_json, validate_plan
 from filingswarm.questbench import ALL_IDS, canonical_plan
 from filingswarm.routing import SwarmConfig, route_generative, route_swarm
@@ -278,6 +280,111 @@ def test_remote_provider_waits_as_retry_after_asks(monkeypatch, retry_after, wai
     monkeypatch.setattr(providers.time, "sleep", sleep)
     assert provider.complete(msg("hello")).content == "ok"
     assert slept == waits
+
+
+class _Raises(_Replies):
+    """Like ``_Replies``, but raises an exception in the list."""
+
+    def post(self, *args, **kwargs):
+        reply = super().post(*args, **kwargs)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+class _Body(_Reply):
+    """An HTTP 200 reply whose body is ``body``, or raises it."""
+
+    def __init__(self, body):
+        super().__init__(200)
+        self.body = body
+
+    def json(self):
+        if isinstance(self.body, Exception):
+            raise self.body
+        return self.body
+
+
+def _remote(session, **options):
+    options.setdefault("rate_per_sec", 1000.0)
+    return RemoteProvider(endpoint="https://api.example/v1/chat", model="m",
+                          session=session, **options)
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """Each wait the provider backs off for; none is slept."""
+    waits = []
+    monkeypatch.setattr(providers.time, "sleep", waits.append)
+    return waits
+
+
+def test_remote_provider_retries_a_request_exception(slept):
+    provider = _remote(_Raises([requests.ConnectionError("reset"), _Reply(200)]))
+    assert provider.complete(msg("hello")).content == "ok"
+    assert slept == [0.5]
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_remote_provider_raises_a_client_error_at_once(slept, status):
+    session = _Replies([_Reply(status), _Reply(200)])
+    with pytest.raises(RemoteError, match=rf"^endpoint returned HTTP {status}$"):
+        _remote(session).complete(msg("hello"))
+    assert slept == []
+    assert len(session.replies) == 1
+
+
+# OpenAI-compatible endpoints send a null content for a refusal or a tool call.
+_MALFORMED = {
+    "null-content": ({"choices": [{"message": {"content": None}}]}, "content is None"),
+    "list-content": ({"choices": [{"message": {"content": ["ok"]}}]},
+                     "content is ['ok']"),
+    "no-choices": ({"choices": []}, "list index out of range"),
+    "no-message": ({"choices": [{}]}, "'message'"),
+    "list-body": ([], "list indices must be integers or slices, not str"),
+    "not-json": (ValueError("Expecting value"), "Expecting value"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_remote_provider_rejects_a_malformed_completion(slept, case):
+    body, detail = _MALFORMED[case]
+    with pytest.raises(RemoteError) as raised:
+        _remote(_Replies([_Body(body)])).complete(msg("hello"))
+    assert str(raised.value) == f"malformed completion response: {detail}"
+    assert slept == []
+
+
+def test_a_null_remote_reply_fails_the_pipeline(registry, small_view, slept):
+    provider = _remote(_Replies([_Body({"choices": [{"message": {"content": None}}]})]))
+    result = run_pipeline(E2, provider, small_view, registry)
+    assert result.status == "failed"
+    assert result.error == "RemoteError: malformed completion response: content is None"
+
+
+@pytest.mark.parametrize("last, error", [
+    (_Reply(503), "transient HTTP 503"),
+    (requests.ConnectionError("reset"), "reset"),
+], ids=["http-503", "request-exception"])
+def test_remote_provider_names_its_attempts_and_last_error_once_retries_run_out(
+        slept, last, error):
+    session = _Raises([_Reply(503), _Reply(429), last, _Reply(200)])
+    with pytest.raises(RemoteError) as raised:
+        _remote(session, max_retries=2).complete(msg("hello"))
+    assert str(raised.value) == f"remote completion failed after 3 attempts: {error}"
+    assert slept == [0.5, 1.0]
+    assert len(session.replies) == 1
+
+
+def test_remote_provider_raises_rate_limit_error_when_no_token_comes_in_time(slept):
+    # one token to start with, and the next is about 1,000 s away
+    session = _Replies([_Reply(200), _Reply(200)])
+    provider = _remote(session, rate_per_sec=0.001, timeout=1.0)
+    assert provider.complete(msg("first")).content == "ok"
+    with pytest.raises(RateLimitError, match="no request token available in time"):
+        provider.complete(msg("second"))
+    assert slept == []
+    assert len(session.replies) == 1
 
 
 def test_retry_after_reads_delta_seconds_and_each_http_date_form():

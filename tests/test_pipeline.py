@@ -6,7 +6,9 @@ failure-path guarantees use small scripted providers instead.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
+from datetime import date
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filingswarm.corpus.reconcile import reconcile
-from filingswarm.corpus.records import build_store
+from filingswarm.corpus.records import FilingRecord, build_store
 from filingswarm.corpus.schema import FilingType, load_default_registry
 from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
@@ -387,6 +389,28 @@ def test_draft_fixture_miss_propagates(registry):
         draft_plan(AUM_QUERY, (AUM_QUERY,), ScriptedProvider({}), registry)
 
 
+def _planner_down(request):
+    raise GatewayError("down")
+
+
+@pytest.mark.parametrize("plan, logged", [
+    (_planner_down, "planner failed after 1 attempt(s) (down); using fallback retrieve"),
+    ("CANNOT PLAN",
+     "planner failed after 2 attempt(s) (planner declined); using fallback retrieve"),
+], ids=["gateway-error", "two-rejected-replies"])
+def test_draft_logs_how_many_planner_attempts_it_made(registry, caplog, plan, logged):
+    det = DeterministicProvider()
+
+    def routed(request):
+        return det.complete(request).content
+
+    provider = _TagProvider({"plan": plan, "route_agent": routed, "route_table": routed})
+    with caplog.at_level(logging.WARNING, logger=pipeline.log.name):
+        result = draft_plan(AUM_QUERY, (AUM_QUERY,), provider, registry)
+    assert result.fallback
+    assert [r.getMessage() for r in caplog.records] == [logged]
+
+
 # ---------------------------------------------------------------------------
 # Findings
 
@@ -722,6 +746,34 @@ def test_pipeline_reports_execution_failures(registry, small_view):
     assert result.answer is None
 
 
+_SUM_AUM = (
+    '{"steps": [{"id": "r1", "kind": "retrieve", "agent": "ADV", '
+    '"table": "adv_entity"}, '
+    '{"id": "a1", "kind": "aggregate", "input": "r1", "function": "sum", '
+    '"value_field": "regulatory_aum"}, '
+    '{"id": "ret", "kind": "return", "input": "a1"}]}')
+
+
+def test_pipeline_fails_on_a_sum_too_large_for_a_float(registry):
+    # the schema takes a JSON integer of any size; float() of this one overflows
+    record = FilingRecord(
+        record_id="AADV-0:0", accession_id="AADV-0", filing_type=FilingType.ADV,
+        table_id="adv_entity", filer_id="ADV0001", period=date(2023, 3, 31),
+        is_amendment=False, amends=None,
+        fields={"period": "2023-03-31", "advisor_id": "ADV0001", "regulatory_aum": 10**400})
+    view = reconcile(build_store([record], registry))
+    provider = _TagProvider({
+        "classify": "non_hallucinatory 0.99",
+        "decompose": _user_query,
+        "plan": _SUM_AUM,
+        "replan": "CANNOT PLAN",
+    })
+    result = run_pipeline("Get the total AUM of every advisor.", provider, view, registry)
+    assert result.status == "failed"
+    assert result.error == "ExecutionError: step a1: non-finite result"
+    assert result.final_plan is not None and result.answer is None
+
+
 def test_a_failed_memory_plan_still_reports_the_memory_hit(registry, small_view):
     memory = LongTermMemory()
     memory.store("Get the mean AUM of nobody.", plans.plan_from_json(_EMPTY_MEAN))
@@ -890,3 +942,33 @@ def test_every_pipeline_stage_records_a_benchmark_span(tmp_path):
         workload.run_pass(state, tracer, 0, tracer.now)
     recorded = {span.name for span in tracer.spans}
     assert [stage for stage in _STAGES if span_names[stage] not in recorded] == []
+
+
+# Patch targets that a tiny pass of every workload leaves uncalled, each with
+# its reason. A target that stops being called and is not listed here would
+# read 0 in the benchmark without a warning.
+_UNCALLED_TARGETS = {
+    "pipeline.route_generative": "the fallback plan is not needed at this size",
+    "plans.validate_plan": "the pipeline validates through its own name first",
+    "routing.knn": "routing ranks its indexes itself; the name stays for the patch",
+    "vindex.to_embedding_text": "the hash embedder counts record chunks without "
+                                "rendering record texts",
+}
+
+
+def test_every_patch_target_outside_the_known_list_is_called(tmp_path):
+    """Each target gets a span named after its own module and attribute, so
+    targets that share a layer's span name are told apart."""
+    targets = {f"{module.__name__.rsplit('.', 1)[-1]}.{attr}": (module, attr)
+               for module, attr, _, _ in layers.PATCHES}
+    tracer = Tracer()
+    for name, workload in WORKLOADS.items():
+        generate_inputs(workload, 6, Sizes(records_per_table=120, filers=8, per_template=2,
+                                           variegate_n=1), tmp_path / name)
+        with tracer.installed([(module, attr, target, None)
+                               for target, (module, attr) in targets.items()]):
+            state = workload.setup(tmp_path / name, tracer)
+            workload.run_pass(state, tracer, 0, tracer.now)
+    uncalled = set(targets) - {span.name for span in tracer.spans}
+    assert set(_UNCALLED_TARGETS) <= set(targets)
+    assert uncalled <= set(_UNCALLED_TARGETS), sorted(uncalled - set(_UNCALLED_TARGETS))

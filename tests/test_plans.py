@@ -279,6 +279,108 @@ def test_execution_is_deterministic(view):
     assert a == b
 
 
+# Sums over MGR0001's holdings: options 500.00, all 1000.50 + 2000.25 + 500.00.
+_ARITHMETIC = {
+    "add": 4000.75,
+    "sub": -3000.75,
+    "mul": 1750375.0,
+    "div": 500.0 / 3500.75,
+}
+
+
+@pytest.mark.parametrize("op", list(_ARITHMETIC))
+def test_arithmetic_ops(view, op):
+    answer = run(view,
+                 retrieve_13f("opt", filters=[MGR1, Filter("security_class", "contains", "OPT")]),
+                 Aggregate(step_id="num", input_step="opt", function="sum",
+                           value_field="value_usd"),
+                 retrieve_13f("all", filters=[MGR1]),
+                 Aggregate(step_id="den", input_step="all", function="sum",
+                           value_field="value_usd"),
+                 Arithmetic(step_id="x", left_step="num", right_step="den", op=op),
+                 Return(step_id="ret", input_step="x"))
+    assert answer.value == _ARITHMETIC[op]
+
+
+# The right operand is a groupby-sum table, so the join indexes its columns
+# itself rather than a retrieve's selection. Sums by put_call over all four
+# holdings: null 1000.50 + 2000.25 + 99.00, CALL 500.00; by manager:
+# MGR0001 3500.75, MGR0002 99.00.
+_DERIVED_JOINS = {
+    # the three null-put_call rows on the left never meet the null group
+    "null keys": ("put_call", (("CALL", "CUS000003", 500.0),)),
+    "manager": ("manager_id", (("MGR0001", "CUS000001", 3500.75),
+                               ("MGR0001", "CUS000002", 3500.75),
+                               ("MGR0001", "CUS000003", 3500.75),
+                               ("MGR0002", "CUS000001", 99.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(_DERIVED_JOINS))
+def test_join_with_a_derived_right_operand(view, case):
+    key, rows = _DERIVED_JOINS[case]
+    answer = run(view,
+                 retrieve_13f("left", columns=(key, "cusip")),
+                 retrieve_13f("all"),
+                 Aggregate(step_id="sums", input_step="all", function="groupby-sum",
+                           group_fields=(key,), value_field="value_usd"),
+                 Join(step_id="j", left_step="left", right_step="sums", on_fields=(key,)),
+                 Return(step_id="ret", input_step="j"))
+    assert answer.columns == (key, "cusip", "value_usd")
+    assert answer.rows == rows
+
+
+def _adv_view(*aums):
+    """One adv_entity record per ``regulatory_aum`` value, all in one state.
+    The schema takes a JSON integer of any size."""
+    store = CorpusStore(REGISTRY)
+    for i, aum in enumerate(aums):
+        store.add(_rec("adv_entity", FilingType.ADV, f"AADV-{i}", 0,
+                       {"advisor_id": f"ADV{i:04d}", "advisor_name": "Big Advisors",
+                        "state": "NY", "regulatory_aum": aum}))
+    return reconcile(store)
+
+
+_ADV = Retrieve(step_id="r1", agent=FilingType.ADV, table="adv_entity")
+_AUM_AGGREGATES = {
+    "sum": Aggregate(step_id="a", input_step="r1", function="sum",
+                     value_field="regulatory_aum"),
+    "mean": Aggregate(step_id="a", input_step="r1", function="mean",
+                      value_field="regulatory_aum"),
+    "groupby-sum": Aggregate(step_id="a", input_step="r1", function="groupby-sum",
+                             group_fields=("state",), value_field="regulatory_aum"),
+}
+
+
+@pytest.mark.parametrize("aums", [(10**400,), (1e308, 1e308)],
+                         ids=["huge-int", "overflowing-sum"])
+@pytest.mark.parametrize("function", list(_AUM_AGGREGATES))
+def test_an_aggregate_without_a_finite_result_is_an_execution_error(function, aums):
+    with pytest.raises(ExecutionError, match=r"^step a: non-finite result$"):
+        run(_adv_view(*aums), _ADV, _AUM_AGGREGATES[function], Return("ret", "a"))
+
+
+@pytest.mark.parametrize("function, expected", [
+    ("sum", Scalar(1e308, frozenset({"AADV-0:0"}))),
+    ("mean", Scalar(1e308, frozenset({"AADV-0:0"}))),
+    ("groupby-sum", TableValue(("state", "regulatory_aum"), (("NY", 1e308),),
+                               frozenset({"AADV-0:0"}))),
+])
+def test_an_aggregate_keeps_the_largest_finite_values(function, expected):
+    assert run(_adv_view(1e308), _ADV, _AUM_AGGREGATES[function],
+               Return("ret", "a")) == expected
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_arithmetic_without_a_finite_result_is_an_execution_error(op):
+    with pytest.raises(ExecutionError, match=r"^step x: non-finite result$"):
+        run(_adv_view(1e308), _ADV, _AUM_AGGREGATES["sum"],
+            Aggregate(step_id="b", input_step="r1", function="sum",
+                      value_field="regulatory_aum"),
+            Arithmetic(step_id="x", left_step="a", right_step="b", op=op),
+            Return("ret", "x"))
+
+
 # --- validation --------------------------------------------------------------
 
 def ret(input_step="r1"):

@@ -182,6 +182,39 @@ def test_ingest_rejects_a_line_of_the_wrong_json_type(registry, tmp_path, case):
     assert [r.record_id for r in result.store.records] == ["R0", "R1"]
 
 
+_NCEN_FIELDS = {"period": PERIOD.isoformat(), "trust_id": "TR0001", "fund_id": "FND0001"}
+
+# Lines that follow record R0 of the ADV accession ACC0 (filer ADV0001), and
+# the rejections they get: a line number, or 0 for an amendment link that
+# ingest checks once every line is in.
+_LINK_CASES = {
+    "amendment without target": (
+        [_with(is_amendment=True, amends=None)],
+        [(2, "amendment without target")]),
+    "amends another filer": (
+        [_with(filer_id="ADV0002", is_amendment=True, amends="ACC0")],
+        [(0, "accession ACC9 amends ACC0 of a different filing_type or filer")]),
+    "amends another filing type": (
+        [_with(record_id="N1", accession_id="ACCN", filing_type="NCEN",
+               table_id="ncen_fund_registry", fields=_NCEN_FIELDS),
+         _with(is_amendment=True, amends="ACCN")],
+        [(0, "accession ACC9 amends ACCN of a different filing_type or filer")]),
+    "target not in the file": (  # reconciliation rejects a dangling target
+        [_with(is_amendment=True, amends="ACC404")],
+        []),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINK_CASES))
+def test_ingest_checks_amendment_links(registry, tmp_path, case):
+    lines, rejections = _LINK_CASES[case]
+    path = tmp_path / "corpus.jsonl"
+    first = json.dumps(record_to_dict(make_record(record_id="R0", accession="ACC0")))
+    path.write_text("\n".join([first, *lines]) + "\n")
+    result = ingest_jsonl(path, registry)
+    assert [(r.line_no, r.reason) for r in result.rejections] == rejections
+
+
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
