@@ -103,7 +103,8 @@ def build_plan_request(subquery_texts: Sequence[str]) -> ChatRequest:
                     max_tokens=2048)
 
 
-def build_replan_request(query: str, plan_json: str, findings_lines: list[str]) -> ChatRequest:
+def build_replan_request(query: str, plan_json: str,
+                         findings_lines: Sequence[str]) -> ChatRequest:
     lines = [f"QUERY: {query}", f"DRAFT_PLAN: {plan_json}", "FINDINGS:"]
     lines.extend(f"- {entry}" for entry in findings_lines)
     return _request("replan", lines, max_tokens=2048)

@@ -14,12 +14,13 @@ import logging
 import os
 import re
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from .corpus.reconcile import ReconciledView
-from .corpus.schema import FilingType, SchemaRegistry
+from .corpus.schema import SchemaRegistry
 from .gateway.prompts import (
     build_classify_request,
     build_decompose_request,
@@ -278,23 +279,6 @@ def draft_plan(text: str, subqueries: tuple[str, ...], gateway,
     return DraftResult(_fallback_plan(text, gateway, registry), attempts, True)
 
 
-@dataclass(frozen=True)
-class Finding:
-    agent: FilingType
-    table_id: str
-    step_id: str
-    matched_record_count: int
-    sample_record_ids: tuple[str, ...]  # at most 10
-    # (field, non-null fraction) over the matched records; () when none match
-    field_coverage: tuple[tuple[str, float], ...]
-    # When no record matches: the first filter after which no rows remain
-    # (None when the table itself is empty), and the distinct non-null values
-    # of that filter's field among the query's semantic neighbors in the
-    # table, at most 3, nearest first.
-    emptying_filter: Filter | None = None
-    neighbor_values: tuple[Any, ...] = ()
-
-
 def _emptying_filter(view: ReconciledView, step: Retrieve) -> Filter | None:
     """The first filter of a step that matches nothing after which no rows
     remain, found by matching ever longer prefixes of its filters."""
@@ -322,69 +306,55 @@ def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
                               registry: SchemaRegistry,
                               query_text: str | None = None,
                               table_indexes: dict[str, FlatIndex] | None = None,
-                              embedder=None, k: int = 10) -> tuple[Finding, ...]:
-    """Each filing expert named by the plan probes its own tables.
+                              embedder=None, k: int = 10) -> tuple[str, ...]:
+    """Each filing expert named by the plan probes its own tables and
+    writes one finding line per retrieve step: the text the reviser reads.
 
-    A retrieve step that matches records reports how many, a sample of
-    their ids and how often each field is filled. A step that matches none
-    names the filter that empties its selection and, given a table index,
-    which values of that filter's field the query's k semantic neighbors
-    hold: what the filter missed. Only such a step searches the index, and
-    the query is embedded at most once per call."""
-    findings = []
+    A step that matches records says how many, then names the first three
+    fields that some of them leave null (a non-null share below 1 at three
+    decimals). A step that matches none names the filter that empties its
+    selection and, given a table index, which values of that filter's field
+    the query's k semantic neighbors hold: what the filter missed. Only such
+    a step searches the index, and the query is embedded at most once per
+    call."""
+    lines = []
     query_vector = None
     for step in plan.steps:
         if not isinstance(step, Retrieve):
             continue
         matched = select_records(view, step)
+        line = (f"{step.agent.value}/{step.table} step {step.step_id}: "
+                f"{len(matched)} records match")
         if matched:
-            coverage = tuple((name, round(matched.filled(name) / len(matched), 3))
-                             for name in registry.table(step.table).field_names)
-            findings.append(Finding(step.agent, step.table, step.step_id, len(matched),
-                                    matched.record_ids()[:10], coverage))
-            continue
-        emptying = _emptying_filter(view, step)
-        values: tuple[Any, ...] = ()
-        index = (table_indexes or {}).get(step.table)
-        if (emptying is not None and index is not None and len(index)
-                and embedder is not None and query_text):
-            if query_vector is None:
-                query_vector = embedder.embed(query_text)
-            hits = knn(index, query_vector, min(k, len(index)))
-            values = _neighbor_values(view, (record_id for record_id, _ in hits),
-                                      emptying.field)
-        findings.append(Finding(step.agent, step.table, step.step_id, 0, (), (),
-                                emptying, values))
-    return tuple(findings)
-
-
-def findings_to_lines(findings: tuple[Finding, ...]) -> list[str]:
-    lines = []
-    for f in findings:
-        sparse = [name for name, frac in f.field_coverage if frac < 1.0]
-        line = (f"{f.agent.value}/{f.table_id} step {f.step_id}: "
-                f"{f.matched_record_count} records match")
-        if sparse:
-            line += f"; sparse fields: {', '.join(sparse[:3])}"
-        e = f.emptying_filter
-        if e is not None:
-            line += f"; no rows remain after {e.field} {e.op} {e.value!r}"
-            if f.neighbor_values:
-                shown = ", ".join(map(repr, f.neighbor_values))
-                line += f"; nearest records have {e.field} {shown}"
+            sparse = [name for name in registry.table(step.table).field_names
+                      if round(matched.filled(name) / len(matched), 3) < 1.0]
+            if sparse:
+                line += f"; sparse fields: {', '.join(sparse[:3])}"
+        elif (emptying := _emptying_filter(view, step)) is not None:
+            line += f"; no rows remain after {emptying.field} {emptying.op} {emptying.value!r}"
+            index = (table_indexes or {}).get(step.table)
+            if index is not None and len(index) and embedder is not None and query_text:
+                if query_vector is None:
+                    query_vector = embedder.embed(query_text)
+                hits = knn(index, query_vector, min(k, len(index)))
+                values = _neighbor_values(view, (record_id for record_id, _ in hits),
+                                          emptying.field)
+                if values:
+                    line += (f"; nearest records have {emptying.field} "
+                             f"{', '.join(map(repr, values))}")
         lines.append(line)
-    return lines
+    return tuple(lines)
 
 
-def revise_plan(text: str, draft: Plan, findings: tuple[Finding, ...],
+def revise_plan(text: str, draft: Plan, findings: Sequence[str],
                 gateway, registry: SchemaRegistry,
                 memory: LongTermMemory | None = None) -> Plan:
-    """One revision round over the draft given expert findings. An invalid
-    revision keeps the draft. A reply that is the draft's own JSON keeps the
-    draft's steps without decoding them. The surviving plan is committed to
-    memory."""
+    """One revision round over the draft given the experts' finding lines,
+    which the replan request carries as they are. An invalid revision keeps
+    the draft. A reply that is the draft's own JSON keeps the draft's steps
+    without decoding them. The surviving plan is committed to memory."""
     draft_json = plan_to_json(draft)
-    request = build_replan_request(text, draft_json, findings_to_lines(findings))
+    request = build_replan_request(text, draft_json, findings)
     final = draft
     try:
         content = gateway.complete(request).content
@@ -408,7 +378,7 @@ class PipelineResult:
     screen: ScreenResult | None = None
     subqueries: tuple[str, ...] | None = None
     draft: Plan | None = None
-    findings: tuple[Finding, ...] = ()
+    findings: tuple[str, ...] = ()  # the finding lines the reviser read
     final_plan: Plan | None = None
     answer: Answer | None = None
     error: str | None = None

@@ -28,6 +28,10 @@ Execution semantics, fixed here because they matter for scoring:
   and ISO date strings compare lexicographically.
 - sum of an empty input is 0.0; mean of an empty input is an execution
   error; nulls are skipped by sum and mean.
+- sum, mean and groupby-sum add the same way: from 0.0, each value
+  converted to a float, left to right. So they agree with one another on
+  any Python version (``sum()`` adds integers exactly, and floats with
+  compensation from 3.12 on).
 - A sum, mean, groupby-sum or arithmetic result that is not a finite float
   (inf, nan, or an integer too large for a float) is an execution error.
 - Join is an inner equi-join; null keys never match; on column-name
@@ -59,8 +63,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from operator import is_not
+from functools import partial, reduce
+from operator import add, is_not
 from typing import Any, Mapping
 
 from .corpus.reconcile import ReconciledView
@@ -689,6 +693,12 @@ def _join(left: _Table, right: _Table, on_fields: tuple[str, ...]) -> _Table:
     return _Table(left.columns + extra, data)
 
 
+def _add_up(values) -> float:
+    """0.0 plus each value as a float, left to right, as ``_groupby_sum``
+    adds each group: one addition rule for sum, mean and groupby-sum."""
+    return reduce(add, map(float, values), 0.0)
+
+
 def _finite(value: float | _Table) -> bool:
     """A scalar, or the sum column of a groupby-sum table, holds no inf or nan."""
     if isinstance(value, _Table):
@@ -717,12 +727,12 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
                 if s.function == "count":
                     values[s.step_id] = float(len(table_in))
                 elif s.function == "sum":
-                    values[s.step_id] = float(sum(filter(_present, table_in.data[s.value_field])))
+                    values[s.step_id] = _add_up(filter(_present, table_in.data[s.value_field]))
                 elif s.function == "mean":
                     present = list(filter(_present, table_in.data[s.value_field]))
                     if not present:
                         raise ExecutionError(f"step {s.step_id}: mean of empty input")
-                    values[s.step_id] = float(sum(present)) / len(present)
+                    values[s.step_id] = _add_up(present) / len(present)
                 else:
                     values[s.step_id] = _groupby_sum(table_in, s.group_fields, s.value_field)
             except OverflowError:  # an integer too large for a float

@@ -266,16 +266,13 @@ def route_swarm(query: str, provider, registry: SchemaRegistry,
         return RoutingOutcome((), strategy="swarm",
                               transcript=tuple(transcript), unroutable=True)
 
+    # an answered proposal is complete: it holds a route for every slot
     final: list[Route] = []
     for slot in range(n_routes):
         votes: dict[tuple[str, str], int] = {}
         for proposal in answered:
-            if slot < len(proposal):
-                key = (proposal[slot].agent.value, proposal[slot].table)
-                votes[key] = votes.get(key, 0) + 1
-        if not votes:
-            return RoutingOutcome(tuple(final), strategy="swarm",
-                                  transcript=tuple(transcript), unroutable=True)
+            key = (proposal[slot].agent.value, proposal[slot].table)
+            votes[key] = votes.get(key, 0) + 1
         best = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
         final.append(Route(FilingType.parse(best[0]), best[1]))
 

@@ -381,6 +381,30 @@ def test_run_agentic_records_failures_instead_of_aborting(reps, small_view, regi
         assert record["error"].startswith("GatewayError")
 
 
+class _FirstCallCrashes:
+    """Raises a non-gateway error on its first completion, then defers."""
+    provider_id = "crashes-once"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("provider crashed")
+        return self.inner.complete(request)
+
+
+def test_run_agentic_records_an_unexpected_provider_error(reps, small_view, registry, gold):
+    report = run_agentic(reps[:2], _FirstCallCrashes(gold), small_view, registry)
+    crashed, answered = report["records"]
+    assert crashed["status"] == "failed" and crashed["success"] is False
+    assert crashed["error"] == "RuntimeError: provider crashed"
+    assert answered["status"] == "answered" and answered["success"] is True
+    assert report["splits"]["overall"]["both"]["wins"] == 1
+
+
 def test_run_agentic_rejects_bad_worker_count(reps, small_view, registry, gold):
     with pytest.raises(ValueError, match="workers"):
         run_agentic(reps[:1], gold, small_view, registry, workers=0)

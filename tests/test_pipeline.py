@@ -6,7 +6,9 @@ failure-path guarantees use small scripted providers instead.
 """
 from __future__ import annotations
 
+import ast
 import logging
+import re
 from dataclasses import replace
 from datetime import date
 from unittest import mock
@@ -24,12 +26,10 @@ from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import ChatResponse, FixtureMissError, GatewayError
 from filingswarm import pipeline, plans, vindex
 from filingswarm.pipeline import (
-    Finding,
     LongTermMemory,
     PipelineResult,
     decompose,
     draft_plan,
-    findings_to_lines,
     gather_swarm_intelligence,
     revise_plan,
     run_pipeline,
@@ -421,17 +421,14 @@ _PUTS_Q1 = (Filter("period", "eq", "2023-03-31"), Filter("put_call", "eq", "PUT"
 
 def test_findings_probe_matches_and_coverage(registry, small_view):
     plan = Plan((Retrieve("r1", _13F, "thirteenf_holdings"), Return("ret", "r1")))
-    findings = gather_swarm_intelligence(plan, small_view, registry)
-    assert len(findings) == 1
-    finding = findings[0]
+    (line,) = gather_swarm_intelligence(plan, small_view, registry)
     table_rows = small_view.table_records("thirteenf_holdings")
-    assert finding.matched_record_count == len(table_rows)
-    assert len(finding.sample_record_ids) == min(10, len(table_rows))
-    coverage = dict(finding.field_coverage)
-    assert coverage["value_usd"] == 1.0
-    assert 0.0 < coverage["put_call"] < 1.0  # cash rows leave it null
-    assert finding.emptying_filter is None
-    assert finding.neighbor_values == ()
+    sparse = [name for name in registry.table("thirteenf_holdings").field_names
+              if any(r.fields.get(name) is None for r in table_rows)]
+    assert "put_call" in sparse  # cash rows leave it null
+    assert "value_usd" not in sparse
+    assert line == (f"13F/thirteenf_holdings step r1: {len(table_rows)} records match; "
+                    f"sparse fields: {', '.join(sparse[:3])}")
 
 
 class _CountingEmbedder:
@@ -474,7 +471,8 @@ def test_findings_of_a_matching_step_search_nothing(registry, small_view, indexe
     findings = gather_swarm_intelligence(
         plan, small_view, registry, query_text="put options",
         table_indexes=indexes, embedder=counting)
-    assert [f.matched_record_count > 0 for f in findings] == [True, True]
+    assert [re.search(r": [1-9]\d* records match", line) is not None
+            for line in findings] == [True, True]
     assert counting.calls == 0
     assert knn_calls == []
     assert findings == gather_swarm_intelligence(plan, small_view, registry)
@@ -497,19 +495,16 @@ def test_findings_name_the_filter_that_empties_the_selection(registry, small_vie
                                                              filters, emptying):
     embedder, indexes = indexed
     plan = _zero_match(filters)
-    (finding,) = gather_swarm_intelligence(
+    (line,) = gather_swarm_intelligence(
         plan, small_view, registry, query_text="put options on treasuries",
         table_indexes=indexes, embedder=embedder, k=5)
-    assert finding.matched_record_count == 0
-    assert finding.sample_record_ids == ()
-    assert finding.field_coverage == ()
-    assert finding.emptying_filter == filters[emptying]
     # every shorter prefix keeps rows; the prefix ending at that filter keeps none
     for n in range(1, len(filters) + 1):
         prefix = Retrieve("p", _13F, "thirteenf_holdings", filters[:n])
         assert bool(plans.select_records(small_view, prefix)) == (n <= emptying)
     # the values come from the 5 nearest records, nearest first, each once
-    field = filters[emptying].field
+    emptied = filters[emptying]
+    field = emptied.field
     index = indexes["thirteenf_holdings"]
     nearest = [small_view.by_record_id[rid].fields.get(field) for rid, _ in
                vindex.knn(index, embedder.embed("put options on treasuries"), 5)]
@@ -517,13 +512,13 @@ def test_findings_name_the_filter_that_empties_the_selection(registry, small_vie
     for value in nearest:
         if value is not None and value not in expected:
             expected.append(value)
-    assert finding.neighbor_values == tuple(expected[:3])
-    assert finding.neighbor_values
+    assert expected
+    named = (f"13F/thirteenf_holdings step r1: 0 records match; "
+             f"no rows remain after {field} {emptied.op} {emptied.value!r}")
+    assert line == f"{named}; nearest records have {field} {', '.join(map(repr, expected[:3]))}"
 
     # without an index the filter is still named, with no values
-    (bare,) = gather_swarm_intelligence(plan, small_view, registry)
-    assert bare.emptying_filter == filters[emptying]
-    assert bare.neighbor_values == ()
+    assert gather_swarm_intelligence(plan, small_view, registry) == (named,)
 
 
 def test_findings_of_an_empty_table_name_no_filter(registry, monkeypatch):
@@ -533,15 +528,10 @@ def test_findings_of_an_empty_table_name_no_filter(registry, monkeypatch):
         empty, IndexScope.table("thirteenf_holdings"), embedder)}
     knn_calls = _knn_calls(monkeypatch)
     for filters in ((), _PUTS_Q1):
-        (finding,) = gather_swarm_intelligence(
+        assert gather_swarm_intelligence(
             _zero_match(filters), empty, registry, query_text="put options",
-            table_indexes=indexes, embedder=embedder)
-        assert finding.matched_record_count == 0
-        assert finding.field_coverage == ()
-        assert finding.emptying_filter is None
-        assert finding.neighbor_values == ()
-        assert findings_to_lines((finding,)) == [
-            "13F/thirteenf_holdings step r1: 0 records match"]
+            table_indexes=indexes, embedder=embedder) == (
+            "13F/thirteenf_holdings step r1: 0 records match",)
     assert knn_calls == []
 
 
@@ -550,13 +540,15 @@ def test_findings_include_semantic_neighbors_when_indexed(registry, small_view, 
     embedder, indexes = indexed
     knn_calls = _knn_calls(monkeypatch)
     plan = _zero_match((Filter("security_class", "eq", "OPT PUT"),))
-    (finding,) = gather_swarm_intelligence(
+    (line,) = gather_swarm_intelligence(
         plan, small_view, registry, query_text="OPT-PUT option positions",
         table_indexes=indexes, embedder=embedder, k=5)
     assert knn_calls == [5]
-    assert finding.neighbor_values
-    assert len(finding.neighbor_values) <= 3
-    assert set(finding.neighbor_values) <= {"COM", "OPT-PUT", "OPT-CALL"}
+    named, nearest = line.split("; nearest records have security_class ")
+    assert named.endswith("no rows remain after security_class eq 'OPT PUT'")
+    values = ast.literal_eval(f"({nearest},)")
+    assert 1 <= len(values) <= 3
+    assert set(values) <= {"COM", "OPT-PUT", "OPT-CALL"}
 
     # k beyond the index searches every row
     knn_calls.clear()
@@ -573,8 +565,8 @@ def test_findings_embed_the_query_once_per_call(registry, small_view, indexed):
              Retrieve("r3", FilingType.parse("ADV"), "adv_entity",
                       (Filter("period", "eq", "1999-12-31"),)))
     expected = tuple(
-        finding for step in steps
-        for finding in gather_swarm_intelligence(
+        line for step in steps
+        for line in gather_swarm_intelligence(
             Plan((step, Return("ret", step.step_id))), small_view, registry,
             query_text="option positions", table_indexes=indexes,
             embedder=embedder, k=5))
@@ -585,7 +577,7 @@ def test_findings_embed_the_query_once_per_call(registry, small_view, indexed):
         embedder=counting, k=5)
     assert counting.calls == 1  # two zero-match steps share one query vector
     assert findings == expected
-    assert [bool(f.neighbor_values) for f in findings] == [True, False, True]
+    assert ["; nearest records have " in line for line in findings] == [True, False, True]
 
     gather_swarm_intelligence(
         Plan(steps + (Return("ret", "r1"),)), small_view, registry,
@@ -593,25 +585,40 @@ def test_findings_embed_the_query_once_per_call(registry, small_view, indexed):
     assert counting.calls == 1  # no step has a table index
 
 
-def test_findings_lines_format():
-    matched = Finding(
-        agent=_13F, table_id="thirteenf_holdings",
-        step_id="r1", matched_record_count=2,
-        sample_record_ids=("a", "b"),
-        field_coverage=(("period", 1.0), ("put_call", 0.5)))
-    emptied = Finding(
-        agent=_13F, table_id="thirteenf_holdings", step_id="r2",
-        matched_record_count=0, sample_record_ids=(), field_coverage=(),
-        emptying_filter=Filter("value_usd", "range", (1, 2)))
-    assert findings_to_lines((
-        matched, emptied,
-        replace(emptied, emptying_filter=Filter("put_call", "eq", "put"),
-                neighbor_values=("PUT", "CALL")))) == [
-        "13F/thirteenf_holdings step r1: 2 records match; sparse fields: put_call",
+def _holding(n, period, put_call):
+    return FilingRecord(
+        record_id=f"A13F-{n}:0", accession_id=f"A13F-{n}", filing_type=_13F,
+        table_id="thirteenf_holdings", filer_id="MGR0001",
+        period=date.fromisoformat(period), is_amendment=False, amends=None,
+        fields={"period": period, "manager_id": "MGR0001", "manager_name": "Summit Advisors",
+                "issuer_name": "Acme Corp", "cusip": f"00000000{n}", "security_class": "OPT",
+                "put_call": put_call, "value_usd": 1000.0, "shares": 10.0})
+
+
+def test_findings_lines_format(registry):
+    view = reconcile(build_store([_holding(0, "2023-03-31", "PUT"),
+                                  _holding(1, "2023-03-31", None),
+                                  _holding(2, "2023-06-30", "CALL")], registry))
+    embedder = HashFeatureEmbedder(32)
+    indexes = {"thirteenf_holdings": build_index(
+        view, IndexScope.table("thirteenf_holdings"), embedder)}
+
+    def lines(step, **indexed):
+        return gather_swarm_intelligence(Plan((step, Return("ret", step.step_id))),
+                                         view, registry, **indexed)
+
+    assert lines(Retrieve("r1", _13F, "thirteenf_holdings",
+                          (Filter("period", "eq", "2023-03-31"),))) == (
+        "13F/thirteenf_holdings step r1: 2 records match; sparse fields: put_call",)
+    assert lines(Retrieve("r2", _13F, "thirteenf_holdings",
+                          (Filter("value_usd", "range", (1, 2)),))) == (
         "13F/thirteenf_holdings step r2: 0 records match; "
-        "no rows remain after value_usd range (1, 2)",
+        "no rows remain after value_usd range (1, 2)",)
+    assert lines(Retrieve("r2", _13F, "thirteenf_holdings",
+                          (Filter("put_call", "eq", "put"),)),
+                 query_text="put options", table_indexes=indexes, embedder=embedder) == (
         "13F/thirteenf_holdings step r2: 0 records match; "
-        "no rows remain after put_call eq 'put'; nearest records have put_call 'PUT', 'CALL'"]
+        "no rows remain after put_call eq 'put'; nearest records have put_call 'PUT', 'CALL'",)
 
 
 def test_findings_lines_golden(registry, small_view, indexed):
@@ -621,14 +628,13 @@ def test_findings_lines_golden(registry, small_view, indexed):
                           (Filter("period", "eq", "2023-06-30"),
                            Filter("security_class", "eq", "OPT PUT"))),
                  Return("ret", "r1")))
-    findings = gather_swarm_intelligence(
+    assert gather_swarm_intelligence(
         plan, small_view, registry, query_text="OPT-PUT positions for period 2023-06-30",
-        table_indexes=indexes, embedder=embedder)
-    assert findings_to_lines(findings) == [
+        table_indexes=indexes, embedder=embedder) == (
         "13F/thirteenf_holdings step r1: 64 records match; sparse fields: put_call",
         "13F/thirteenf_holdings step r2: 0 records match; "
         "no rows remain after security_class eq 'OPT PUT'; "
-        "nearest records have security_class 'OPT-PUT', 'OPT-CALL', 'COM'"]
+        "nearest records have security_class 'OPT-PUT', 'OPT-CALL', 'COM'")
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +701,29 @@ def test_revise_keeps_the_draft_when_the_reviser_fails(registry):
     provider = _TagProvider({"replan": "CANNOT PLAN"})
     final = revise_plan(AUM_QUERY, draft, (), provider, registry)
     assert final == draft
+
+
+def _reviser_down(request):
+    raise GatewayError("reviser is down")
+
+
+def test_revise_keeps_and_stores_the_draft_when_the_reviser_raises(registry, small_view,
+                                                                  caplog):
+    det = DeterministicProvider()
+    provider = _TagProvider({tag: _reviser_down if tag == "replan"
+                             else (lambda request: det.complete(request).content)
+                             for tag in ("classify", "decompose", "plan", "replan")})
+    memory = LongTermMemory()
+    draft = draft_plan(AUM_QUERY, (AUM_QUERY,), det, registry).plan
+    with caplog.at_level(logging.WARNING, logger=pipeline.log.name):
+        assert revise_plan(AUM_QUERY, draft, (), provider, registry, memory) is draft
+    assert [r.getMessage() for r in caplog.records] == [
+        "revision failed (reviser is down); keeping draft"]
+    assert memory.lookup(AUM_QUERY) is draft
+
+    result = run_pipeline(AUM_QUERY, provider, small_view, registry, LongTermMemory())
+    assert result.status == "answered"
+    assert result.final_plan is result.draft and not result.revised
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import sys
 import threading
 from dataclasses import replace
 from datetime import date
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +26,7 @@ from filingswarm.corpus.schema import (
     TableSchema,
     load_default_registry,
 )
-from filingswarm import plans
+from filingswarm import plans, questbench
 from filingswarm.pipeline import gather_swarm_intelligence
 from filingswarm.plans import (
     Aggregate,
@@ -351,12 +353,26 @@ _AUM_AGGREGATES = {
 }
 
 
-@pytest.mark.parametrize("aums", [(10**400,), (1e308, 1e308)],
-                         ids=["huge-int", "overflowing-sum"])
+@pytest.mark.parametrize("aums", [(10**400,), (1e308, 1e308), (10**400, -10**400)],
+                         ids=["huge-int", "overflowing-sum", "cancelling-huge-ints"])
 @pytest.mark.parametrize("function", list(_AUM_AGGREGATES))
 def test_an_aggregate_without_a_finite_result_is_an_execution_error(function, aums):
     with pytest.raises(ExecutionError, match=r"^step a: non-finite result$"):
         run(_adv_view(*aums), _ADV, _AUM_AGGREGATES[function], Return("ret", "a"))
+
+
+def test_every_aggregate_adds_each_value_as_a_float_left_to_right():
+    # exact integer addition gives 2**53 + 2; adding one float at a time drops each 1
+    view = _adv_view(2**53, 1, 1)
+    support = frozenset({"AADV-0:0", "AADV-1:0", "AADV-2:0"})
+    total = 9007199254740992.0
+    assert questbench._sum(r.fields["regulatory_aum"]
+                           for r in view.table_records("adv_entity")) == total
+    assert run(view, _ADV, _AUM_AGGREGATES["sum"], Return("ret", "a")) == Scalar(total, support)
+    assert run(view, _ADV, _AUM_AGGREGATES["groupby-sum"], Return("ret", "a")) == \
+        TableValue(("state", "regulatory_aum"), (("NY", total),), support)
+    assert run(view, _ADV, _AUM_AGGREGATES["mean"], Return("ret", "a")) == \
+        Scalar(3002399751580330.5, support)
 
 
 @pytest.mark.parametrize("function, expected", [
@@ -894,7 +910,7 @@ def test_investigate_and_execute_match_each_retrieve_once():
     findings = gather_swarm_intelligence(plan, view, _T_REGISTRY)
     answer = execute_plan(plan, view, _T_REGISTRY)
     assert view.matched == ["t", "t"]  # two distinct (table, filters) keys
-    assert [f.matched_record_count for f in findings] == [10, 20]
+    assert [line.split(": ")[1] for line in findings] == ["10 records match", "20 records match"]
     assert execute_plan(plan, view, _T_REGISTRY) == answer
     assert view.matched == ["t", "t"]
     assert answer_to_dict(answer) == answer_to_dict(_rowwise_execute(plan, view, _T_REGISTRY))
@@ -945,11 +961,11 @@ def _rowwise_execute(plan, view, registry):
             if s.function == "count":
                 values[s.step_id] = float(len(rows))
             elif s.function == "sum":
-                values[s.step_id] = float(sum(present))
+                values[s.step_id] = reduce(add, map(float, present), 0.0)
             elif s.function == "mean":
                 if not present:
                     raise ExecutionError(f"step {s.step_id}: mean of empty input")
-                values[s.step_id] = float(sum(present)) / len(present)
+                values[s.step_id] = reduce(add, map(float, present), 0.0) / len(present)
             else:
                 groups, originals = {}, {}
                 for row in rows:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from filingswarm.corpus.schema import (
     SchemaError,
     TableSchema,
     load_default_registry,
+    registry_from_dict,
 )
 
 EXPECTED_TABLES = {
@@ -194,6 +198,42 @@ def test_schema_rejects_duplicate_fields_and_missing_keys():
 def test_unknown_field_kind_rejected():
     with pytest.raises(SchemaError):
         FieldDef("x", "blob")
+
+
+def _default_doc():
+    path = resources.files("filingswarm.corpus").joinpath("assets/schema_registry.json")
+    return json.loads(path.read_text("utf-8"))
+
+
+def _duplicate_table(doc):
+    doc["tables"].append(dict(doc["tables"][-1]))
+
+
+def _drop_nmfp_tables(doc):
+    doc["tables"] = [t for t in doc["tables"] if t["filing_type"] != "NMFP"]
+
+
+def _second_13f_table(doc):
+    holdings = next(t for t in doc["tables"] if t["filing_type"] == "THIRTEEN_F")
+    doc["tables"].append(dict(holdings, table_id="thirteenf_more_holdings"))
+
+
+def _drop_adv_persona(doc):
+    del doc["personas"]["ADV"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_duplicate_table, "duplicate table_id: ncsr_portfolio"),
+    (_drop_nmfp_tables, "NMFP: filing type owns no tables"),
+    (_second_13f_table, "THIRTEEN_F must own exactly one table"),
+    (_drop_adv_persona, "ADV: missing agent profile"),
+], ids=["duplicate-table-id", "type-without-tables", "two-13f-tables", "missing-persona"])
+def test_a_damaged_registry_document_is_a_schema_error(damage, message):
+    doc = _default_doc()
+    registry_from_dict(doc)  # the document as shipped loads
+    damage(doc)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        registry_from_dict(doc)
 
 
 def test_default_registry_is_cached_per_call():
