@@ -621,6 +621,18 @@ def test_findings_lines_format(registry):
         "no rows remain after put_call eq 'put'; nearest records have put_call 'PUT', 'CALL'",)
 
 
+@pytest.mark.parametrize("rows, line", [
+    (1000, "13F/thirteenf_holdings step r1: 1000 records match; sparse fields: put_call"),
+    # a share of 2000/2001 rounds to 1.0 at three decimals
+    (2001, "13F/thirteenf_holdings step r1: 2001 records match"),
+])
+def test_findings_name_a_field_sparse_at_three_decimals(registry, rows, line):
+    records = [_holding(n, "2023-03-31", "PUT" if n else None) for n in range(rows)]
+    view = reconcile(build_store(records, registry))
+    plan = Plan((Retrieve("r1", _13F, "thirteenf_holdings"), Return("ret", "r1")))
+    assert gather_swarm_intelligence(plan, view, registry) == (line,)
+
+
 def test_findings_lines_golden(registry, small_view, indexed):
     embedder, indexes = indexed
     plan = Plan((Retrieve("r1", _13F, "thirteenf_holdings", _PUTS_Q1[:1]),
