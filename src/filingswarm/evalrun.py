@@ -25,7 +25,7 @@ from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType, SchemaRegistry
 from .gateway.prompts import CANNOT_PLAN, REFUSAL, parse_prompt
 from .gateway.providers import RecordingProvider
-from .gateway.types import ChatRequest, ChatResponse, FixtureMissError, GatewayError
+from .gateway.types import ChatRequest, FixtureMissError, GatewayError
 from .pipeline import LongTermMemory, run_pipeline
 from .plans import Answer, ListValue, Scalar, TableValue, plan_to_json
 from .questbench import TEMPLATES, QuestionInstance, canonical_plan
@@ -260,6 +260,20 @@ def _instance_difficulty(instance: QuestionInstance) -> str:
     return TEMPLATES[instance.template_id].difficulty
 
 
+def _splits(instances: list[QuestionInstance], items: list, cell) -> dict[str, dict]:
+    """``cell`` of the items, one per instance, that fall in each difficulty
+    and variant split; a split with no instance is left out."""
+    splits: dict[str, dict] = {}
+    for difficulty in DIFFICULTIES:
+        for variant in VARIANTS:
+            subset = [item for item, instance in zip(items, instances)
+                      if difficulty in ("overall", _instance_difficulty(instance))
+                      and variant in ("both", instance.variant)]
+            if subset:
+                splits.setdefault(difficulty, {})[variant] = cell(subset)
+    return splits
+
+
 def routing_score_to_dict(score: RoutingScore, confusion: bool = False) -> dict:
     doc = {
         "acc_agent": score.acc_agent,
@@ -303,20 +317,12 @@ def run_routing_ablation(instances: list[QuestionInstance], strategy: str,
             outcome = RoutingOutcome((), strategy, (), unroutable=True)
         outcomes.append((outcome, list(instance.gold_routes)))
 
-    splits: dict[str, dict] = {}
-    for difficulty in DIFFICULTIES:
-        for variant in VARIANTS:
-            subset = [
-                pair for pair, instance in zip(outcomes, instances)
-                if (difficulty == "overall"
-                    or _instance_difficulty(instance) == difficulty)
-                and (variant == "both" or instance.variant == variant)]
-            if not subset:
-                continue
-            score = score_routing(subset, partial_credit)
-            with_confusion = difficulty == "overall" and variant == "both"
-            splits.setdefault(difficulty, {})[variant] = routing_score_to_dict(
-                score, confusion=with_confusion)
+    scores = _splits(instances, outcomes, lambda pairs: score_routing(pairs, partial_credit))
+    splits = {
+        difficulty: {variant: routing_score_to_dict(
+            score, confusion=difficulty == "overall" and variant == "both")
+            for variant, score in row.items()}
+        for difficulty, row in scores.items()}
     return {
         "kind": "routing",
         "strategy": strategy,
@@ -377,8 +383,6 @@ class GoldProvider:
     """Answers every prompt perfectly from benchmark gold. Questions are
     recognized by text (normalized), including variegated rewrites."""
 
-    provider_id = "gold"
-
     def __init__(self, instances: list[QuestionInstance], view: ReconciledView):
         self.view = view
         self._by_text: dict[str, QuestionInstance] = {}
@@ -389,11 +393,10 @@ class GoldProvider:
     def _lookup(self, query: str) -> QuestionInstance | None:
         return self._by_text.get(LongTermMemory.normalize(query))
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
         prompt = parse_prompt(request.last_user_content())
         query = prompt.queries[0] if prompt.queries else ""
-        content = self._dispatch(request.tag, query, prompt.covered, prompt.draft_plan)
-        return ChatResponse(content=content, provider_id=self.provider_id)
+        return self._dispatch(request.tag, query, prompt.covered, prompt.draft_plan)
 
     def _dispatch(self, tag: str, query: str, covered: int, draft: str) -> str:
         if tag == "classify":
@@ -411,9 +414,7 @@ class GoldProvider:
             if instance is None:
                 return CANNOT_PLAN
             return plan_to_json(canonical_plan(instance, self.view))
-        if tag == "replan":
-            return draft if draft else CANNOT_PLAN
-        raise GatewayError(f"unknown tag {tag!r}")
+        return draft if draft else CANNOT_PLAN  # replan
 
 
 def build_perfect_fixtures(instances: list[QuestionInstance], view: ReconciledView,
@@ -484,14 +485,7 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(evaluate, items))
 
-    splits: dict[str, dict] = {}
-    for difficulty in DIFFICULTIES:
-        for variant in VARIANTS:
-            subset = [r for r in records
-                      if (difficulty == "overall" or r["difficulty"] == difficulty)
-                      and (variant == "both" or r["variant"] == variant)]
-            if subset:
-                splits.setdefault(difficulty, {})[variant] = _success_cell(subset)
+    splits = _splits(instances, records, _success_cell)
 
     per_filing: dict[str, dict] = {}
     expanded_records: dict[str, list[dict]] = {}

@@ -13,7 +13,6 @@ without reading the corpus.
 from __future__ import annotations
 
 import re
-import time
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -22,7 +21,7 @@ from ..corpus.schema import FilingType
 from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
 from ..questbench import TEMPLATES
 from .prompts import CANNOT_PLAN, REFUSAL, Prompt, parse_prompt
-from .types import ChatRequest, ChatResponse, GatewayError
+from .types import ChatRequest
 
 _CUE_WORDS = (
     "get", "calculate", "identify", "list", "what", "how many", "retrieve",
@@ -184,17 +183,11 @@ def _guess_total_assets(slots: dict[str, str]) -> Plan:
 
 
 class DeterministicProvider:
-    provider_id = "deterministic"
+    """One ``_do_<tag>`` rule per request tag."""
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        start = time.perf_counter()
+    def complete(self, request: ChatRequest) -> str:
         prompt = parse_prompt(request.last_user_content())
-        handler = getattr(self, f"_do_{request.tag}", None)
-        if handler is None:
-            raise GatewayError(f"no rule for tag {request.tag!r}")
-        content = handler(" ".join(prompt.queries), prompt)
-        return ChatResponse(content=content, provider_id=self.provider_id,
-                            latency=time.perf_counter() - start)
+        return getattr(self, f"_do_{request.tag}")(" ".join(prompt.queries), prompt)
 
     # -- screening ---------------------------------------------------------
 

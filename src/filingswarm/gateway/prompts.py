@@ -1,7 +1,7 @@
 """The prompt wire format of every gateway call site, in both directions.
 
-System prompts live as text assets. A user message is a block of lines, each
-starting with one of these prefixes:
+A request is its tag and its messages (see ``types``). A user message is a
+block of lines, each starting with one of these prefixes:
 
 - ``QUERY: <text>``: the question; a plan prompt has one line per sub-query.
 - ``AGENT: <filing type>``: the agent whose tables a table prompt offers.
@@ -28,7 +28,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from importlib import resources
 
 from .types import ChatRequest, GatewayError
 
@@ -37,19 +36,8 @@ CANNOT_PLAN = "CANNOT PLAN"
 REFUSAL = "none of these"
 
 
-@lru_cache(maxsize=None)
-def system_prompt(tag: str) -> str:
-    ref = resources.files("filingswarm.assets.prompts").joinpath(f"{tag}.txt")
-    return ref.read_text(encoding="utf-8")
-
-
-def _request(tag: str, lines: list[str], max_tokens: int = 512) -> ChatRequest:
-    return ChatRequest(
-        system_prompt=system_prompt(tag),
-        messages=(("user", "\n".join(lines)),),
-        max_tokens=max_tokens,
-        tag=tag,
-    )
+def _request(tag: str, lines: list[str]) -> ChatRequest:
+    return ChatRequest(tag, (("user", "\n".join(lines)),))
 
 
 def build_classify_request(query: str) -> ChatRequest:
@@ -64,50 +52,33 @@ def build_decompose_request(query: str) -> ChatRequest:
     return _request("decompose", [f"QUERY: {query}"])
 
 
-def _route_lines(query: str, agent: str | None, candidates: Sequence[str],
-                 covered: list[tuple[str, str]], persona: str | None,
-                 history: list[str] | None) -> list[str]:
-    lines = []
-    if persona:
-        lines.append(f"PERSONA: {persona}")
+def build_route_request(query: str, candidates: Sequence[str],
+                        covered: Sequence[tuple[str, str]] = (),
+                        agent: str | None = None, persona: str | None = None,
+                        history: Sequence[str] = ()) -> ChatRequest:
+    """An agent route prompt, or a table route prompt when ``agent`` is
+    given: the tables offered are that agent's."""
+    lines = [f"PERSONA: {persona}"] if persona else []
     lines.append(f"QUERY: {query}")
     if agent is not None:
         lines.append(f"AGENT: {agent}")
     lines.append(f"CANDIDATES: {CANDIDATE_SEP.join(candidates)}")
-    for cov_agent, cov_table in covered:
-        lines.append(f"ALREADY: agent={cov_agent} table={cov_table}")
+    lines.extend(f"ALREADY: agent={a} table={t}" for a, t in covered)
     if history:
         lines.append("HISTORY:")
         lines.extend(f"- {entry}" for entry in history)
-    return lines
-
-
-def build_route_agent_request(query: str, candidates: Sequence[str],
-                              covered: list[tuple[str, str]] = (),
-                              persona: str | None = None,
-                              history: list[str] | None = None) -> ChatRequest:
-    return _request("route_agent", _route_lines(query, None, candidates, covered,
-                                                persona, history))
-
-
-def build_route_table_request(query: str, agent: str, candidates: Sequence[str],
-                              covered: list[tuple[str, str]] = (),
-                              persona: str | None = None,
-                              history: list[str] | None = None) -> ChatRequest:
-    return _request("route_table", _route_lines(query, agent, candidates, covered,
-                                                persona, history))
+    return _request("route_agent" if agent is None else "route_table", lines)
 
 
 def build_plan_request(subquery_texts: Sequence[str]) -> ChatRequest:
-    return _request("plan", [f"QUERY: {text}" for text in subquery_texts],
-                    max_tokens=2048)
+    return _request("plan", [f"QUERY: {text}" for text in subquery_texts])
 
 
 def build_replan_request(query: str, plan_json: str,
                          findings_lines: Sequence[str]) -> ChatRequest:
     lines = [f"QUERY: {query}", f"DRAFT_PLAN: {plan_json}", "FINDINGS:"]
     lines.extend(f"- {entry}" for entry in findings_lines)
-    return _request("replan", lines, max_tokens=2048)
+    return _request("replan", lines)
 
 
 def build_variegate_request(query: str, variant_index: int) -> ChatRequest:

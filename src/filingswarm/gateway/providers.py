@@ -18,8 +18,8 @@ if TYPE_CHECKING:
     import requests
 
 from .types import (
+    TEMPERATURE,
     ChatRequest,
-    ChatResponse,
     FixtureMissError,
     RateLimitError,
     RemoteError,
@@ -28,9 +28,7 @@ from .types import (
 
 
 class Provider(Protocol):
-    provider_id: str
-
-    def complete(self, request: ChatRequest) -> ChatResponse: ...
+    def complete(self, request: ChatRequest) -> str: ...
 
 
 class ScriptedProvider:
@@ -40,20 +38,16 @@ class ScriptedProvider:
     silently answered from some other source would not be a replay.
     """
 
-    provider_id = "scripted"
-
     def __init__(self, fixtures: dict[str, str]):
         self.fixtures = dict(fixtures)
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
         digest = request_digest(request)
         try:
-            content = self.fixtures[digest]
+            return self.fixtures[digest]
         except KeyError:
             raise FixtureMissError(
                 f"fixture miss: tag={request.tag!r} digest={digest[:12]}...")
-        return ChatResponse(content=content, provider_id=self.provider_id,
-                            from_cache=True)
 
 
 class RecordingProvider:
@@ -61,16 +55,15 @@ class RecordingProvider:
 
     def __init__(self, inner: Provider):
         self.inner = inner
-        self.provider_id = inner.provider_id
         self.captured: dict[str, str] = {}
         self.log: list[tuple[str, str, str]] = []
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        response = self.inner.complete(request)
+    def complete(self, request: ChatRequest) -> str:
+        reply = self.inner.complete(request)
         digest = request_digest(request)
-        self.captured[digest] = response.content
-        self.log.append((digest, request.tag, response.content))
-        return response
+        self.captured[digest] = reply
+        self.log.append((digest, request.tag, reply))
+        return reply
 
 
 def save_fixtures(provider: RecordingProvider, path: str | Path) -> None:
@@ -93,9 +86,13 @@ def load_fixtures(path: str | Path) -> dict[str, str]:
                 continue
             try:
                 doc = json.loads(line)
-                fixtures[doc["digest"]] = doc["content"]
+                digest, content = doc["digest"], doc["content"]
+                if not (isinstance(digest, str) and isinstance(content, str)):
+                    raise TypeError(f"digest and content must be strings, "
+                                    f"not {digest!r} and {content!r}")
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path} line {lineno}: {exc!r}") from exc
+            fixtures[digest] = content
     return fixtures
 
 
@@ -157,8 +154,6 @@ class RemoteProvider:
     without it.
     """
 
-    provider_id = "remote"
-
     def __init__(self, endpoint: str, model: str,
                  api_key_env: str = "FILINGSWARM_API_KEY",
                  timeout: float = 30.0, max_retries: int = 3,
@@ -184,18 +179,17 @@ class RemoteProvider:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
         payload = {
             "model": self.model,
             "messages": [{"role": "system", "content": request.system_prompt}]
                         + [{"role": role, "content": content}
                            for role, content in request.messages],
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": request.max_tokens,
         }
         import requests  # for RequestException; see the module docstring
 
-        start = time.perf_counter()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:  # back off without a slot, so other callers can use it
@@ -217,9 +211,7 @@ class RemoteProvider:
                             raise TypeError(f"content is {content!r}")
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         raise RemoteError(f"malformed completion response: {exc}")
-                    return ChatResponse(content=content,
-                                        provider_id=self.provider_id,
-                                        latency=time.perf_counter() - start)
+                    return content
                 if resp.status_code not in (429,) and resp.status_code < 500:
                     raise RemoteError(f"endpoint returned HTTP {resp.status_code}")
                 last_error = RemoteError(f"transient HTTP {resp.status_code}")

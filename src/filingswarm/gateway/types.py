@@ -1,12 +1,23 @@
-"""Request and response types shared by all completion providers."""
+"""The request type and errors shared by all completion providers.
+
+A request is its tag and its messages; a provider answers it with the reply
+text. The tag names the system prompt, the asset
+``assets/prompts/<tag>.txt``, and sets the reply budget in ``TAGS``. Every
+request is sampled at ``TEMPERATURE``.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
+from functools import lru_cache
+from importlib import resources
 
 ROLES = ("user", "assistant")
+TEMPERATURE = 0.0
+# Each request tag with its reply budget in tokens; a plan's JSON needs more.
+TAGS = {"classify": 512, "rewrite": 512, "decompose": 512, "route_agent": 512,
+        "route_table": 512, "plan": 2048, "replan": 2048, "variegate": 512}
 
 
 class GatewayError(RuntimeError):
@@ -30,15 +41,20 @@ class RateLimitError(GatewayError):
     """Client-side rate ceiling exceeded without capacity becoming free."""
 
 
+@lru_cache(maxsize=None)
+def _system_prompt(tag: str) -> str:
+    ref = resources.files("filingswarm.assets.prompts").joinpath(f"{tag}.txt")
+    return ref.read_text(encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
-    system_prompt: str
+    tag: str
     messages: tuple[tuple[str, str], ...]
-    temperature: float = 0.0
-    max_tokens: int = 512
-    tag: str = ""
 
     def __post_init__(self) -> None:
+        if self.tag not in TAGS:
+            raise ValueError(f"unknown request tag {self.tag!r}")
         if not self.messages:
             raise ValueError("messages must be non-empty")
         for role, content in self.messages:
@@ -46,10 +62,14 @@ class ChatRequest:
                 raise ValueError(f"bad message role {role!r}")
             if not isinstance(content, str):
                 raise ValueError("message content must be text")
-        if not math.isfinite(self.temperature) or self.temperature < 0:
-            raise ValueError("temperature must be finite and >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+
+    @property
+    def system_prompt(self) -> str:
+        return _system_prompt(self.tag)
+
+    @property
+    def max_tokens(self) -> int:
+        return TAGS[self.tag]
 
     def last_user_content(self) -> str:
         for role, content in reversed(self.messages):
@@ -58,20 +78,12 @@ class ChatRequest:
         return ""
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    content: str
-    provider_id: str
-    latency: float = 0.0
-    from_cache: bool = False
-
-
 def request_digest(request: ChatRequest) -> str:
     """Stable fingerprint of everything a provider conditions on."""
     payload = {
         "system": request.system_prompt,
         "messages": [[role, content] for role, content in request.messages],
-        "temperature": request.temperature,
+        "temperature": TEMPERATURE,
         "max_tokens": request.max_tokens,
         "tag": request.tag,
     }

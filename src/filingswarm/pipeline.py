@@ -81,11 +81,10 @@ def screen_query(text: str, gateway, max_rewrites: int = 2) -> ScreenResult:
     lineage = [text]
     while True:
         current = lineage[-1]
-        label, confidence = read_verdict(
-            gateway.complete(build_classify_request(current)).content)
+        label, confidence = read_verdict(gateway.complete(build_classify_request(current)))
         if label == "non_hallucinatory" or len(lineage) > max_rewrites:
             break
-        rewritten = gateway.complete(build_rewrite_request(current)).content.strip()
+        rewritten = gateway.complete(build_rewrite_request(current)).strip()
         if not rewritten or rewritten == current:
             break  # a no-op rewrite would loop forever; accept the verdict as is
         lineage.append(rewritten)
@@ -94,7 +93,7 @@ def screen_query(text: str, gateway, max_rewrites: int = 2) -> ScreenResult:
 
 def decompose(text: str, gateway) -> tuple[str, ...]:
     """Split a query into retrieval-sized sub-queries, first line first."""
-    subqueries = read_subqueries(gateway.complete(build_decompose_request(text)).content)
+    subqueries = read_subqueries(gateway.complete(build_decompose_request(text)))
     if not subqueries:
         log.warning("decomposition came back empty; using the query itself")
         return (text,)
@@ -262,7 +261,7 @@ def draft_plan(text: str, subqueries: tuple[str, ...], gateway,
     request = build_plan_request(subqueries)
     for attempts in (1, 2):
         try:
-            content = gateway.complete(request).content
+            content = gateway.complete(request)
         except GatewayError as exc:
             last_error = str(exc)
             break
@@ -357,7 +356,7 @@ def revise_plan(text: str, draft: Plan, findings: Sequence[str],
     request = build_replan_request(text, draft_json, findings)
     final = draft
     try:
-        content = gateway.complete(request).content
+        content = gateway.complete(request)
     except GatewayError as exc:
         log.warning("revision failed (%s); keeping draft", exc)
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,7 +50,8 @@ ALL_IDS = EASY_IDS + HARD_IDS
 
 
 class UnsatisfiableTemplateError(ValueError):
-    """No slot filler on this corpus yields a non-empty answer."""
+    """No slot filler on this corpus yields a non-empty answer, or the
+    drawn filling's answer is not a finite number."""
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,14 @@ def _rows(view: ReconciledView, table: str, slots: dict, names: _Names,
 
 
 def _sum(values: Iterable) -> float:
-    """0.0 plus each value in order; a null adds nothing."""
+    """0.0 plus each value in order; a null adds nothing. Raises
+    OverflowError when a value or the total is not a finite float."""
     total = 0.0
     for v in values:
         if v is not None:
             total += v
+    if not math.isfinite(total):
+        raise OverflowError(f"sum is {total}")
     return total
 
 
@@ -506,7 +511,12 @@ def instantiate(template: QuestionTemplate, view: ReconciledView,
             f"template {template.template_id} unsatisfiable on this corpus; "
             "enlarge the generator config")
     slots = candidates[rng.randrange(len(candidates))]
-    answer, relevant = template.solve(view, slots)
+    try:
+        answer, relevant = template.solve(view, slots)
+    except OverflowError as exc:
+        raise UnsatisfiableTemplateError(
+            f"template {template.template_id} has no finite answer for {slots}: "
+            f"{exc}") from exc
     text = template.text_template.format(**slots)
     return QuestionInstance(
         template_id=template.template_id,
@@ -537,11 +547,10 @@ def variegate(instance: QuestionInstance, gateway, n: int = 2) -> list[QuestionI
     out = []
     for k in range(1, n + 1):
         try:
-            response = gateway.complete(build_variegate_request(instance.text, k))
+            text = gateway.complete(build_variegate_request(instance.text, k)).strip()
         except GatewayError as exc:
             log.warning("variegation %d failed: %s", k, exc)
             continue
-        text = response.content.strip()
         if not text:
             log.warning("variegation %d produced empty text; skipped", k)
             continue

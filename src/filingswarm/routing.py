@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus.schema import FilingType, SchemaRegistry
-from .gateway.prompts import (
-    build_route_agent_request,
-    build_route_retry,
-    build_route_table_request,
-    read_candidate,
-)
+from .gateway.prompts import build_route_request, build_route_retry, read_candidate
 from .gateway.types import ChatRequest, GatewayError
 # knn is no longer called here; perfbench's tracer still wraps routing.knn,
 # so the name stays.
@@ -171,25 +166,25 @@ def _closed_choice(provider, request: ChatRequest,
                    candidates: Sequence[str]) -> str | None:
     """Match the provider's reply against a closed candidate list,
     reprompting once before giving up on the slot."""
-    reply = provider.complete(request).content
+    reply = provider.complete(request)
     hit = read_candidate(reply, candidates)
     if hit is not None:
         return hit
-    reply = provider.complete(build_route_retry(request, reply)).content
+    reply = provider.complete(build_route_retry(request, reply))
     return read_candidate(reply, candidates)
 
 
 def _generative_routes(query: str, provider, registry: SchemaRegistry,
                        n_routes: int, persona: str | None = None,
-                       history: list[str] | None = None) -> tuple[list[Route], bool]:
+                       history: Sequence[str] = ()) -> tuple[list[Route], bool]:
     """Shared slot-by-slot routing; returns (routes, completed)."""
     covered: list[tuple[str, str]] = []
     routes: list[Route] = []
     for _ in range(n_routes):
         agent_reply = _closed_choice(
             provider,
-            build_route_agent_request(query, _AGENT_CANDIDATES, covered,
-                                      persona=persona, history=history),
+            build_route_request(query, _AGENT_CANDIDATES, covered,
+                                persona=persona, history=history),
             _AGENT_CANDIDATES)
         if agent_reply is None:
             return routes, False
@@ -197,8 +192,8 @@ def _generative_routes(query: str, provider, registry: SchemaRegistry,
         table_candidates = registry.profile(agent).table_ids
         table_reply = _closed_choice(
             provider,
-            build_route_table_request(query, agent.value, table_candidates,
-                                      covered, persona=persona, history=history),
+            build_route_request(query, table_candidates, covered, agent=agent.value,
+                                persona=persona, history=history),
             table_candidates)
         if table_reply is None:
             return routes, False

@@ -33,7 +33,7 @@ from filingswarm.evalrun import (
 )
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import ChatResponse, GatewayError
+from filingswarm.gateway.types import GatewayError
 from filingswarm.pipeline import screen_query
 from filingswarm.plans import Aggregate, Filter, Plan, Retrieve, Return, execute_plan
 from filingswarm.questbench import (
@@ -349,7 +349,6 @@ def test_08_swarm_termination_and_determinism(capsys, registry):
         """Deterministic chaos: cycles valid and invalid candidate names,
         so members disagree, reprompt, and sometimes abstain."""
 
-        provider_id = "cycler"
         _AGENTS = ("13F", "ADV", "NCEN", "NPORT", "NMFP", "NOPE")
         _TABLES = ("thirteenf_holdings", "adv_entity", "ncen_fund_registry",
                    "nport_holdings", "bogus_table")
@@ -362,7 +361,7 @@ def test_08_swarm_termination_and_determinism(capsys, registry):
             self.calls += 1
             pool = self._AGENTS if request.tag == "route_agent" else self._TABLES
             content = pool[(self.calls * 7 + self.salt) % len(pool)]
-            return ChatResponse(content=content, provider_id=self.provider_id)
+            return content
 
     with checkpoint(capsys, "08 swarm runs terminate, replay identically, "
                             "and stop early only on unanimity"):
@@ -413,8 +412,6 @@ def test_09_screening_respects_rewrite_budget(capsys):
     loop past its rewrite cap, across 1000 cases."""
 
     class AdversarialScreen:
-        provider_id = "adversary"
-
         def __init__(self, mode: str, flip_at: int):
             self.mode = mode
             self.flip_at = flip_at
@@ -427,20 +424,15 @@ def test_09_screening_respects_rewrite_budget(capsys):
             if request.tag == "classify":
                 self.classify_calls += 1
                 if self.mode == "flip" and self.classify_calls > self.flip_at:
-                    return ChatResponse(content="non_hallucinatory 0.9",
-                                        provider_id=self.provider_id)
-                return ChatResponse(content="hallucinatory 0.99",
-                                    provider_id=self.provider_id)
+                    return "non_hallucinatory 0.9"
+                return "hallucinatory 0.99"
             if request.tag == "rewrite":
                 self.rewrite_calls += 1
                 if self.mode == "noop":
-                    return ChatResponse(content=query,
-                                        provider_id=self.provider_id)
+                    return query
                 if self.mode == "empty":
-                    return ChatResponse(content="   ",
-                                        provider_id=self.provider_id)
-                return ChatResponse(content=query + " again",
-                                    provider_id=self.provider_id)
+                    return "   "
+                return query + " again"
             raise GatewayError(f"unexpected tag {request.tag!r}")
 
     with checkpoint(capsys, "09 screening never exceeds its rewrite budget"):

@@ -29,7 +29,7 @@ from filingswarm.evalrun import (
 )
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import ChatRequest, FixtureMissError, GatewayError
+from filingswarm.gateway.types import FixtureMissError, GatewayError
 from filingswarm.pipeline import LongTermMemory
 from filingswarm.plans import ListValue, Scalar, TableValue
 from filingswarm.routing import route_generative
@@ -51,8 +51,6 @@ def reps(bench):
 
 
 class _Boom:
-    provider_id = "boom"
-
     def complete(self, request):
         raise GatewayError("provider is down")
 
@@ -286,14 +284,6 @@ def test_gold_provider_refuses_slots_beyond_gold(bench, registry, gold):
     assert outcome.predicted == instance.gold_routes
 
 
-def test_gold_provider_rejects_unknown_tags(gold):
-    request = ChatRequest(system_prompt="x",
-                          messages=(("user", "QUERY: hello"),),
-                          tag="mystery")
-    with pytest.raises(GatewayError, match="unknown tag"):
-        gold.complete(request)
-
-
 def test_recorded_fixtures_replay_to_perfect_scores(reps, small_view, registry):
     recorder = build_perfect_fixtures(reps, small_view, registry)
     scripted = ScriptedProvider(recorder.captured)
@@ -383,7 +373,6 @@ def test_run_agentic_records_failures_instead_of_aborting(reps, small_view, regi
 
 class _FirstCallCrashes:
     """Raises a non-gateway error on its first completion, then defers."""
-    provider_id = "crashes-once"
 
     def __init__(self, inner):
         self.inner = inner

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import filingswarm
 from filingswarm.corpus.schema import FilingType
+from filingswarm.evalrun import GoldProvider
 from filingswarm.gateway import providers
 from filingswarm.gateway.deterministic import DeterministicProvider, _read
 from filingswarm.gateway.prompts import (
@@ -29,8 +31,7 @@ from filingswarm.gateway.prompts import (
     build_plan_request,
     build_replan_request,
     build_rewrite_request,
-    build_route_agent_request,
-    build_route_table_request,
+    build_route_request,
     build_variegate_request,
     parse_prompt,
     read_candidate,
@@ -45,8 +46,8 @@ from filingswarm.gateway.providers import (
     save_fixtures,
 )
 from filingswarm.gateway.types import (
+    TAGS,
     ChatRequest,
-    ChatResponse,
     FixtureMissError,
     GatewayError,
     RateLimitError,
@@ -62,39 +63,56 @@ E2 = 'Get the regulatory AUM for advisor "Test Advisors LLC" for period 2023-03-
 
 
 def msg(text):
-    return ChatRequest(system_prompt="You are a helper.",
-                       messages=(("user", text),))
+    return ChatRequest("classify", (("user", text),))
 
 
 # --- request digest ----------------------------------------------------------
 
 def test_digest_stable_across_objects():
-    a = ChatRequest(system_prompt="s", messages=(("user", "hello"),),
-                    temperature=0.0, max_tokens=256)
-    b = ChatRequest(system_prompt="s", messages=(("user", "hello"),),
-                    temperature=0.0, max_tokens=256)
+    a = ChatRequest("classify", (("user", "hello"),))
+    b = ChatRequest("classify", (("user", "hello"),))
     assert request_digest(a) == request_digest(b)
 
 
 def test_digest_sensitive_to_content_and_params():
     base = msg("hello")
     assert request_digest(msg("hello!")) != request_digest(base)
-    warm = ChatRequest(system_prompt=base.system_prompt, messages=base.messages,
-                       temperature=0.7)
-    assert request_digest(warm) != request_digest(base)
-    other_system = ChatRequest(system_prompt="different", messages=base.messages)
-    assert request_digest(other_system) != request_digest(base)
+    # a rewrite request differs from a classify one only by its tag and
+    # system prompt; a plan request also by its reply budget
+    rewrite, plan = ChatRequest("rewrite", base.messages), ChatRequest("plan", base.messages)
+    assert (base.max_tokens, rewrite.max_tokens, plan.max_tokens) == (512, 512, 2048)
+    for other in (rewrite, plan):
+        assert other.system_prompt != base.system_prompt
+        assert request_digest(other) != request_digest(base)
 
 
 def test_chat_request_validates_inputs():
-    with pytest.raises(ValueError):
-        ChatRequest(system_prompt="s", messages=(("wizard", "x"),))
-    with pytest.raises(ValueError):
-        ChatRequest(system_prompt="s", messages=())
-    with pytest.raises(ValueError):
-        ChatRequest(system_prompt="s", messages=(("user", "x"),), temperature=-1.0)
-    with pytest.raises(ValueError):
-        ChatRequest(system_prompt="s", messages=(("user", "x"),), max_tokens=0)
+    with pytest.raises(ValueError, match="bad message role 'wizard'"):
+        ChatRequest("classify", (("wizard", "x"),))
+    with pytest.raises(ValueError, match="messages must be non-empty"):
+        ChatRequest("classify", ())
+    with pytest.raises(ValueError, match="message content must be text"):
+        ChatRequest("classify", (("user", 5),))
+    request = ChatRequest("classify", (("user", "x"),))
+    for name in ("tag", "messages", "system_prompt", "max_tokens"):
+        with pytest.raises(AttributeError):
+            setattr(request, name, getattr(request, name))
+
+
+def test_every_tag_has_an_asset_a_rule_and_a_gold_answer(bench, small_view):
+    assets = resources.files("filingswarm.assets.prompts")
+    assert sorted(TAGS) == sorted(ref.name.removesuffix(".txt")
+                                  for ref in assets.iterdir() if ref.name.endswith(".txt"))
+    det = DeterministicProvider()
+    gold = GoldProvider(bench, small_view)
+    for tag in TAGS:
+        request = ChatRequest(tag, (("user", f"QUERY: {E2}"),))
+        assert request.system_prompt == assets.joinpath(f"{tag}.txt").read_text("utf-8")
+        assert callable(getattr(det, f"_do_{tag}"))
+        assert isinstance(det.complete(request), str)
+        assert isinstance(gold.complete(request), str)
+    with pytest.raises(ValueError, match="unknown request tag 'mystery'"):
+        ChatRequest("mystery", (("user", "x"),))
 
 
 # --- scripted and recording providers ---------------------------------------
@@ -108,13 +126,18 @@ def test_recording_then_scripted_replay(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     save_fixtures(recorder, path)
     scripted = ScriptedProvider(load_fixtures(path))
-    replayed = scripted.complete(request)
-    assert replayed.content == live.content
+    assert scripted.complete(request) == live
 
 
 @pytest.mark.parametrize("line, error", [
     ('{"digest": "d2", "content": ', "JSONDecodeError"),
     ('{"digest": "d2", "reply": "x"}', "KeyError('content')"),
+    ('{"digest": "d2", "content": 5}',
+     "TypeError(\"digest and content must be strings, not 'd2' and 5\")"),
+    ('{"digest": "d2", "content": null}',
+     "TypeError(\"digest and content must be strings, not 'd2' and None\")"),
+    ('{"digest": 5, "content": "x"}',
+     "TypeError(\"digest and content must be strings, not 5 and 'x'\")"),
 ])
 def test_a_damaged_fixture_line_names_the_file_and_line(tmp_path, line, error):
     path = tmp_path / "fixtures.jsonl"
@@ -170,16 +193,20 @@ def test_remote_provider_wire_shape_and_credential(monkeypatch):
     monkeypatch.delenv("FILINGSWARM_API_KEY", raising=False)
     provider.complete(msg("hello"))
     monkeypatch.setenv("FILINGSWARM_API_KEY", "sk-test")
-    response = provider.complete(msg("hello"))
+    assert provider.complete(build_plan_request(["hello"])) == "ok"
 
-    assert response.content == "ok"
     bare, authed = session.calls
     assert "Authorization" not in bare["headers"]
     assert authed["headers"]["Authorization"] == "Bearer sk-test"
-    body = authed["json"]
-    assert body["model"] == "m"
-    assert body["messages"][0] == {"role": "system", "content": "You are a helper."}
-    assert body["messages"][1] == {"role": "user", "content": "hello"}
+    plan = resources.files("filingswarm.assets.prompts").joinpath("plan.txt")
+    assert authed["json"] == {
+        "model": "m",
+        "messages": [{"role": "system", "content": plan.read_text("utf-8")},
+                     {"role": "user", "content": "QUERY: hello"}],
+        "temperature": 0.0,
+        "max_tokens": 2048,
+    }
+    assert bare["json"]["max_tokens"] == 512
 
 
 class _Reply:
@@ -224,7 +251,7 @@ def test_remote_provider_backs_off_without_holding_its_slot(monkeypatch):
     replies = {}
 
     def call(text, done=None):
-        replies[text] = provider.complete(msg(text)).content
+        replies[text] = provider.complete(msg(text))
         if done is not None:
             done.set()
 
@@ -278,7 +305,7 @@ def test_remote_provider_waits_as_retry_after_asks(monkeypatch, retry_after, wai
         slept.append(seconds)
 
     monkeypatch.setattr(providers.time, "sleep", sleep)
-    assert provider.complete(msg("hello")).content == "ok"
+    assert provider.complete(msg("hello")) == "ok"
     assert slept == waits
 
 
@@ -321,7 +348,7 @@ def slept(monkeypatch):
 
 def test_remote_provider_retries_a_request_exception(slept):
     provider = _remote(_Raises([requests.ConnectionError("reset"), _Reply(200)]))
-    assert provider.complete(msg("hello")).content == "ok"
+    assert provider.complete(msg("hello")) == "ok"
     assert slept == [0.5]
 
 
@@ -380,7 +407,7 @@ def test_remote_provider_raises_rate_limit_error_when_no_token_comes_in_time(sle
     # one token to start with, and the next is about 1,000 s away
     session = _Replies([_Reply(200), _Reply(200)])
     provider = _remote(session, rate_per_sec=0.001, timeout=1.0)
-    assert provider.complete(msg("first")).content == "ok"
+    assert provider.complete(msg("first")) == "ok"
     with pytest.raises(RateLimitError, match="no request token available in time"):
         provider.complete(msg("second"))
     assert slept == []
@@ -427,7 +454,7 @@ def _fresh_python(code):
 # --- deterministic provider rules -------------------------------------------
 
 def _verdict(provider, query):
-    return read_verdict(provider.complete(build_classify_request(query)).content)
+    return read_verdict(provider.complete(build_classify_request(query)))
 
 
 def test_classify_needs_verb_and_domain_phrase():
@@ -493,7 +520,7 @@ def test_refusal_names_no_agent_and_no_table(registry):
 def test_rewrite_strips_filler_words():
     det = DeterministicProvider()
     vague = 'Can you please get the regulatory AUM for advisor "Test Advisors LLC" for period 2023-03-31.'
-    reply = det.complete(build_rewrite_request(vague)).content.strip()
+    reply = det.complete(build_rewrite_request(vague)).strip()
     lowered = reply.lower()
     assert "please" not in lowered and "can you" not in lowered
     assert "regulatory aum" in lowered
@@ -505,41 +532,41 @@ def test_decompose_splits_multi_table_questions():
     det = DeterministicProvider()
     query = ('Get the country-level AUM for manager "Test Advisors LLC" '
              'for period 2023-03-31.')
-    lines = det.complete(build_decompose_request(query)).content.strip().splitlines()
+    lines = det.complete(build_decompose_request(query)).strip().splitlines()
     assert lines[0].strip() == query
     assert len(lines) == 2
 
 
 def test_decompose_single_table_question_is_itself():
     det = DeterministicProvider()
-    lines = det.complete(build_decompose_request(E2)).content.strip().splitlines()
+    lines = det.complete(build_decompose_request(E2)).strip().splitlines()
     assert lines == [E2]
 
 
 def test_route_agent_answers_from_candidates():
     det = DeterministicProvider()
     candidates = ["13F", "NCSR", "NCEN", "NPORT", "NMFP", "ADV"]
-    reply = det.complete(build_route_agent_request(E2, candidates)).content
+    reply = det.complete(build_route_request(E2, candidates))
     assert "ADV" in reply
 
 
 def test_route_refusal_on_unroutable_text():
     det = DeterministicProvider()
-    reply = det.complete(build_route_agent_request(
-        "What is the meaning of life?", ["13F", "ADV"])).content
+    reply = det.complete(build_route_request(
+        "What is the meaning of life?", ["13F", "ADV"]))
     assert "none of these" in reply.lower()
 
 
 def test_plan_reply_is_valid_plan_json(registry):
     det = DeterministicProvider()
-    reply = det.complete(build_plan_request([E2])).content
+    reply = det.complete(build_plan_request([E2]))
     plan = plan_from_json(reply)
     validate_plan(plan, registry)
 
 
 def test_plan_reply_refuses_unknown_question():
     det = DeterministicProvider()
-    reply = det.complete(build_plan_request(["Write me a poem."])).content
+    reply = det.complete(build_plan_request(["Write me a poem."]))
     assert "CANNOT PLAN" in reply
 
 
@@ -549,7 +576,7 @@ def test_plan_reply_is_the_canonical_plan(template_id, bench, small_view):
     instances = [inst for inst in bench if inst.template_id == template_id]
     assert instances
     for inst in instances:
-        reply = det.complete(build_plan_request([inst.text])).content
+        reply = det.complete(build_plan_request([inst.text]))
         assert plan_from_json(reply).steps == canonical_plan(inst, small_view).steps
 
 
@@ -558,7 +585,7 @@ def test_plan_reply_guesses_the_annual_report_label(bench, small_view, registry)
     instances = [inst for inst in bench if inst.template_id == "H3"]
     assert instances
     for inst in instances:
-        plan = plan_from_json(det.complete(build_plan_request([inst.text])).content)
+        plan = plan_from_json(det.complete(build_plan_request([inst.text])))
         validate_plan(plan, registry)
         assert Filter("label", "contains", "total assets") in plan.steps[0].filters
         assert plan.steps != canonical_plan(inst, small_view).steps
@@ -568,13 +595,13 @@ def test_plan_reply_reads_the_e5_manager_as_the_advisor():
     text = ('Get the country-level AUM for manager "Summit Advisors" '
             'for period 2024-06-30.')
     plan = plan_from_json(DeterministicProvider().complete(
-        build_plan_request([text])).content)
+        build_plan_request([text])))
     assert Filter("advisor_name", "eq", "Summit Advisors") in plan.steps[0].filters
 
 
 def test_plan_reply_refuses_a_question_without_its_slot():
     text = "Get the aggregate cash equity positions for period 2023-03-31."
-    reply = DeterministicProvider().complete(build_plan_request([text])).content
+    reply = DeterministicProvider().complete(build_plan_request([text]))
     assert reply == "CANNOT PLAN"
 
 
@@ -588,16 +615,16 @@ def test_questbench_and_the_provider_import_in_either_order(first):
 
 def test_replan_echoes_a_plan(registry):
     det = DeterministicProvider()
-    draft = det.complete(build_plan_request([E2])).content
-    reply = det.complete(build_replan_request(E2, draft, ["ADV/adv_entity step r1: 2 records match"])).content
+    draft = det.complete(build_plan_request([E2]))
+    reply = det.complete(build_replan_request(E2, draft, ["ADV/adv_entity step r1: 2 records match"]))
     plan = plan_from_json(reply)
     validate_plan(plan, registry)
 
 
 def test_variegate_variants_differ_and_keep_slots():
     det = DeterministicProvider()
-    mild = det.complete(build_variegate_request(E2, 1)).content.strip()
-    strong = det.complete(build_variegate_request(E2, 2)).content.strip()
+    mild = det.complete(build_variegate_request(E2, 1)).strip()
+    strong = det.complete(build_variegate_request(E2, 2)).strip()
     assert mild != E2
     assert strong != E2
     assert mild != strong
@@ -608,15 +635,16 @@ def test_variegate_variants_differ_and_keep_slots():
 def test_deterministic_provider_is_pure():
     det = DeterministicProvider()
     request = build_variegate_request(E2, 1)
-    assert det.complete(request).content == det.complete(request).content
+    assert det.complete(request) == det.complete(request)
 
 
-def test_response_metadata_present():
-    det = DeterministicProvider()
-    response = det.complete(build_classify_request(E2))
-    assert response.provider_id
-    assert response.latency >= 0.0
-    assert response.from_cache is False
+def test_every_provider_replies_with_the_text_alone():
+    request = build_classify_request(E2)
+    recorder = RecordingProvider(DeterministicProvider())
+    reply = recorder.complete(request)
+    assert reply == "non_hallucinatory 0.97"
+    assert ScriptedProvider(recorder.captured).complete(request) == reply
+    assert recorder.log == [(request_digest(request), "classify", reply)]
 
 
 # --- wire format ---------------------------------------------------------------
@@ -672,7 +700,7 @@ class _Capture:
 
     def complete(self, request):
         self.requests.append(request)
-        return ChatResponse(self.replies.pop(0), "capture")
+        return self.replies.pop(0)
 
 
 def _wire_request(name, registry):
@@ -680,11 +708,11 @@ def _wire_request(name, registry):
         "classify": lambda: build_classify_request(E2),
         "rewrite": lambda: build_rewrite_request(E2),
         "decompose": lambda: build_decompose_request(E2),
-        "route_agent": lambda: build_route_agent_request(
+        "route_agent": lambda: build_route_request(
             E2, ["13F", "NCSR", "ADV"], COVERED, persona="contrarian checker",
             history=HISTORY),
-        "route_table": lambda: build_route_table_request(
-            E2, "ADV", ["adv_entity", "adv_brokers"], COVERED,
+        "route_table": lambda: build_route_request(
+            E2, ["adv_entity", "adv_brokers"], COVERED, agent="ADV",
             persona="contrarian checker", history=HISTORY),
         "plan": lambda: build_plan_request([E2, HELPER]),
         "replan": lambda: build_replan_request(
@@ -739,10 +767,12 @@ def test_single_query_requests_round_trip(query):
        persona=st.one_of(st.none(), _line), history=st.lists(_line, max_size=4))
 def test_route_requests_round_trip(query, agent, candidates, covered, persona, history):
     expected = Prompt([query], candidates, len(covered), persona or "", 1, "")
-    assert _parsed(build_route_agent_request(
-        query, candidates, covered, persona=persona, history=history)) == expected
-    assert _parsed(build_route_table_request(
-        query, agent, candidates, covered, persona=persona, history=history)) == expected
+    to_agent = build_route_request(query, candidates, covered, persona=persona,
+                                   history=history)
+    to_table = build_route_request(query, candidates, covered, agent=agent,
+                                   persona=persona, history=history)
+    assert (to_agent.tag, to_table.tag) == ("route_agent", "route_table")
+    assert _parsed(to_agent) == _parsed(to_table) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -771,11 +801,12 @@ def _memo_requests(text):
     return [
         build_classify_request(text),
         build_decompose_request(text),
-        build_route_agent_request(text, AGENTS),
-        build_route_agent_request(text, AGENTS, COVERED, persona="contrarian checker"),
-        build_route_table_request(text, "ADV", ["adv_entity", "adv_brokers", "adv_disclosures"]),
-        build_route_table_request(text, "NPORT", ["nport_fund_info", "nport_holdings"],
-                                  COVERED, persona="contrarian checker"),
+        build_route_request(text, AGENTS),
+        build_route_request(text, AGENTS, COVERED, persona="contrarian checker"),
+        build_route_request(text, ["adv_entity", "adv_brokers", "adv_disclosures"],
+                            agent="ADV"),
+        build_route_request(text, ["nport_fund_info", "nport_holdings"], COVERED,
+                            agent="NPORT", persona="contrarian checker"),
         build_plan_request([text]),
     ]
 
@@ -790,10 +821,10 @@ def test_memoized_replies_equal_cold_replies(bench_mixed):
     cold = []
     for request in requests:
         _read.cache_clear()
-        cold.append(det.complete(request).content)
+        cold.append(det.complete(request))
     _read.cache_clear()
     for _ in range(2):  # the second sweep re-reads texts the first evicted
-        assert [det.complete(r).content for r in requests] == cold
+        assert [det.complete(r) for r in requests] == cold
     info = _read.cache_info()
     assert info.misses == 2 * len(texts)
     assert info.hits == 2 * (len(requests) - len(texts))

@@ -23,7 +23,7 @@ from filingswarm.corpus.schema import FilingType, load_default_registry
 from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import ChatResponse, FixtureMissError, GatewayError
+from filingswarm.gateway.types import FixtureMissError, GatewayError
 from filingswarm import pipeline, plans, vindex
 from filingswarm.pipeline import (
     LongTermMemory,
@@ -64,7 +64,7 @@ class _TagProvider:
     def complete(self, request):
         handler = self.handlers[request.tag]
         content = handler(request) if callable(handler) else handler
-        return ChatResponse(content=content, provider_id="test", latency=0.0)
+        return content
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def test_draft_reprompts_then_falls_back_on_a_malformed_step(registry):
         return _TWO_ELEMENT_FILTER
 
     def routed(request):
-        return det.complete(request).content
+        return det.complete(request)
 
     provider = _TagProvider({"plan": plan, "route_agent": routed, "route_table": routed})
     result = draft_plan(AUM_QUERY, (AUM_QUERY,), provider, registry)
@@ -402,7 +402,7 @@ def test_draft_logs_how_many_planner_attempts_it_made(registry, caplog, plan, lo
     det = DeterministicProvider()
 
     def routed(request):
-        return det.complete(request).content
+        return det.complete(request)
 
     provider = _TagProvider({"plan": plan, "route_agent": routed, "route_table": routed})
     with caplog.at_level(logging.WARNING, logger=pipeline.log.name):
@@ -723,7 +723,7 @@ def test_revise_keeps_and_stores_the_draft_when_the_reviser_raises(registry, sma
                                                                   caplog):
     det = DeterministicProvider()
     provider = _TagProvider({tag: _reviser_down if tag == "replan"
-                             else (lambda request: det.complete(request).content)
+                             else det.complete
                              for tag in ("classify", "decompose", "plan", "replan")})
     memory = LongTermMemory()
     draft = draft_plan(AUM_QUERY, (AUM_QUERY,), det, registry).plan
@@ -895,7 +895,7 @@ class _PlansWith:
 
     def complete(self, request):
         if request.tag in self.replies:
-            return ChatResponse(content=self.replies[request.tag], provider_id="test")
+            return self.replies[request.tag]
         return self.inner.complete(request)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from filingswarm import pipeline
 from filingswarm.corpus.schema import FilingType
 from filingswarm.gateway.deterministic import DeterministicProvider
-from filingswarm.gateway.types import ChatResponse, request_digest
+from filingswarm.gateway.types import request_digest
 from filingswarm.pipeline import (
     LongTermMemory,
     draft_plan,
@@ -51,13 +51,13 @@ class _RecordingProvider:
         self.echoes: list[tuple[str, str]] = []
 
     def complete(self, request):
-        response = self.inner.complete(request)
+        reply = self.inner.complete(request)
         if request.tag == "replan":
             self.replan_digests.append(request_digest(request))
             line = next(line for line in request.last_user_content().splitlines()
                         if line.startswith("DRAFT_PLAN: "))
-            self.echoes.append((line[len("DRAFT_PLAN: "):], response.content))
-        return response
+            self.echoes.append((line[len("DRAFT_PLAN: "):], reply))
+        return reply
 
 
 # sha256 over the replan request digests, the draft and final plan JSON, the
@@ -197,7 +197,7 @@ class _Replies:
         self.replies = replies
 
     def complete(self, request):
-        return ChatResponse(content=self.replies[request.tag], provider_id="test")
+        return self.replies[request.tag]
 
 
 def test_planner_and_reviser_replies_with_the_older_stamps_parse_to_equal_steps(registry):

@@ -21,7 +21,7 @@ from filingswarm.corpus.schema import FilingType, load_default_registry
 from filingswarm.evalrun import judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import ChatResponse, FixtureMissError, GatewayError
+from filingswarm.gateway.types import FixtureMissError, GatewayError
 from filingswarm.plans import ListValue, Scalar, TableValue, execute_plan, plan_to_json
 from filingswarm.questbench import (
     ALL_IDS,
@@ -168,6 +168,22 @@ def test_unsatisfiable_templates_raise():
         generate_benchmark(empty, per_template=1, seed=0)
 
 
+@pytest.mark.parametrize("aums, detail", [
+    ((10**400,), "int too large to convert to float"),
+    ((1e308, 1e308), "sum is inf"),
+], ids=["huge-int", "overflowing-sum"])
+def test_an_oracle_sum_that_is_not_a_finite_number_is_unsatisfiable(aums, detail):
+    store = CorpusStore(REGISTRY)
+    for i, aum in enumerate(aums):
+        store.add(_rec("adv_entity", FilingType.ADV, "AADV-1", i, "ADV0001", {
+            "advisor_id": "ADV0001", "advisor_name": "Big Advisors",
+            "regulatory_aum": aum, "state": "NY"}))
+    message = ("template E2 has no finite answer for "
+               "{'advisor': 'Big Advisors', 'period': '2023-03-31'}: " + detail)
+    with pytest.raises(UnsatisfiableTemplateError, match=f"^{re.escape(message)}$"):
+        generate_benchmark(reconcile(store), per_template=1, seed=0, template_ids=("E2",))
+
+
 # ---------------------------------------------------------------------------
 # Synthetic-corpus guarantees
 
@@ -262,7 +278,7 @@ class _Refuses:
 
 class _Blank:
     def complete(self, request):
-        return ChatResponse(content="   ", provider_id="test", latency=0.0)
+        return "   "
 
 
 def test_variegation_failure_modes(bench):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from filingswarm.corpus.schema import FilingType
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import ChatResponse, FixtureMissError, GatewayError
+from filingswarm.gateway.types import FixtureMissError, GatewayError
 from filingswarm.routing import (
     NO_PREDICTION,
     Route,
@@ -106,7 +106,7 @@ class _RetryThenAnswer:
             content = "hmm, tricky one" if self.agent_calls == 1 else ' "13f" '
         else:
             content = "Thirteenf_Holdings"
-        return ChatResponse(content=content, provider_id="test", latency=0.0)
+        return content
 
 
 def test_generative_reprompts_once_and_normalizes(registry):
@@ -126,7 +126,7 @@ class _FirstSlotOnly:
             content = "13F" if covered == 0 else "no idea"
         else:
             content = "thirteenf_holdings"
-        return ChatResponse(content=content, provider_id="test", latency=0.0)
+        return content
 
 
 def test_generative_keeps_partial_routes_but_flags_unroutable(registry):
@@ -308,7 +308,7 @@ class _SplitVote:
             self.assigned[persona] = self._OPTIONS[len(self.assigned) % 2]
         agent, table = self.assigned[persona]
         content = agent if request.tag == "route_agent" else table
-        return ChatResponse(content=content, provider_id="test", latency=0.0)
+        return content
 
 
 def test_swarm_vote_tie_breaks_lexicographically(registry):
