@@ -6,15 +6,19 @@ property-style.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filingswarm.corpus.schema import FilingType
+from filingswarm.evalrun import build_routing_indexes
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
-from filingswarm.gateway.types import FixtureMissError, GatewayError
+from filingswarm.gateway.types import FixtureMissError, GatewayError, request_digest
 from filingswarm.routing import (
     NO_PREDICTION,
     Route,
@@ -25,7 +29,7 @@ from filingswarm.routing import (
     route_swarm,
     score_routing,
 )
-from filingswarm.vindex import FlatIndex, IndexScope, MappingEmbedder, knn
+from filingswarm.vindex import FlatIndex, HashFeatureEmbedder, IndexScope, MappingEmbedder, knn
 
 R_13F = Route(FilingType.parse("13F"), "thirteenf_holdings")
 R_ADV = Route(FilingType.parse("ADV"), "adv_entity")
@@ -318,6 +322,41 @@ def test_swarm_vote_tie_breaks_lexicographically(registry):
     assert outcome.predicted == (R_13F,)
 
 
+class _AuditorAbstains:
+    """Every seat answers 13F except the cautious auditor, which refuses the
+    prompt and its retry."""
+
+    def __init__(self):
+        self.histories = []
+
+    def complete(self, request):
+        lines = request.messages[0][1].splitlines()
+        if "PERSONA: cautious auditor demanding exact phrase evidence" in lines:
+            return "no idea"
+        if request.tag == "route_agent":
+            self.histories.append([line for line in lines if line.startswith("- ")])
+            return "13F"
+        return "thirteenf_holdings"
+
+
+def test_swarm_abstention_blocks_unanimity_but_not_the_vote(registry):
+    config = SwarmConfig(n_agents=3, max_timesteps=2, seed=7)  # the auditor is member 2
+    provider = _AuditorAbstains()
+    outcome = route_swarm(EQUITY_QUERY, provider, registry, config)
+    assert outcome.predicted == (R_13F,)
+    rounds = [e for e in outcome.transcript if "timestep" in e]
+    assert len(rounds) == config.max_timesteps
+    assert [[p["routes"] for p in e["proposals"]] for e in rounds] == [
+        [["13F/thirteenf_holdings"], ["13F/thirteenf_holdings"], None]] * 2
+    assert outcome.transcript[-1] == {"final": ["13F/thirteenf_holdings"],
+                                      "unanimous": False}
+    # the second round's members see the whole first round, abstention included
+    assert provider.histories[-1] == [
+        "- member 0 timestep 0: 13F/thirteenf_holdings",
+        "- member 1 timestep 0: 13F/thirteenf_holdings",
+        "- member 2 timestep 0: abstain"]
+
+
 class _AlwaysFails:
     def complete(self, request):
         raise GatewayError("provider offline")
@@ -334,6 +373,63 @@ def test_swarm_fixture_miss_propagates(registry):
     config = SwarmConfig(n_agents=2, max_timesteps=2, seed=0)
     with pytest.raises(FixtureMissError):
         route_swarm(EQUITY_QUERY, ScriptedProvider({}), registry, config)
+
+
+# ---------------------------------------------------------------------------
+# Every strategy's outputs, pinned
+
+
+class _HashingProvider:
+    """The rule provider, hashing every request digest with its reply."""
+
+    def __init__(self, digest):
+        self.inner = DeterministicProvider()
+        self.digest = digest
+        self.calls = 0
+
+    def complete(self, request):
+        reply = self.inner.complete(request)
+        self.digest.update(f"{request_digest(request)} {reply!r}\n".encode("utf-8"))
+        self.calls += 1
+        return reply
+
+
+# sha256 over every route request digest and reply, then each outcome's
+# predicted labels, unroutable flag and transcript, for every bench_mixed
+# question (as many slots as its gold routes) and this module's four queries
+# (one to three slots; the split query makes the swarm vote) routed
+# generatively, by two swarms (the default panel, and seven seats so two are
+# "panel seat" personas) and by embedding. Computed on the code whose swarm
+# kept a member-indexed proposal list beside the round's transcript entries
+# and voted over string keys.
+GOLDEN_ROUTING_SHA256 = "a50b885e0471c9d968b2405c8c68c915a3078adde0a2e897d8676a0b78201af6"
+
+
+def test_routing_outputs_are_pinned(registry, bench_mixed):
+    digest = hashlib.sha256()
+    provider = _HashingProvider(digest)
+    embedder = HashFeatureEmbedder(32)
+    persona_index, table_indexes = build_routing_indexes(registry, embedder)
+    queries = [(instance.text, len(instance.gold_routes)) for instance in bench_mixed]
+    queries += [(query, n) for query in (EQUITY_QUERY, FUND_HOLDINGS_QUERY, JUNK_QUERY,
+                                         SPLIT_QUERY) for n in (1, 2, 3)]
+    unroutable = 0
+    for query, n in queries:
+        outcomes = [
+            route_generative(query, provider, registry, n_routes=n),
+            route_swarm(query, provider, registry, SwarmConfig(), n_routes=n),
+            route_swarm(query, provider, registry, SwarmConfig(n_agents=7), n_routes=n),
+            route_embedding(query, persona_index, table_indexes, embedder, n_routes=n),
+        ]
+        for outcome in outcomes:
+            row = {"strategy": outcome.strategy,
+                   "predicted": [r.label() for r in outcome.predicted],
+                   "unroutable": outcome.unroutable,
+                   "transcript": list(outcome.transcript)}
+            digest.update(json.dumps(row, sort_keys=True).encode("utf-8") + b"\n")
+            unroutable += outcome.unroutable
+    assert provider.calls > 0 and 0 < unroutable < len(queries)
+    assert digest.hexdigest() == GOLDEN_ROUTING_SHA256
 
 
 # ---------------------------------------------------------------------------
