@@ -16,11 +16,13 @@ Strategies:
 Scoring counts per-slot matches. acc_overall = joint / total and equals
 acc_agent * acc_table_given_agent by construction. Partial credit for
 multi-route questions is fractional by default (slots matched / slots);
-the stricter any-slot binary reading is available as a config switch.
+the binary reading, which credits a question fully when any slot matches
+and so is the more lenient one, is available as a config switch.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -148,14 +150,12 @@ def route_embedding(query: str, persona_index: FlatIndex,
             for table_dist, table_id in table_ranking(agent_value):
                 pairs.append((persona_dist + table_dist, agent_value, table_id))
         pairs.sort()
-        taken = {(first_agent, first_table)}
+        # each (agent, table) pair occurs once, so only the first route repeats
         for _, agent_value, table_id in pairs:
             if len(routes) >= n_routes:
                 break
-            if (agent_value, table_id) in taken:
-                continue
-            taken.add((agent_value, table_id))
-            routes.append(Route(FilingType.parse(agent_value), table_id))
+            if (agent_value, table_id) != (first_agent, first_table):
+                routes.append(Route(FilingType.parse(agent_value), table_id))
     return RoutingOutcome(tuple(routes), strategy="embedding")
 
 
@@ -226,34 +226,28 @@ def route_swarm(query: str, provider, registry: SchemaRegistry,
         for m in range(config.n_agents)
     ]
 
+    # A round is one proposal per member: its routes, or None when it
+    # abstained. The transcript entry, the history lines every later member
+    # reads and the final vote all come from the last such list.
     transcript: list[dict] = []
-    history: list[str] = []
-    proposals: list[tuple[Route, ...] | None] = [None] * config.n_agents
-    unanimous = False
-
+    history: tuple[str, ...] = ()
     for t in range(config.max_timesteps):
-        round_entries = []
-        for m in range(config.n_agents):
+        proposals: list[tuple[Route, ...] | None] = []
+        for persona in personas:
             try:
                 routes, completed = _generative_routes(
-                    query, provider, registry, n_routes,
-                    persona=personas[m], history=list(history))
+                    query, provider, registry, n_routes, persona=persona, history=history)
             except GatewayError:
                 return RoutingOutcome((), strategy="swarm",
                                       transcript=tuple(transcript), unroutable=True)
-            proposals[m] = tuple(routes) if completed else None
-            round_entries.append({
-                "member": m,
-                "persona": personas[m],
-                "routes": [r.label() for r in routes] if completed else None,
-            })
-        transcript.append({"timestep": t, "proposals": round_entries})
-        for entry in round_entries:
-            routes_text = ",".join(entry["routes"]) if entry["routes"] else "abstain"
-            history.append(f"member {entry['member']} timestep {t}: {routes_text}")
-        answered = [p for p in proposals if p is not None]
-        if len(answered) == config.n_agents and len(set(answered)) == 1:
-            unanimous = True
+            proposals.append(tuple(routes) if completed else None)
+        labels = [None if p is None else [r.label() for r in p] for p in proposals]
+        transcript.append({"timestep": t, "proposals": [
+            {"member": m, "persona": personas[m], "routes": routes}
+            for m, routes in enumerate(labels)]})
+        history += tuple(f"member {m} timestep {t}: {','.join(routes) if routes else 'abstain'}"
+                         for m, routes in enumerate(labels))
+        if len(set(proposals)) == 1 and proposals[0] is not None:
             break
 
     answered = [p for p in proposals if p is not None]
@@ -261,17 +255,15 @@ def route_swarm(query: str, provider, registry: SchemaRegistry,
         return RoutingOutcome((), strategy="swarm",
                               transcript=tuple(transcript), unroutable=True)
 
-    # an answered proposal is complete: it holds a route for every slot
-    final: list[Route] = []
-    for slot in range(n_routes):
-        votes: dict[tuple[str, str], int] = {}
-        for proposal in answered:
-            key = (proposal[slot].agent.value, proposal[slot].table)
-            votes[key] = votes.get(key, 0) + 1
-        best = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-        final.append(Route(FilingType.parse(best[0]), best[1]))
-
-    transcript.append({"final": [r.label() for r in final], "unanimous": unanimous})
+    # an answered proposal is complete: it holds a route for every slot.
+    # Each slot goes to its most voted route, ties to the least
+    # (agent value, table).
+    final = []
+    for votes in map(Counter, zip(*answered)):
+        final.append(min(votes, key=lambda r: (-votes[r], r.agent.value, r.table)))
+    # some member answered, so one distinct proposal means all answered alike
+    transcript.append({"final": [r.label() for r in final],
+                       "unanimous": len(set(proposals)) == 1})
     return RoutingOutcome(tuple(final), strategy="swarm",
                           transcript=tuple(transcript))
 
