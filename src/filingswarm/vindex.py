@@ -277,19 +277,15 @@ def _walk_scopes(view: ReconciledView) -> dict[IndexScope, list[int]]:
     return out
 
 
-def _scope_records(view: ReconciledView, scope: IndexScope):
-    if scope.kind == "global":
-        return view.records
-    if scope.kind == "agent":
-        ft = FilingType.parse(scope.key)
-        return [r for r in view.records if r.filing_type == ft]
-    return view.table_records(scope.key)
-
-
 def build_index(view: ReconciledView, scope: IndexScope, embedder) -> FlatIndex:
     """Embed every reconciled record in scope, one entry per record. The
-    embedder gets a lazy sequence of the records' embedding texts."""
-    records = _scope_records(view, scope)
+    embedder gets a lazy sequence of the records' embedding texts. An agent
+    or table scope's records come from ``scope_positions``; an agent key may
+    be any spelling ``FilingType.parse`` accepts."""
+    records = view.records
+    if scope.kind != "global":
+        key = IndexScope.agent(FilingType.parse(scope.key)) if scope.kind == "agent" else scope
+        records = [records[pos] for pos in scope_positions(view).get(key, ())]
     return FlatIndex(scope=scope, dim=embedder.dim,
                      record_ids=[r.record_id for r in records],
                      vectors=embedder.embed_batch(_RecordTexts(records)) if records else None)
@@ -417,6 +413,12 @@ def recall_at_k(retrieved: Sequence[str], relevant: Iterable[str], k: int) -> fl
 
 def save_index(index: FlatIndex, path: str | Path,
                embedder_fingerprint: str = "") -> None:
+    """Write a snapshot. Its id table is the ids joined by newlines, so an
+    id that holds one is refused before the file is opened."""
+    for record_id in index.record_ids:
+        if "\n" in record_id:
+            raise IndexError_(f"record id {record_id!r} holds a newline, which a "
+                              "snapshot id table cannot store")
     ids_blob = "\n".join(index.record_ids).encode("utf-8")
     header = {
         "scope": index.scope.label(),
@@ -455,7 +457,8 @@ def load_index(path: str | Path) -> tuple[FlatIndex, str]:
     if len(ids_blob) != header["ids_bytes"]:
         raise IndexError_("snapshot truncated")
     try:
-        record_ids = ids_blob.decode("utf-8").split("\n") if ids_blob else []
+        # one empty id makes an empty table, so the count decides
+        record_ids = ids_blob.decode("utf-8").split("\n") if count or ids_blob else []
     except UnicodeDecodeError as exc:
         raise IndexError_(f"snapshot id table is not UTF-8: {exc}") from None
     if "crc32" in header and header["crc32"] != zlib.crc32(ids_blob, zlib.crc32(vec_blob)):

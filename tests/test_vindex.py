@@ -37,6 +37,7 @@ from filingswarm.vindex import (
     r_precision,
     recall_at_k,
     save_index,
+    scope_positions,
 )
 from perfbench.gates import naive_knn
 
@@ -177,6 +178,23 @@ def test_build_index_scopes(small_view):
         r.record_id for r in small_view.table_records("thirteenf_holdings")}
 
 
+def test_build_index_takes_each_scope_from_the_one_walk(small_view):
+    # the rows of every agent and table scope, in view order, from
+    # scope_positions; an agent key may be spelled as FilingType.parse reads it
+    embedder = HashFeatureEmbedder(8)
+    positions = scope_positions(small_view)
+    for scope, rows in positions.items():
+        index = build_index(small_view, scope, embedder)
+        assert index.record_ids == [small_view.records[pos].record_id for pos in rows]
+    lower = build_index(small_view, IndexScope("agent", "13f"), embedder)
+    assert lower.scope == IndexScope("agent", "13f")
+    assert lower.record_ids == build_index(small_view, IndexScope.parse("agent:13F"),
+                                           embedder).record_ids
+    assert len(build_index(small_view, IndexScope.table("no_such_table"), embedder)) == 0
+    with pytest.raises(ValueError, match="unknown filing type"):
+        build_index(small_view, IndexScope("agent", "bogus"), embedder)
+
+
 def test_index_rejects_duplicate_ids():
     with pytest.raises(IndexError_):
         FlatIndex(scope=IndexScope.global_(), dim=2, record_ids=["a", "a"],
@@ -216,6 +234,26 @@ def test_snapshot_round_trip_byte_identical(small_view, tmp_path):
 
     save_index(loaded, p2, fingerprint)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_snapshot_refuses_an_id_with_a_newline(tmp_path):
+    index = FlatIndex(scope=IndexScope.global_(), dim=2, record_ids=["a", "b\nc"],
+                      vectors=np.ones((2, 2), dtype=np.float32))
+    path = tmp_path / "n.idx"
+    with pytest.raises(IndexError_, match=r"record id 'b\\nc' holds a newline"):
+        save_index(index, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("record_ids", [[""], ["", "a"], ["a", ""]])
+def test_snapshot_round_trips_an_empty_id(tmp_path, record_ids):
+    index = FlatIndex(scope=IndexScope.global_(), dim=2, record_ids=record_ids,
+                      vectors=np.arange(2 * len(record_ids), dtype=np.float32).reshape(-1, 2))
+    path = tmp_path / "e.idx"
+    save_index(index, path)
+    loaded, _ = load_index(path)
+    assert loaded.record_ids == record_ids
+    assert np.array_equal(loaded.vectors, index.vectors)
 
 
 def test_snapshot_detects_truncation_and_bad_magic(small_view, tmp_path):
