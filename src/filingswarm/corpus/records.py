@@ -206,7 +206,8 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
                 if isinstance(exc, KeyError):
                     msg = f"missing field {exc}"
                 if isinstance(exc, SchemaError) and "amends must be present" in msg:
-                    msg = "amendment without target"
+                    msg = ("amendment without target" if doc.get("is_amendment")
+                           else f"amends {doc['amends']!r} on a record that is not an amendment")
                 rejections.append(Rejection(line_no, msg))
                 continue
             try:

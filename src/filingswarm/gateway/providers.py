@@ -159,6 +159,13 @@ class RemoteProvider:
                  timeout: float = 30.0, max_retries: int = 3,
                  rate_per_sec: float = 5.0, max_concurrent: int = 4,
                  session: requests.Session | None = None):
+        # each would crash or hang the first or second request
+        if not rate_per_sec > 0:
+            raise ValueError(f"rate_per_sec must be positive, got {rate_per_sec!r}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
+        if max_concurrent < 1:
+            raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent!r}")
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env

@@ -414,6 +414,20 @@ def test_remote_provider_raises_rate_limit_error_when_no_token_comes_in_time(sle
     assert len(session.replies) == 1
 
 
+@pytest.mark.parametrize("options, error", [
+    ({"rate_per_sec": 0}, "rate_per_sec must be positive, got 0"),
+    ({"rate_per_sec": -1.0}, "rate_per_sec must be positive, got -1.0"),
+    ({"rate_per_sec": float("nan")}, "rate_per_sec must be positive, got nan"),
+    ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+    ({"max_concurrent": 0}, "max_concurrent must be >= 1, got 0"),
+])
+def test_remote_provider_refuses_settings_that_would_crash_or_hang_it(options, error):
+    # construction only: a provider built with such a setting is never asked
+    with pytest.raises(ValueError) as raised:
+        _remote(_Replies([]), **options)
+    assert str(raised.value) == error
+
+
 def test_retry_after_reads_delta_seconds_and_each_http_date_form():
     now = email.utils.parsedate_to_datetime("Wed, 21 Oct 2015 07:26:30 GMT").timestamp()
     for value in ("Wed, 21 Oct 2015 07:28:00 GMT", "Wednesday, 21-Oct-15 07:28:00 GMT",

@@ -191,6 +191,9 @@ _LINK_CASES = {
     "amendment without target": (
         [_with(is_amendment=True, amends=None)],
         [(2, "amendment without target")]),
+    "target without amendment": (
+        [_with(is_amendment=False, amends="ACC0")],
+        [(2, "amends 'ACC0' on a record that is not an amendment")]),
     "amends another filer": (
         [_with(filer_id="ADV0002", is_amendment=True, amends="ACC0")],
         [(0, "accession ACC9 amends ACC0 of a different filing_type or filer")]),
