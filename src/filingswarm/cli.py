@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="embedder width for --strategy embed")
     rou.add_argument("--seed", type=int, default=0, help="swarm seed")
     rou.add_argument("--partial-credit", choices=("fractional", "binary"),
-                     default="fractional")
+                     default="fractional",
+                     help="credit a multi-route question by the share of slots "
+                          "matched, or fully when any slot matches")
     rou.add_argument("--out", required=True)
     _add_provider_flags(rou)
     rou.set_defaults(func=_cmd_route_run)
