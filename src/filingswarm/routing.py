@@ -247,7 +247,7 @@ def route_swarm(query: str, provider, registry: SchemaRegistry,
             for m, routes in enumerate(labels)]})
         history += tuple(f"member {m} timestep {t}: {','.join(routes) if routes else 'abstain'}"
                          for m, routes in enumerate(labels))
-        if len(set(proposals)) == 1 and proposals[0] is not None:
+        if proposals[0] is not None and proposals.count(proposals[0]) == len(proposals):
             break
 
     answered = [p for p in proposals if p is not None]
@@ -258,12 +258,11 @@ def route_swarm(query: str, provider, registry: SchemaRegistry,
     # an answered proposal is complete: it holds a route for every slot.
     # Each slot goes to its most voted route, ties to the least
     # (agent value, table).
-    final = []
-    for votes in map(Counter, zip(*answered)):
-        final.append(min(votes, key=lambda r: (-votes[r], r.agent.value, r.table)))
-    # some member answered, so one distinct proposal means all answered alike
-    transcript.append({"final": [r.label() for r in final],
-                       "unanimous": len(set(proposals)) == 1})
+    tallies = [Counter(slot) for slot in zip(*answered)]
+    final = [min(votes, key=lambda r: (-votes[r], r.agent.value, r.table)) for votes in tallies]
+    # unanimous: every member voted for every slot's winner
+    transcript.append({"final": [r.label() for r in final], "unanimous": all(
+        votes[r] == len(proposals) for r, votes in zip(final, tallies))})
     return RoutingOutcome(tuple(final), strategy="swarm",
                           transcript=tuple(transcript))
 
