@@ -160,6 +160,8 @@ class RemoteProvider:
                  rate_per_sec: float = 5.0, max_concurrent: int = 4,
                  session: requests.Session | None = None):
         # each would crash or hang the first or second request
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout!r}")
         if not rate_per_sec > 0:
             raise ValueError(f"rate_per_sec must be positive, got {rate_per_sec!r}")
         if max_retries < 0:

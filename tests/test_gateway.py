@@ -415,6 +415,7 @@ def test_remote_provider_raises_rate_limit_error_when_no_token_comes_in_time(sle
 
 
 @pytest.mark.parametrize("options, error", [
+    ({"timeout": 0}, "timeout must be positive, got 0"),
     ({"rate_per_sec": 0}, "rate_per_sec must be positive, got 0"),
     ({"rate_per_sec": -1.0}, "rate_per_sec must be positive, got -1.0"),
     ({"rate_per_sec": float("nan")}, "rate_per_sec must be positive, got nan"),
