@@ -253,32 +253,31 @@ def to_embedding_text(record: FilingRecord) -> str:
     return _TEXT_ENCODER.encode({"fields": kept, "table": record.table_id})
 
 
-def embedding_text_rows(records: Sequence[FilingRecord]) -> tuple[list[str], list[int]] | None:
-    """Texts whose tokens add up to each record's ``to_embedding_text``,
-    with every record's fields rendered by one encoder call.
+def embedding_text_rows(records: Sequence[FilingRecord]) -> tuple[list[str], list[int]]:
+    """Texts whose tokens add up to each record's ``to_embedding_text``:
+    each record's values, and each distinct key layout once.
 
-    Row i < len(records) is record i's null-free fields as that text renders
-    them, without the braces around them. The rows after it are one per
-    distinct table: the embedding text of a record of that table with empty
-    fields, which holds the ``fields``, ``table`` and table-id tokens.
-    ``owners[i]`` is the row of record i's table. Tokens never span a brace,
-    a quote or ", ", so each record's text has exactly the tokens of its two
-    rows.
-
-    ``None`` when the rendering does not hold exactly one ``{`` and one
-    ``}`` per record (a brace in a key or value, or an object as a value).
-    JSON escapes no brace inside a string, so otherwise every brace
-    delimits a record, and the ``}, {`` between two records splits them
-    exactly.
+    Row i < len(records) is record i's non-null field values as a JSON
+    array. The rows after them are one frame per distinct pair of table and
+    non-null keys, in order of first use: ``{"fields": [keys...], "table":
+    table_id}``, which holds the keys and the ``fields``, ``table`` and
+    table-id tokens. ``owners[i]`` is the row of record i's frame. A token
+    is a run of letters and digits, so none spans a quote, a bracket, a
+    brace or ", ", and each key or value renders alike in an array and in
+    an object. So each record's text has exactly the tokens of its value
+    row and its frame row, in another order.
     """
-    if not records:
-        return [], []
-    rendered = _TEXT_ENCODER.encode(
-        [{k: v for k, v in r.fields.items() if v is not None} for r in records])
-    if rendered.count("{") != len(records) or rendered.count("}") != len(records):
-        return None
-    rows = rendered[2:-2].split("}, {")
-    tables = [r.table_id for r in records]
-    table_rows = {t: row for row, t in enumerate(dict.fromkeys(tables), start=len(rows))}
-    rows += [_TEXT_ENCODER.encode({"fields": {}, "table": t}) for t in table_rows]
-    return rows, list(map(table_rows.__getitem__, tables))
+    first_frame = len(records)
+    rows: list[str] = []
+    frames: dict[tuple[str, tuple[str, ...]], int] = {}
+    owners: list[int] = []
+    for record in records:
+        fields = record.fields
+        if None in fields.values():
+            fields = {k: v for k, v in fields.items() if v is not None}
+        rows.append(_TEXT_ENCODER.encode(list(fields.values())))
+        owners.append(frames.setdefault((record.table_id, tuple(fields)),
+                                        first_frame + len(frames)))
+    rows += [_TEXT_ENCODER.encode({"fields": list(keys), "table": table_id})
+             for table_id, keys in frames]
+    return rows, owners

@@ -25,6 +25,7 @@ import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,17 +215,22 @@ def route_generative(query: str, provider, registry: SchemaRegistry,
 # ---------------------------------------------------------------------------
 # Swarm strategy
 
+@lru_cache
+def _swarm_personas(n_agents: int, seed: int) -> tuple[str, ...]:
+    """The members' personas: the rotation starts at an offset drawn from
+    ``seed`` alone, so a config's personas are drawn once, not per query."""
+    offset = random.Random(seed).randrange(len(_SWARM_PERSONAS))
+    return tuple(
+        _SWARM_PERSONAS[(offset + m) % len(_SWARM_PERSONAS)]
+        + (f" (panel seat {m})" if m >= len(_SWARM_PERSONAS) else "")
+        for m in range(n_agents))
+
+
 def route_swarm(query: str, provider, registry: SchemaRegistry,
                 config: SwarmConfig, n_routes: int = 1) -> RoutingOutcome:
     if n_routes < 1:
         raise ValueError("n_routes must be >= 1")
-    rng = random.Random(config.seed)
-    offset = rng.randrange(len(_SWARM_PERSONAS))
-    personas = [
-        _SWARM_PERSONAS[(offset + m) % len(_SWARM_PERSONAS)]
-        + (f" (panel seat {m})" if m >= len(_SWARM_PERSONAS) else "")
-        for m in range(config.n_agents)
-    ]
+    personas = _swarm_personas(config.n_agents, config.seed)
 
     # A round is one proposal per member: its routes, or None when it
     # abstained. The transcript entry, the history lines every later member

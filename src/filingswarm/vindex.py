@@ -131,19 +131,19 @@ class HashFeatureEmbedder:
         without tokens. Counts are exact integers in float64 up to the
         division, so the result does not depend on the batch. A chunk of
         ``build_index``'s record texts is counted from
-        ``embedding_text_rows``, which renders no record's text."""
+        ``embedding_text_rows``: each record's value row plus its frame
+        row, so no record's text is rendered, and keys are tokenized once
+        per frame, not once per record."""
         dim = self.dim
         out = np.empty((len(texts), dim), dtype=np.float32)
         for start in range(0, len(texts), _EMBED_CHUNK):
             chunk = texts[start:start + _EMBED_CHUNK]
-            split = (embedding_text_rows(chunk.records)
-                     if isinstance(chunk, _RecordTexts) else None)
-            if split is None:
-                counts = self._bucket_counts(list(chunk))
-            else:
-                rows, owners = split
+            if isinstance(chunk, _RecordTexts):
+                rows, owners = embedding_text_rows(chunk.records)
                 counts = self._bucket_counts(rows)
                 counts = counts[:len(chunk)] + counts[owners]
+            else:
+                counts = self._bucket_counts(list(chunk))
             signed = (counts[:, :dim] - counts[:, dim:-1]).astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", signed, signed))
             # a nonzero count vector has norm >= 1; a zero one stays zero

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -271,6 +272,24 @@ def test_swarm_transcript_is_deterministic_per_seed(registry):
     first = route_swarm(EQUITY_QUERY, DeterministicProvider(), registry, config)
     second = route_swarm(EQUITY_QUERY, DeterministicProvider(), registry, config)
     assert first == second
+
+
+def test_swarm_draws_a_configs_personas_once(registry, monkeypatch):
+    config = SwarmConfig(n_agents=7, max_timesteps=2, seed=13)
+    first = route_swarm(EQUITY_QUERY, DeterministicProvider(), registry, config)
+    seeded = []
+
+    class _CountingRandom(random.Random):
+        def __init__(self, *args):
+            seeded.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", _CountingRandom)
+    second = route_swarm(SPLIT_QUERY, DeterministicProvider(), registry, config)
+    assert seeded == []
+    assert first.transcript[0]["proposals"][6]["persona"].endswith("(panel seat 6)")
+    assert ([p["persona"] for p in first.transcript[0]["proposals"]]
+            == [p["persona"] for p in second.transcript[0]["proposals"]])
 
 
 def test_swarm_disagreement_runs_to_the_cap_and_votes(registry):

@@ -13,13 +13,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import filingswarm
 from filingswarm import vindex
 from filingswarm.corpus import records as records_module
-from filingswarm.corpus.records import FilingRecord, to_embedding_text
+from filingswarm.corpus.records import FilingRecord, embedding_text_rows, to_embedding_text
 from filingswarm.corpus.schema import FilingType
 from filingswarm.evalrun import build_routing_indexes
 from filingswarm.vindex import (
@@ -439,6 +439,11 @@ def _record(i: int, table_id: str, fields: dict) -> FilingRecord:
 
 
 @settings(max_examples=300, deadline=None)
+@example(rows=[("t1", {"a": ["], [", {"}, {": "[x]"}], "b": None}),
+               ("t1", {"a": 1, "b": 2}), ("t1", {"b": "{}", "a": "x"}),
+               ("t1", {"a": None, "b": None}), ("té 3", {"a": 1, "b": 2}),
+               ("t1", {}), ("T{2}", {"a": {"[": ["{", "}"]}, "b": [[], {}]})],
+         dim=7, chunk=3)
 @given(rows=st.lists(st.tuples(st.sampled_from(["t1", "T{2}", "té 3", "t\x01"]),
                                st.dictionaries(_record_text, _field_value, max_size=4)),
                      max_size=10),
@@ -451,6 +456,58 @@ def test_hash_embed_of_records_is_bit_identical_to_their_texts(rows, dim, chunk)
         batch = HashFeatureEmbedder(dim).embed_batch(vindex._RecordTexts(records))
         expected = HashFeatureEmbedder(dim).embed_batch(texts)
     assert np.array_equal(batch.view(np.uint32), expected.view(np.uint32))
+
+
+# Records drawn from a few key layouts shared across tables, with values that
+# may be null and may hold the brackets, braces and separators that a JSON
+# array or object renders around its items.
+_BRACKETED = ['"], ["', '"}, {"', "], [", "}, {", "[", "]", "{", "}", "[]", "{}"]
+_LAYOUT_KEYS = ["cusip", "value", "fund_ids", "Σ k", "{k}", '"], ["', "[x]"]
+_bracketed_value = st.recursive(
+    st.one_of(_scalar, st.sampled_from(_BRACKETED)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(_record_text, st.sampled_from(_BRACKETED)), inner,
+                        max_size=2)),
+    max_leaves=6)
+
+
+@st.composite
+def _layout_records(draw) -> list[FilingRecord]:
+    layouts = draw(st.lists(st.lists(st.sampled_from(_LAYOUT_KEYS), unique=True, max_size=4),
+                            min_size=1, max_size=3))
+    records = []
+    for i in range(draw(st.integers(0, 12))):
+        table_id = draw(st.sampled_from(["t1", "t2", "T{2}"]))
+        keys = draw(st.sampled_from(layouts))
+        records.append(_record(i, table_id, {k: draw(_bracketed_value) for k in keys}))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_layout_records(), dim=st.sampled_from([1, 7, 64]), chunk=st.integers(1, 5))
+def test_hash_embed_of_records_sharing_key_layouts_is_bit_identical_to_their_texts(
+        records, dim, chunk):
+    texts = [to_embedding_text(r) for r in records]
+    with mock.patch.object(vindex, "_EMBED_CHUNK", chunk):
+        batch = HashFeatureEmbedder(dim).embed_batch(vindex._RecordTexts(records))
+        expected = HashFeatureEmbedder(dim).embed_batch(texts)
+    assert np.array_equal(batch.view(np.uint32), expected.view(np.uint32))
+
+
+def test_embedding_text_rows_are_value_rows_then_one_frame_per_key_layout(small_view):
+    records = small_view.records
+    rows, owners = embedding_text_rows(records)
+    layouts = [(r.table_id, tuple(k for k, v in r.fields.items() if v is not None))
+               for r in records]
+    frames = list(dict.fromkeys(layouts))
+    assert len(rows) == len(records) + len(frames)
+    assert len(frames) < len(records)
+    assert len(owners) == len(records)
+    for record, layout, values, owner in zip(records, layouts, rows, owners):
+        assert json.loads(values) == [record.fields[k] for k in layout[1]]
+        assert owner == len(records) + frames.index(layout)
+        assert json.loads(rows[owner]) == {"fields": list(layout[1]), "table": layout[0]}
 
 
 def test_hash_build_index_renders_no_record_text(small_view, monkeypatch):
