@@ -253,9 +253,11 @@ def to_embedding_text(record: FilingRecord) -> str:
     return _TEXT_ENCODER.encode({"fields": kept, "table": record.table_id})
 
 
-def embedding_text_rows(records: Sequence[FilingRecord]) -> tuple[list[str], list[int]]:
-    """Texts whose tokens add up to each record's ``to_embedding_text``:
-    each record's values, and each distinct key layout once.
+def embedding_text_rows(records: Sequence[FilingRecord],
+                        joiner: str) -> tuple[str, int, list[int]]:
+    """Rows whose tokens add up to each record's ``to_embedding_text``:
+    each record's values, and each distinct key layout once. Returns the
+    rows joined by ``joiner``, their count, and ``owners``.
 
     Row i < len(records) is record i's non-null field values as a JSON
     array. The rows after them are one frame per distinct pair of table and
@@ -266,18 +268,31 @@ def embedding_text_rows(records: Sequence[FilingRecord]) -> tuple[list[str], lis
     brace or ", ", and each key or value renders alike in an array and in
     an object. So each record's text has exactly the tokens of its value
     row and its frame row, in another order.
+
+    The value rows come from one encode of all the records' arrays, whose
+    ``], [`` between two records becomes ``]`` + joiner + ``[``. The
+    pattern cannot overlap itself, so when the encoding holds it exactly
+    len(records) - 1 times, those are the record boundaries. Otherwise a
+    value holds it (a string, or two adjacent lists), and the arrays are
+    encoded one by one. ``joiner`` should hold a control character, which
+    JSON escapes, so that no row holds the joiner.
     """
     first_frame = len(records)
-    rows: list[str] = []
+    values: list[list] = []
     frames: dict[tuple[str, tuple[str, ...]], int] = {}
     owners: list[int] = []
     for record in records:
         fields = record.fields
         if None in fields.values():
             fields = {k: v for k, v in fields.items() if v is not None}
-        rows.append(_TEXT_ENCODER.encode(list(fields.values())))
+        values.append(list(fields.values()))
         owners.append(frames.setdefault((record.table_id, tuple(fields)),
                                         first_frame + len(frames)))
-    rows += [_TEXT_ENCODER.encode({"fields": list(keys), "table": table_id})
-             for table_id, keys in frames]
-    return rows, owners
+    encoded = _TEXT_ENCODER.encode(values)
+    if encoded.count("], [") == len(values) - 1:
+        body = encoded[1:-1].replace("], [", f"]{joiner}[")
+    else:
+        body = joiner.join(map(_TEXT_ENCODER.encode, values))
+    rows = [body] + [_TEXT_ENCODER.encode({"fields": list(keys), "table": table_id})
+                     for table_id, keys in frames]
+    return joiner.join(rows), first_frame + len(frames), owners

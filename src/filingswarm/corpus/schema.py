@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from importlib import resources
 from typing import Any
 
 
@@ -224,5 +223,9 @@ def registry_from_dict(doc: dict) -> SchemaRegistry:
 
 def load_default_registry() -> SchemaRegistry:
     """Load the registry JSON shipped with the package."""
+    # imported here, not at module level, to keep it off the import path
+    # of every module that only needs the types
+    from importlib import resources
+
     text = resources.files("filingswarm.corpus").joinpath("assets/schema_registry.json").read_text("utf-8")
     return registry_from_dict(json.loads(text))

@@ -155,21 +155,6 @@ def retrieval_units(instances: list[QuestionInstance],
     return units
 
 
-def build_scope_indexes(view: ReconciledView, embedder,
-                        registry: SchemaRegistry) -> dict[str, FlatIndex]:
-    """One flat index per scope label: 'global', 'agent:<filing>',
-    'table:<table_id>'. Every record is embedded once, for the global
-    index; the narrower scopes select their rows from it."""
-    whole = build_index(view, IndexScope.global_(), embedder)
-    positions = scope_positions(view)
-    scopes = ([IndexScope.agent(ft) for ft in FilingType]
-              + [IndexScope.table(schema.table_id) for schema in registry.all_tables()])
-    out = {whole.scope.label(): whole}
-    for scope in scopes:
-        out[scope.label()] = whole.select(scope, positions.get(scope, []))
-    return out
-
-
 def _scope_label_for(unit: RetrievalUnit, kind: str) -> str:
     if kind == "global":
         return "global"
@@ -180,22 +165,35 @@ def _scope_label_for(unit: RetrievalUnit, kind: str) -> str:
 
 def run_retrieval_ablation(instances: list[QuestionInstance], view: ReconciledView,
                            embedder, registry: SchemaRegistry) -> dict:
-    """R-Precision per scope level, split by filing and aggregated."""
+    """R-Precision per scope level, split by filing and aggregated.
+
+    Every record is embedded once, for the global index. A narrower scope's
+    index selects its rows from it and lives only while its units are
+    ranked, all in one ``knn`` call at the largest R among them: a top-R
+    list is a prefix of any longer one under the (distance, id) order."""
     units = retrieval_units(instances, view)
-    indexes = build_scope_indexes(view, embedder, registry)
+    whole = build_index(view, IndexScope.global_(), embedder)
+    positions = scope_positions(view)
     texts = list(dict.fromkeys(unit.query_text for unit in units))
-    query_vecs = dict(zip(texts, embedder.embed_batch(texts))) if texts else {}
+    row_of = {text: row for row, text in enumerate(texts)}
+    query_vecs = embedder.embed_batch(texts) if texts else None
 
     scopes_out: dict[str, dict] = {}
     for kind in SCOPE_KINDS:
+        groups: dict[str, list[int]] = {}
+        for i, unit in enumerate(units):
+            groups.setdefault(_scope_label_for(unit, kind), []).append(i)
+        scores = [0.0] * len(units)
+        for label, members in groups.items():
+            scope = IndexScope.parse(label)
+            # a selected index is dropped as soon as its group is ranked
+            ranked = knn(whole if kind == "global" else whole.select(scope, positions[scope]),
+                         query_vecs[[row_of[units[i].query_text] for i in members]],
+                         max(len(units[i].relevant) for i in members))
+            for i, hits in zip(members, ranked):
+                scores[i] = r_precision([rid for rid, _ in hits], units[i].relevant)
         by_filing: dict[str, list[float]] = {}
-        scores = []
-        for unit in units:
-            index = indexes[_scope_label_for(unit, kind)]
-            r = len(unit.relevant)
-            hits = knn(index, query_vecs[unit.query_text], min(r, len(index.record_ids)))
-            score = r_precision([rid for rid, _ in hits], unit.relevant)
-            scores.append(score)
+        for unit, score in zip(units, scores):
             by_filing.setdefault(unit.route.agent.value, []).append(score)
         scopes_out[kind] = {
             "per_filing": {

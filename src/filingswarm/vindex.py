@@ -5,9 +5,10 @@ root. The canonical distance between a stored vector and a query is defined
 as ``float(np.sum((x64 - q64) ** 2))`` where both operands are the float32
 stored values widened to float64; knn computes exactly this expression for
 every returned entry, so results are bit-identical to a naive all-pairs
-scan. A prefilter only narrows the candidate set: one float32 GEMV per
-query, expanded with row norms that each index caches in float64 when it is
-built, under a rounding bound relative to those norms (see ``_prefilter``).
+scan. A prefilter only narrows the candidate set: float32 dot products,
+one GEMM per block of queries, expanded with row norms that each index
+caches in float64 when it is built, under a rounding bound relative to
+those norms (see ``_prefilter``).
 Candidates are rescored canonically before ranking, and ties break by
 record_id ascending.
 
@@ -48,6 +49,9 @@ _TOKEN_BYTES = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz\x01" else 
                      for c in range(256))
 # texts embedded per vectorised step; bounds the step's count matrix
 _EMBED_CHUNK = 4096
+# queries whose dot products knn takes from one GEMM; bounds its
+# (block, n) float32 product
+_KNN_BLOCK = 16
 
 _MAGIC = b"FSIDX1\n"
 
@@ -132,32 +136,30 @@ class HashFeatureEmbedder:
         division, so the result does not depend on the batch. A chunk of
         ``build_index``'s record texts is counted from
         ``embedding_text_rows``: each record's value row plus its frame
-        row, so no record's text is rendered, and keys are tokenized once
-        per frame, not once per record."""
+        row, which come already joined, mostly from one encode per chunk.
+        So no record's text is rendered, and keys are tokenized once per
+        frame, not once per record."""
         dim = self.dim
         out = np.empty((len(texts), dim), dtype=np.float32)
         for start in range(0, len(texts), _EMBED_CHUNK):
             chunk = texts[start:start + _EMBED_CHUNK]
             if isinstance(chunk, _RecordTexts):
-                rows, owners = embedding_text_rows(chunk.records)
-                counts = self._bucket_counts(rows)
+                joined, n_rows, owners = embedding_text_rows(chunk.records, _JOINER)
+                counts = self._bucket_counts(joined, n_rows)
                 counts = counts[:len(chunk)] + counts[owners]
             else:
-                counts = self._bucket_counts(list(chunk))
+                counts = self._bucket_counts(_join(chunk), len(chunk))
             signed = (counts[:, :dim] - counts[:, dim:-1]).astype(np.float64)
             norms = np.sqrt(np.einsum("ij,ij->i", signed, signed))
             # a nonzero count vector has norm >= 1; a zero one stays zero
             out[start:start + len(chunk)] = signed / np.maximum(norms, 1.0)[:, None]
         return out
 
-    def _bucket_counts(self, texts: list[str]) -> np.ndarray:
-        """Token counts per text, one row of positive buckets, negative
-        buckets and the separator column each, from one pass over the
-        joined texts."""
+    def _bucket_counts(self, joined: str, n_rows: int) -> np.ndarray:
+        """Token counts of each of the ``n_rows`` rows that ``joined`` holds
+        between its separators: one row of positive buckets, negative
+        buckets and the separator column each, from one pass."""
         width = 2 * self.dim + 1
-        joined = _JOINER.join(texts)
-        if joined.count(_SEP) != len(texts) - 1:
-            joined = _JOINER.join(t.replace(_SEP, " ") for t in texts)
         tokens = (joined.lower().encode("utf-8", "surrogatepass")
                   .translate(_TOKEN_BYTES).split())
         codes = np.fromiter(map(self._codes.__getitem__, tokens),
@@ -167,8 +169,17 @@ class HashFeatureEmbedder:
         cells = np.add.accumulate(codes // (2 * self.dim))
         cells *= width
         cells += codes
-        counts = np.bincount(cells, minlength=len(texts) * width)
-        return counts.reshape(len(texts), width)
+        counts = np.bincount(cells, minlength=n_rows * width)
+        return counts.reshape(n_rows, width)
+
+
+def _join(texts: Sequence[str]) -> str:
+    """The texts around the separator; a separator inside a text becomes
+    the space that the tokenizer would read it as."""
+    joined = _JOINER.join(texts)
+    if joined.count(_SEP) != len(texts) - 1:
+        joined = _JOINER.join(t.replace(_SEP, " ") for t in texts)
+    return joined
 
 
 class _RecordTexts(Sequence):
@@ -240,6 +251,10 @@ class FlatIndex:
         vectors = vectors.view()
         vectors.flags.writeable = False
         sq_norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+        # a squared norm of float32 values overflows no float64, so it is
+        # finite exactly when every component is
+        if not np.isfinite(sq_norms).all():
+            raise IndexError_("index vectors hold a value that is not finite")
         sq_norms.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "sq_norms", sq_norms)
@@ -316,15 +331,18 @@ _U64 = 2.0 ** -53
 _SUBNORMAL32 = 2.0 ** -149  # spacing of float32 near zero
 
 
-def _prefilter(index: FlatIndex, q32: np.ndarray, take: int) -> np.ndarray:
-    """Positions of a superset of the ``take`` rows nearest the query.
+def _prefilter(index: FlatIndex, q32: np.ndarray, dots32: np.ndarray,
+               take: int) -> np.ndarray:
+    """Positions of a superset of the ``take`` rows nearest the query,
+    given ``dots32``, the float32 dot products of every row with it.
 
-    For a row x and the query q, both float32 values, let p = |x|^2,
-    r = |q|^2 and t = x.q. The float32 GEMV returns t' with
+    For a row x and the query q, both finite float32 values, let p = |x|^2,
+    r = |q|^2 and t = x.q. A float32 product, whether a GEMV or one column
+    of a GEMM, returns t' with
     |t' - t| <= g_d * sum_j |x_j q_j| <= g_d |x||q| <= g_d (p + r) / 2,
     where g_n = n u / (1 - n u) and u = 2^-24, for any summation order and
     with or without FMA; gradual underflow adds at most d * 2^-150. If the
-    GEMV overflows (a non-finite result), the product is taken in float64
+    product overflows (a non-finite result), it is taken in float64
     instead, with u = 2^-53. The cached float64 norms, the float64
     expansion a = p - 2t' + r and the canonical distance itself together
     err by at most about (4d + 7) 2^-53 (p + r), far below g_d (p + r). So
@@ -337,8 +355,7 @@ def _prefilter(index: FlatIndex, q32: np.ndarray, take: int) -> np.ndarray:
     """
     q64 = q32.astype(np.float64)
     qq = float(q64 @ q64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dots, u = (index.vectors @ q32).astype(np.float64), _U32
+    dots, u = dots32.astype(np.float64), _U32
     if not np.isfinite(dots).all():
         dots, u = index.vectors.astype(np.float64) @ q64, _U64
     gamma = (index.dim + 2) * u / (1 - (index.dim + 2) * u)
@@ -353,33 +370,54 @@ def _prefilter(index: FlatIndex, q32: np.ndarray, take: int) -> np.ndarray:
     return np.flatnonzero(approx <= bound)
 
 
-def knn(index: FlatIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+def _rescore(index: FlatIndex, q32: np.ndarray, positions: np.ndarray | None,
+             take: int) -> list[tuple[str, float]]:
+    """The ``take`` nearest of the rows at ``positions`` (every row when
+    None), by the canonical row-wise distance, then record id."""
+    if positions is None:
+        rows, ids = index.vectors, index.record_ids
+    else:
+        rows = index.vectors[positions]
+        ids = [index.record_ids[pos] for pos in positions.tolist()]
+    dists = np.sum((rows.astype(np.float64) - q32.astype(np.float64)) ** 2, axis=1).tolist()
+    return [(record_id, dist) for dist, record_id in sorted(zip(dists, ids))[:take]]
+
+
+def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
     """Exact top-k by canonical distance; ties by record_id ascending.
 
-    When k covers the index every row is scored; otherwise a float32
-    prefilter with a proven rounding bound (``_prefilter``) picks the
-    candidates. Either way the rows are scored with the canonical row-wise
+    ``query`` is one vector, which gives one hit list, or an (m, dim)
+    matrix, which gives a list of m hit lists, one per row. A query that is
+    not finite raises ``IndexError_``. When k covers the index every row
+    is scored; otherwise a float32 prefilter with a proven rounding bound
+    (``_prefilter``) picks each query's candidates, from dot products that
+    one GEMM takes for a block of up to ``_KNN_BLOCK`` queries. The bound
+    holds for any summation order, so how the GEMM rounds cannot change a
+    result. Either way the rows are scored with the canonical row-wise
     expression and ranked by (dist, id).
     """
     if k < 1:
         raise IndexError_("k must be >= 1")
     q32 = np.asarray(query, dtype=np.float32)
-    if q32.shape != (index.dim,):
+    queries = q32[None] if q32.ndim == 1 else q32
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise IndexError_(f"query dim {q32.shape} does not match index dim {index.dim}")
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise IndexError_(f"query row {int(np.argmin(finite))} is not finite")
     n = len(index)
-    if n == 0:
-        return []
     take = min(n, k)
-    if take == n:
-        rows, ids = index.vectors, index.record_ids
-    else:
-        positions = _prefilter(index, q32, take)
-        rows = index.vectors[positions]
-        ids = [index.record_ids[pos] for pos in positions.tolist()]
-    x64 = rows.astype(np.float64)
-    dists = np.sum((x64 - q32.astype(np.float64)) ** 2, axis=1).tolist()
-    rescored = sorted(zip(dists, ids))
-    return [(record_id, dist) for dist, record_id in rescored[:take]]
+    hits: list[list[tuple[str, float]]] = []
+    for start in range(0, len(queries), _KNN_BLOCK):
+        block = queries[start:start + _KNN_BLOCK]
+        if take == n:
+            hits += [_rescore(index, q, None, take) for q in block]
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = block @ index.vectors.T
+        hits += [_rescore(index, q, _prefilter(index, q, row, take), take)
+                 for q, row in zip(block, dots)]
+    return hits[0] if q32.ndim == 1 else hits
 
 
 def r_precision(retrieved: Sequence[str], relevant: Iterable[str]) -> float:

@@ -124,11 +124,90 @@ def _knn_case(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_knn_case())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_knn_equals_naive_scan_at_any_magnitude(case):
     index, query, k = case
     assert knn(index, query, k) == naive_knn(index.vectors, index.record_ids, query, k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_knn_case(), seed=st.integers(0, 2**32 - 1), m=st.integers(0, 40))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_knn_of_a_query_matrix_is_each_rows_knn(case, seed, m):
+    # m may span several GEMM blocks; rows are the case's query, index rows
+    # (exact matches) and fresh draws at the case's magnitudes
+    index, query, k = case
+    rng = np.random.default_rng(seed)
+    pool = np.vstack([query[None], index.vectors,
+                      query * rng.standard_normal((4, index.dim)).astype(np.float32)])
+    queries = pool[rng.integers(len(pool), size=m)]
+    got = knn(index, queries, k)
+    assert len(got) == m
+    for row, hits in zip(queries, got):
+        assert hits == knn(index, row, k)
+        assert hits == naive_knn(index.vectors, index.record_ids, row, k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_knn_of_a_query_matrix_mixes_overflow_and_ordinary_rows():
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((50, 3)).astype(np.float32)
+    vectors[:3] *= np.float32(3e20)
+    index = FlatIndex(scope=IndexScope.global_(), dim=3,
+                      record_ids=[f"r{i:02d}" for i in range(50)], vectors=vectors)
+    huge = np.array([3e20, 2e15, -1e20], dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(vectors @ huge).all()
+    queries = np.vstack([rng.standard_normal((vindex._KNN_BLOCK + 3, 3)).astype(np.float32),
+                         huge[None]])
+    queries[[1, 7]] = queries[[7, 1]]
+    queries[9] = huge
+    for k in (1, 5, 49, 50, 51):
+        got = knn(index, queries, k)
+        assert len(got) == len(queries)
+        for row, hits in zip(queries, got):
+            assert hits == naive_knn(index.vectors, index.record_ids, row, k)
+    empty = FlatIndex(scope=IndexScope.global_(), dim=3)
+    assert knn(empty, queries, 2) == [[]] * len(queries)
+    assert knn(index, np.zeros((0, 3), dtype=np.float32), 2) == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_knn_refuses_a_query_that_is_not_finite(bad):
+    index = make_index([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])], 2)
+    query = np.array([bad, 0.0], dtype=np.float32)
+    for k in (1, 3, 4):
+        with pytest.raises(IndexError_, match="query row 0 is not finite"):
+            knn(index, query, k)
+    queries = np.array([[0.0, 1.0], [0.0, bad], [1.0, 1.0]], dtype=np.float32)
+    with pytest.raises(IndexError_, match="query row 1 is not finite"):
+        knn(index, queries, 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_index_refuses_vectors_that_are_not_finite(bad, tmp_path):
+    vectors = np.ones((3, 2), dtype=np.float32)
+    vectors[1, 0] = bad
+    with pytest.raises(IndexError_, match="not finite"):
+        FlatIndex(scope=IndexScope.global_(), dim=2, record_ids=["a", "b", "c"],
+                  vectors=vectors)
+    # a snapshot whose vector block holds one, with a checksum that matches
+    index = FlatIndex(scope=IndexScope.global_(), dim=2, record_ids=["a", "b", "c"],
+                      vectors=np.ones((3, 2), dtype=np.float32))
+    path = tmp_path / "f.idx"
+    save_index(index, path)
+    blob = path.read_bytes()
+    vec_start = blob.index(b"\n", len(b"FSIDX1\n")) + 1
+    vec_blob = vectors.astype("<f4").tobytes()
+    ids_blob = blob[vec_start + len(vec_blob):]
+    blob = blob[:vec_start] + vec_blob + ids_blob
+    path.write_bytes(_with_header(blob, vec_start,
+                                  crc32=zlib.crc32(ids_blob, zlib.crc32(vec_blob))))
+    with pytest.raises(IndexError_, match="not finite"):
+        load_index(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_knn_float64_fallback_on_float32_overflow():
     vectors = np.array([[3e20, 0.0], [3e20, 1e15], [-3e20, 0.0]], dtype=np.float32)
     index = make_index([("a", vectors[0]), ("b", vectors[1]), ("c", vectors[2])], 2)
@@ -444,6 +523,11 @@ def _record(i: int, table_id: str, fields: dict) -> FilingRecord:
                ("t1", {"a": None, "b": None}), ("té 3", {"a": 1, "b": 2}),
                ("t1", {}), ("T{2}", {"a": {"[": ["{", "}"]}, "b": [[], {}]})],
          dim=7, chunk=3)
+@example(rows=[("t1", {"a": 1, "b": "x"}), ("t1", {"a": "], [", "b": 2}),
+               ("t2", {"a": [[1], [2]], "b": None}), ("t2", {"a": 3}),
+               ("t1", {"a": [1], "b": [2]}), ("t1", {"a": 4, "b": 5}),
+               ("t1", {"a": [6], "b": 6}), ("t2", {"b": [[7]]})],
+         dim=7, chunk=2)
 @given(rows=st.lists(st.tuples(st.sampled_from(["t1", "T{2}", "té 3", "t\x01"]),
                                st.dictionaries(_record_text, _field_value, max_size=4)),
                      max_size=10),
@@ -497,17 +581,37 @@ def test_hash_embed_of_records_sharing_key_layouts_is_bit_identical_to_their_tex
 
 def test_embedding_text_rows_are_value_rows_then_one_frame_per_key_layout(small_view):
     records = small_view.records
-    rows, owners = embedding_text_rows(records)
+    joined, n_rows, owners = embedding_text_rows(records, vindex._JOINER)
+    rows = joined.split(vindex._JOINER)
     layouts = [(r.table_id, tuple(k for k, v in r.fields.items() if v is not None))
                for r in records]
     frames = list(dict.fromkeys(layouts))
-    assert len(rows) == len(records) + len(frames)
+    assert n_rows == len(rows) == len(records) + len(frames)
     assert len(frames) < len(records)
     assert len(owners) == len(records)
     for record, layout, values, owner in zip(records, layouts, rows, owners):
         assert json.loads(values) == [record.fields[k] for k in layout[1]]
         assert owner == len(records) + frames.index(layout)
         assert json.loads(rows[owner]) == {"fields": list(layout[1]), "table": layout[0]}
+
+
+@pytest.mark.parametrize("values", [
+    [1, "x"], ["], ["], ['"], ["'], [[[1], [2]]], [[1], [2]], [{"k": [1]}, [2]], [[], []],
+    [[1, [2]], "[3]"], [],
+])
+def test_embedding_text_rows_are_split_only_at_record_boundaries(values):
+    # a value that renders "], [" sends the chunk to one encode per record;
+    # the joined rows are the same either way
+    records = [_record(0, "t1", {"a": 0}), _record(1, "t1", {f"v{i}": v for i, v in enumerate(values)}),
+               _record(2, "t2", {"a": [0], "b": None}), _record(3, "t1", {"a": [1]})]
+    joined, n_rows, owners = embedding_text_rows(records, vindex._JOINER)
+    rows = [json.dumps(list(v for v in r.fields.values() if v is not None))
+            for r in records]
+    layouts = list(dict.fromkeys(
+        (r.table_id, tuple(k for k, v in r.fields.items() if v is not None)) for r in records))
+    rows += [json.dumps({"fields": list(keys), "table": table}) for table, keys in layouts]
+    assert joined == vindex._JOINER.join(rows)
+    assert n_rows == len(rows)
 
 
 def test_hash_build_index_renders_no_record_text(small_view, monkeypatch):
