@@ -223,8 +223,8 @@ def registry_from_dict(doc: dict) -> SchemaRegistry:
 
 def load_default_registry() -> SchemaRegistry:
     """Load the registry JSON shipped with the package."""
-    # imported here, not at module level, to keep it off the import path
-    # of every module that only needs the types
+    # imported on first use, not at module level: it costs a cold start
+    # that does not already import it tens of milliseconds
     from importlib import resources
 
     text = resources.files("filingswarm.corpus").joinpath("assets/schema_registry.json").read_text("utf-8")

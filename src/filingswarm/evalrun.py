@@ -155,12 +155,12 @@ def retrieval_units(instances: list[QuestionInstance],
     return units
 
 
-def _scope_label_for(unit: RetrievalUnit, kind: str) -> str:
+def _scope_for(unit: RetrievalUnit, kind: str) -> IndexScope:
     if kind == "global":
-        return "global"
+        return IndexScope.global_()
     if kind == "agent":
-        return f"agent:{unit.route.agent.value}"
-    return f"table:{unit.route.table}"
+        return IndexScope.agent(unit.route.agent)
+    return IndexScope.table(unit.route.table)
 
 
 def run_retrieval_ablation(instances: list[QuestionInstance], view: ReconciledView,
@@ -180,12 +180,11 @@ def run_retrieval_ablation(instances: list[QuestionInstance], view: ReconciledVi
 
     scopes_out: dict[str, dict] = {}
     for kind in SCOPE_KINDS:
-        groups: dict[str, list[int]] = {}
+        groups: dict[IndexScope, list[int]] = {}
         for i, unit in enumerate(units):
-            groups.setdefault(_scope_label_for(unit, kind), []).append(i)
+            groups.setdefault(_scope_for(unit, kind), []).append(i)
         scores = [0.0] * len(units)
-        for label, members in groups.items():
-            scope = IndexScope.parse(label)
+        for scope, members in groups.items():
             # a selected index is dropped as soon as its group is ranked
             ranked = knn(whole if kind == "global" else whole.select(scope, positions[scope]),
                          query_vecs[[row_of[units[i].query_text] for i in members]],

@@ -11,7 +11,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 ROLES = ("user", "assistant")
 TEMPERATURE = 0.0
@@ -43,6 +42,9 @@ class RateLimitError(GatewayError):
 
 @lru_cache(maxsize=None)
 def _system_prompt(tag: str) -> str:
+    # imported on first use, as in corpus.schema, to keep it off cold start
+    from importlib import resources
+
     ref = resources.files("filingswarm.assets.prompts").joinpath(f"{tag}.txt")
     return ref.read_text(encoding="utf-8")
 
