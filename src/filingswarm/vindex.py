@@ -407,16 +407,16 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
         raise IndexError_(f"query row {int(np.argmin(finite))} is not finite")
     n = len(index)
     take = min(n, k)
-    hits: list[list[tuple[str, float]]] = []
-    for start in range(0, len(queries), _KNN_BLOCK):
-        block = queries[start:start + _KNN_BLOCK]
-        if take == n:
-            hits += [_rescore(index, q, None, take) for q in block]
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            dots = block @ index.vectors.T
-        hits += [_rescore(index, q, _prefilter(index, q, row, take), take)
-                 for q, row in zip(block, dots)]
+    if take == n:
+        hits = [_rescore(index, q, None, take) for q in queries]
+    else:
+        hits = []
+        for start in range(0, len(queries), _KNN_BLOCK):
+            block = queries[start:start + _KNN_BLOCK]
+            with np.errstate(over="ignore", invalid="ignore"):
+                dots = block @ index.vectors.T
+            hits += [_rescore(index, q, _prefilter(index, q, row, take), take)
+                     for q, row in zip(block, dots)]
     return hits[0] if q32.ndim == 1 else hits
 
 
