@@ -140,23 +140,18 @@ def test_retrieval_units_target_one_gold_table_each(bench, small_view):
             assert instance.gold_routes[0].agent is FilingType.THIRTEEN_F
 
 
-def test_scopes_selected_from_the_global_index_equal_separate_builds(small_view, registry):
+def test_scope_index_labels_cover_every_level(small_view, registry):
     # the ablation's narrower indexes are rows selected from the global one
     whole = build_index(small_view, IndexScope.global_(), HashFeatureEmbedder(16))
     positions = scope_positions(small_view)
-    agents = {IndexScope.agent(ft) for ft in FilingType}
-    tables = {IndexScope.table(s.table_id) for s in registry.all_tables()}
-    assert set(positions) == agents | tables
+    agents = {f"agent:{ft.value}" for ft in FilingType}
+    tables = {f"table:{s.table_id}" for s in registry.all_tables()}
+    labels = {scope.label() for scope in positions}
+    assert {whole.scope.label()} | labels == {"global"} | agents | tables
     assert len(whole.record_ids) == len(small_view.records)
-    for scope, rows in positions.items():
-        selected = whole.select(scope, rows)
-        alone = build_index(small_view, scope, HashFeatureEmbedder(16))
-        assert selected.scope == alone.scope
-        assert selected.record_ids == alone.record_ids
-        assert selected.vectors.tobytes() == alone.vectors.tobytes()
     # 13F holds a single table, so its filing index is that table's index
-    assert (positions[IndexScope.agent(FilingType.THIRTEEN_F)]
-            == positions[IndexScope.table("thirteenf_holdings")])
+    assert (positions[IndexScope.parse("agent:13F")]
+            == positions[IndexScope.parse("table:thirteenf_holdings")])
 
 
 class _CountingEmbedder(HashFeatureEmbedder):
@@ -167,6 +162,23 @@ class _CountingEmbedder(HashFeatureEmbedder):
     def embed_batch(self, texts):
         self.batches += 1
         return super().embed_batch(texts)
+
+
+def test_scope_indexes_equal_separate_builds_from_one_embedding(small_view, registry):
+    embedder = _CountingEmbedder(16)
+    whole = build_index(small_view, IndexScope.global_(), embedder)
+    positions = scope_positions(small_view)
+    selected = {scope.label(): whole.select(scope, rows)
+                for scope, rows in positions.items()}
+    assert embedder.batches == 1
+    tables = {f"table:{s.table_id}" for s in registry.all_tables()}
+    assert set(selected) == {f"agent:{ft.value}" for ft in FilingType} | tables
+    assert len(selected) == 6 + len(tables)
+    for label, index in selected.items():
+        alone = build_index(small_view, IndexScope.parse(label), HashFeatureEmbedder(16))
+        assert index.scope == alone.scope
+        assert index.record_ids == alone.record_ids
+        assert index.vectors.tobytes() == alone.vectors.tobytes()
 
 
 def test_retrieval_ablation_embeds_queries_in_one_batch(bench, small_view, registry):
