@@ -21,7 +21,7 @@ from ..corpus.schema import FilingType
 from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
 from ..questbench import TEMPLATES
 from .prompts import CANNOT_PLAN, REFUSAL, Prompt, parse_prompt
-from .types import ChatRequest
+from .types import TAGS, ChatRequest
 
 _CUE_WORDS = (
     "get", "calculate", "identify", "list", "what", "how many", "retrieve",
@@ -182,12 +182,18 @@ def _guess_total_assets(slots: dict[str, str]) -> Plan:
         Return("ret", "a1")))
 
 
+@lru_cache(maxsize=64)
+def _fold(name: str) -> str:
+    """A filing type name as ``FilingType.parse`` compares it."""
+    return name.upper().replace("-", "")
+
+
 class DeterministicProvider:
-    """One ``_do_<tag>`` rule per request tag."""
+    """One ``_do_<tag>`` rule per request tag, dispatched through ``_RULES``."""
 
     def complete(self, request: ChatRequest) -> str:
         prompt = parse_prompt(request.last_user_content())
-        return getattr(self, f"_do_{request.tag}")(" ".join(prompt.queries), prompt)
+        return _RULES[request.tag](self, " ".join(prompt.queries), prompt)
 
     # -- screening ---------------------------------------------------------
 
@@ -251,9 +257,9 @@ class DeterministicProvider:
         if reading.template_id:
             routes = TEMPLATES[reading.template_id].gold_routes
             if prompt.covered < len(routes):
-                agent = routes[prompt.covered].agent.value
+                agent = _fold(routes[prompt.covered].agent.value)
                 for cand in prompt.candidates:
-                    if cand.upper().replace("-", "") == agent.upper().replace("-", ""):
+                    if _fold(cand) == agent:
                         return cand
         scored = _score(reading.agent_totals, prompt.candidates)
         return self._ranked_with_persona(scored, prompt.covered, prompt.persona)
@@ -329,3 +335,8 @@ class DeterministicProvider:
                 out = out[:idx] + new + out[idx + len(old):]
                 break
         return out
+
+
+# Each request tag's rule; a tag without a ``_do_<tag>`` rule fails here, at
+# import, not at its first request.
+_RULES = {tag: getattr(DeterministicProvider, f"_do_{tag}") for tag in TAGS}

@@ -58,16 +58,30 @@ def build_route_request(query: str, candidates: Sequence[str],
                         history: Sequence[str] = ()) -> ChatRequest:
     """An agent route prompt, or a table route prompt when ``agent`` is
     given: the tables offered are that agent's."""
-    lines = [f"PERSONA: {persona}"] if persona else []
-    lines.append(f"QUERY: {query}")
+    head = f"PERSONA: {persona}\nQUERY: {query}" if persona else f"QUERY: {query}"
     if agent is not None:
-        lines.append(f"AGENT: {agent}")
-    lines.append(f"CANDIDATES: {CANDIDATE_SEP.join(candidates)}")
-    lines.extend(f"ALREADY: agent={a} table={t}" for a, t in covered)
-    if history:
-        lines.append("HISTORY:")
-        lines.extend(f"- {entry}" for entry in history)
-    return _request("route_agent" if agent is None else "route_table", lines)
+        head += f"\nAGENT: {agent}"
+    already = "".join([f"\nALREADY: agent={a} table={t}"
+                       for a, t in covered]) if covered else ""
+    content = (f"{head}\n{_candidates_line(tuple(candidates))}{already}"
+               f"{_history_block(tuple(history))}")
+    return ChatRequest("route_agent" if agent is None else "route_table",
+                       (("user", content),))
+
+
+@lru_cache(maxsize=32)
+def _candidates_line(candidates: tuple[str, ...]) -> str:
+    """The CANDIDATES line; routing offers a few distinct lists."""
+    return f"CANDIDATES: {CANDIDATE_SEP.join(candidates)}"
+
+
+@lru_cache(maxsize=32)
+def _history_block(history: tuple[str, ...]) -> str:
+    """The HISTORY lines after a newline, or nothing for no history. Every
+    member of a swarm round reads the same history."""
+    if not history:
+        return ""
+    return "\nHISTORY:" + "".join(f"\n- {entry}" for entry in history)
 
 
 def build_plan_request(subquery_texts: Sequence[str]) -> ChatRequest:
@@ -122,7 +136,7 @@ def parse_prompt(content: str) -> Prompt:
         if key == "QUERY":
             prompt.queries.append(value)
         elif key == "CANDIDATES":
-            prompt.candidates = [c.strip() for c in value.split("|")]
+            prompt.candidates = list(_split_candidates(value))
         elif key == "ALREADY":
             prompt.covered += 1
         elif key == "PERSONA":
@@ -135,6 +149,13 @@ def parse_prompt(content: str) -> Prompt:
         elif key == "DRAFT_PLAN":
             prompt.draft_plan = value
     return prompt
+
+
+@lru_cache(maxsize=32)
+def _split_candidates(value: str) -> tuple[str, ...]:
+    """The names a CANDIDATES value lists. A tuple, so that the caller's
+    list is its own copy."""
+    return tuple(c.strip() for c in value.split("|"))
 
 
 def read_verdict(reply: str) -> tuple[str, float]:

@@ -40,8 +40,10 @@ STRATEGIES = ("embedding", "generative", "swarm")
 
 NO_PREDICTION = "(none)"
 
-# The closed list every agent prompt offers, in enum order.
+# The closed list every agent prompt offers, in enum order, and the agent
+# each candidate names.
 _AGENT_CANDIDATES = tuple(ft.value for ft in FilingType)
+_AGENT_BY_VALUE = {ft.value: ft for ft in FilingType}
 
 _SWARM_PERSONAS = (
     "literal reader taking the question wording at face value",
@@ -113,7 +115,9 @@ def route_embedding(query: str, persona_index: FlatIndex,
 
     Every distance is ``knn``'s canonical one, taken for the persona rows
     and each persona's table rows in one pass, and each ranking is by
-    (distance, id), as ``knn`` ranks a whole index."""
+    (distance, id), as ``knn`` ranks a whole index. A query that is not
+    finite, or a table index whose dim is not the persona index's, raises
+    ``IndexError_``."""
     if n_routes < 1:
         raise ValueError("n_routes must be >= 1")
     q32 = np.asarray(embedder.embed(query), dtype=np.float32)
@@ -121,36 +125,41 @@ def route_embedding(query: str, persona_index: FlatIndex,
         raise ValueError("persona index is empty: no agent to route to")
     if q32.shape != (persona_index.dim,):
         raise IndexError_(f"query dim {q32.shape} does not match index dim {persona_index.dim}")
+    if not np.isfinite(q32).all():
+        raise IndexError_("query is not finite")
     blocks: list[tuple[str | None, FlatIndex]] = [(None, persona_index)]
     for agent_value in persona_index.record_ids:
         table_index = table_indexes.get(agent_value)
         if table_index is not None and len(table_index):
+            if table_index.dim != persona_index.dim:
+                raise IndexError_(f"table index of agent {agent_value} has dim "
+                                  f"{table_index.dim}, not the persona index's "
+                                  f"{persona_index.dim}")
             blocks.append((agent_value, table_index))
     x64 = np.concatenate([index.vectors for _, index in blocks]).astype(np.float64)
     dists = np.sum((x64 - q32.astype(np.float64)) ** 2, axis=1).tolist()
-    rankings: dict[str | None, list[tuple[float, str]]] = {}
+    # each block's (distance, id) pairs, unsorted: the first slot takes two
+    # minimums and the later slots sort all pairs at once
+    scored: dict[str | None, list[tuple[float, str]]] = {}
     start = 0
     for agent_value, index in blocks:
-        rankings[agent_value] = sorted(zip(dists[start:start + len(index)], index.record_ids))
+        scored[agent_value] = list(zip(dists[start:start + len(index)], index.record_ids))
         start += len(index)
 
-    def table_ranking(agent_value: str) -> list[tuple[float, str]]:
-        ranking = rankings.get(agent_value)
-        if ranking is None:
+    def table_scores(agent_value: str) -> list[tuple[float, str]]:
+        pairs = scored.get(agent_value)
+        if pairs is None:
             raise ValueError(f"no table description index for agent {agent_value}")
-        return ranking
+        return pairs
 
-    persona_ranking = rankings[None]
-    first_agent = persona_ranking[0][1]
-    first_table = table_ranking(first_agent)[0][1]
+    first_agent = min(scored[None])[1]
+    first_table = min(table_scores(first_agent))[1]
     routes = [Route(FilingType.parse(first_agent), first_table)]
 
     if n_routes > 1:
-        pairs = []
-        for persona_dist, agent_value in persona_ranking:
-            for table_dist, table_id in table_ranking(agent_value):
-                pairs.append((persona_dist + table_dist, agent_value, table_id))
-        pairs.sort()
+        pairs = sorted((persona_dist + table_dist, agent_value, table_id)
+                       for persona_dist, agent_value in scored[None]
+                       for table_dist, table_id in table_scores(agent_value))
         # each (agent, table) pair occurs once, so only the first route repeats
         for _, agent_value, table_id in pairs:
             if len(routes) >= n_routes:
@@ -182,24 +191,24 @@ def _generative_routes(query: str, provider, registry: SchemaRegistry,
     covered: list[tuple[str, str]] = []
     routes: list[Route] = []
     for _ in range(n_routes):
-        agent_reply = _closed_choice(
+        agent_value = _closed_choice(
             provider,
             build_route_request(query, _AGENT_CANDIDATES, covered,
                                 persona=persona, history=history),
             _AGENT_CANDIDATES)
-        if agent_reply is None:
+        if agent_value is None:
             return routes, False
-        agent = FilingType.parse(agent_reply)
+        agent = _AGENT_BY_VALUE[agent_value]
         table_candidates = registry.profile(agent).table_ids
         table_reply = _closed_choice(
             provider,
-            build_route_request(query, table_candidates, covered, agent=agent.value,
+            build_route_request(query, table_candidates, covered, agent=agent_value,
                                 persona=persona, history=history),
             table_candidates)
         if table_reply is None:
             return routes, False
         routes.append(Route(agent, table_reply))
-        covered.append((agent.value, table_reply))
+        covered.append((agent_value, table_reply))
     return routes, True
 
 

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import filingswarm
 from filingswarm.corpus.schema import FilingType
 from filingswarm.evalrun import GoldProvider
 from filingswarm.gateway import providers
-from filingswarm.gateway.deterministic import DeterministicProvider, _read
+from filingswarm.gateway.deterministic import _RULES, DeterministicProvider, _read
 from filingswarm.gateway.prompts import (
     REFUSAL,
     Prompt,
@@ -103,12 +103,14 @@ def test_every_tag_has_an_asset_a_rule_and_a_gold_answer(bench, small_view):
     assets = resources.files("filingswarm.assets.prompts")
     assert sorted(TAGS) == sorted(ref.name.removesuffix(".txt")
                                   for ref in assets.iterdir() if ref.name.endswith(".txt"))
+    # complete() dispatches through _RULES, so that is where a rule must be
+    assert _RULES.keys() == TAGS.keys()
     det = DeterministicProvider()
     gold = GoldProvider(bench, small_view)
     for tag in TAGS:
         request = ChatRequest(tag, (("user", f"QUERY: {E2}"),))
         assert request.system_prompt == assets.joinpath(f"{tag}.txt").read_text("utf-8")
-        assert callable(getattr(det, f"_do_{tag}"))
+        assert callable(_RULES[tag])
         assert isinstance(det.complete(request), str)
         assert isinstance(gold.complete(request), str)
     with pytest.raises(ValueError, match="unknown request tag 'mystery'"):
@@ -800,6 +802,112 @@ def test_plan_replan_and_variegate_requests_round_trip(queries, query, plan_json
         [query], [], 0, "", 1, plan_json)
     assert _parsed(build_variegate_request(query, variant)) == Prompt(
         [query], [], 0, "", variant, "")
+
+
+# --- the memoized route builder and parser against line-by-line references ----
+# build_route_request joins memoized parts and parse_prompt splits each
+# CANDIDATES value once. These references build and read a message one line
+# at a time; the memoized versions must agree with them on any input.
+
+def _reference_route_request(query, candidates, covered=(), agent=None, persona=None,
+                             history=()):
+    lines = [f"PERSONA: {persona}"] if persona else []
+    lines.append(f"QUERY: {query}")
+    if agent is not None:
+        lines.append(f"AGENT: {agent}")
+    lines.append(f"CANDIDATES: {' | '.join(candidates)}")
+    lines.extend(f"ALREADY: agent={a} table={t}" for a, t in covered)
+    if history:
+        lines.append("HISTORY:")
+        lines.extend(f"- {entry}" for entry in history)
+    return ChatRequest("route_agent" if agent is None else "route_table",
+                       (("user", "\n".join(lines)),))
+
+
+def _reference_parse_prompt(content):
+    prompt = Prompt()
+    for line in content.splitlines():
+        key, sep, value = line.partition(": ")
+        if not sep:
+            continue
+        if key == "QUERY":
+            prompt.queries.append(value)
+        elif key == "CANDIDATES":
+            prompt.candidates = [c.strip() for c in value.split("|")]
+        elif key == "ALREADY":
+            prompt.covered += 1
+        elif key == "PERSONA":
+            prompt.persona = value
+        elif key == "VARIANT":
+            try:
+                prompt.variant = int(value)
+            except ValueError:
+                prompt.variant = 1
+        elif key == "DRAFT_PLAN":
+            prompt.draft_plan = value
+    return prompt
+
+
+_any = st.text(max_size=30)
+_few = st.sampled_from(["", "13F", "adv_entity", "a | b", " x |y ", "|", "\n", "\u2028"])
+_word = st.one_of(_any, _few)
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_word, candidates=st.lists(_word, max_size=6),
+       covered=st.lists(st.tuples(_word, _word), max_size=3),
+       agent=st.one_of(st.none(), _word), persona=st.one_of(st.none(), st.just(""), _word),
+       history=st.lists(_word, max_size=5), as_tuples=st.booleans())
+@example(query="q", candidates=["a | b", "c"], covered=[], agent=None, persona="",
+         history=[], as_tuples=False)
+@example(query="q", candidates=[], covered=[("ADV", "adv_entity")], agent="ADV",
+         persona=None, history=["member 0 timestep 0: abstain"], as_tuples=True)
+def test_route_request_equals_the_line_by_line_reference(query, candidates, covered, agent,
+                                                         persona, history, as_tuples):
+    if as_tuples:  # routing passes tuples, which the builder memoizes as they are
+        candidates, history = tuple(candidates), tuple(history)
+    expected = _reference_route_request(query, candidates, covered, agent, persona, history)
+    for _ in range(2):  # a memo miss, then a hit
+        assert build_route_request(query, candidates, covered, agent=agent,
+                                   persona=persona, history=history) == expected
+
+
+_prompt_key = st.sampled_from(["QUERY", "CANDIDATES", "ALREADY", "PERSONA", "VARIANT",
+                               "DRAFT_PLAN", "AGENT", "HISTORY", "FINDINGS", "- member 0",
+                               "query", " QUERY", ""])
+_prompt_value = st.one_of(_line, st.integers().map(str), _few.filter(lambda v: "\n" not in v))
+_prompt_line = st.one_of(
+    st.tuples(_prompt_key, st.sampled_from([": ", ":", " ", "", ": : "]), _prompt_value)
+    .map("".join),
+    _line)
+_line_break = st.sampled_from([*_LINE_BREAKS, "\r\n"])
+_prompt_text = st.one_of(
+    st.lists(st.tuples(_prompt_line, _line_break), max_size=8)
+    .map(lambda pairs: "".join(line + brk for line, brk in pairs)),
+    st.tuples(st.lists(_prompt_line, max_size=8), _line_break)
+    .map(lambda lines_brk: lines_brk[1].join(lines_brk[0])),
+    st.text(max_size=60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_prompt_text)
+@example(text="CANDIDATES: a | b\rCANDIDATES: c|d \x85QUERY\u2028QUERY:x\x1cQUERY: y")
+@example(text="VARIANT: 2\nVARIANT: two\fDRAFT_PLAN: {}\vALREADY: \r\nPERSONA: p")
+def test_parse_prompt_equals_the_line_by_line_reference(text):
+    assert parse_prompt(text) == _reference_parse_prompt(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_prompt_text)
+@example(text="QUERY: q\nCANDIDATES: 13F | NCSR | ADV")
+def test_a_parsed_candidate_list_is_the_callers_own(text):
+    expected = _reference_parse_prompt(text).candidates
+    first = parse_prompt(text)
+    first.candidates.append("mutated")
+    first.candidates.reverse()
+    second = parse_prompt(text)
+    assert second.candidates == expected
+    assert second.candidates is not first.candidates
 
 
 # --- the rule memo -------------------------------------------------------------

@@ -30,7 +30,14 @@ from filingswarm.routing import (
     route_swarm,
     score_routing,
 )
-from filingswarm.vindex import FlatIndex, HashFeatureEmbedder, IndexScope, MappingEmbedder, knn
+from filingswarm.vindex import (
+    FlatIndex,
+    HashFeatureEmbedder,
+    IndexError_,
+    IndexScope,
+    MappingEmbedder,
+    knn,
+)
 
 R_13F = Route(FilingType.parse("13F"), "thirteenf_holdings")
 R_ADV = Route(FilingType.parse("ADV"), "adv_entity")
@@ -251,6 +258,24 @@ def test_embedding_empty_persona_index_is_an_error():
     empty = FlatIndex(scope=IndexScope.global_(), dim=embedder.dim)
     with pytest.raises(ValueError, match="persona index is empty"):
         route_embedding("advisor question", empty, tables, embedder)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedding_refuses_a_query_that_is_not_finite(bad):
+    personas, tables, _ = _embedding_fixture()
+    embedder = MappingEmbedder(4, {}, default=np.array([bad, 0, 0, 0]))
+    with pytest.raises(IndexError_, match="query is not finite"):
+        route_embedding("unknown question", personas, tables, embedder)
+
+
+def test_embedding_refuses_a_table_index_of_another_dim():
+    personas, tables, embedder = _embedding_fixture()
+    tables["ADV"] = FlatIndex(scope=IndexScope.agent(FilingType.parse("ADV")), dim=3,
+                              record_ids=["adv_entity"],
+                              vectors=np.ones((1, 3), dtype=np.float32))
+    # the equity query routes to 13F, but every table index is checked
+    with pytest.raises(IndexError_, match="table index of agent ADV has dim 3"):
+        route_embedding("equity question", personas, tables, embedder)
 
 
 # ---------------------------------------------------------------------------
