@@ -184,7 +184,8 @@ def _guess_total_assets(slots: dict[str, str]) -> Plan:
 
 @lru_cache(maxsize=64)
 def _fold(name: str) -> str:
-    """A filing type name as ``FilingType.parse`` compares it."""
+    """A filing type name upper-cased without hyphens: the form in which
+    ``_do_route_agent`` matches a candidate to the gold agent."""
     return name.upper().replace("-", "")
 
 

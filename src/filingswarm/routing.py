@@ -21,6 +21,7 @@ and so is the more lenient one, is available as a config switch.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from collections.abc import Sequence
@@ -125,8 +126,6 @@ def route_embedding(query: str, persona_index: FlatIndex,
         raise ValueError("persona index is empty: no agent to route to")
     if q32.shape != (persona_index.dim,):
         raise IndexError_(f"query dim {q32.shape} does not match index dim {persona_index.dim}")
-    if not np.isfinite(q32).all():
-        raise IndexError_("query is not finite")
     blocks: list[tuple[str | None, FlatIndex]] = [(None, persona_index)]
     for agent_value in persona_index.record_ids:
         table_index = table_indexes.get(agent_value)
@@ -138,6 +137,10 @@ def route_embedding(query: str, persona_index: FlatIndex,
             blocks.append((agent_value, table_index))
     x64 = np.concatenate([index.vectors for _, index in blocks]).astype(np.float64)
     dists = np.sum((x64 - q32.astype(np.float64)) ** 2, axis=1).tolist()
+    # an index holds only finite vectors, so some distance is inf or nan
+    # exactly when the query is not finite
+    if not math.isfinite(sum(dists)):
+        raise IndexError_("query is not finite")
     # each block's (distance, id) pairs, unsorted: the first slot takes two
     # minimums and the later slots sort all pairs at once
     scored: dict[str | None, list[tuple[float, str]]] = {}
@@ -157,9 +160,10 @@ def route_embedding(query: str, persona_index: FlatIndex,
     routes = [Route(FilingType.parse(first_agent), first_table)]
 
     if n_routes > 1:
-        pairs = sorted((persona_dist + table_dist, agent_value, table_id)
-                       for persona_dist, agent_value in scored[None]
-                       for table_dist, table_id in table_scores(agent_value))
+        pairs = [(persona_dist + table_dist, agent_value, table_id)
+                 for persona_dist, agent_value in scored[None]
+                 for table_dist, table_id in table_scores(agent_value)]
+        pairs.sort()
         # each (agent, table) pair occurs once, so only the first route repeats
         for _, agent_value, table_id in pairs:
             if len(routes) >= n_routes:
