@@ -276,16 +276,22 @@ def embedding_text_rows(records: Sequence[FilingRecord],
     value holds it (a string, or two adjacent lists), and the arrays are
     encoded one by one. ``joiner`` should hold a control character, which
     JSON escapes, so that no row holds the joiner.
+
+    A value row is built as a tuple, which JSON renders as it renders a
+    list. The cyclic GC stops tracking a tuple of atomic values at its
+    first collection, so a chunk's rows are not promoted to an older
+    generation while they live, and embedding a large corpus triggers no
+    full collection.
     """
     first_frame = len(records)
-    values: list[list] = []
+    values: list[tuple] = []
     frames: dict[tuple[str, tuple[str, ...]], int] = {}
     owners: list[int] = []
     for record in records:
         fields = record.fields
         if None in fields.values():
             fields = {k: v for k, v in fields.items() if v is not None}
-        values.append(list(fields.values()))
+        values.append(tuple(fields.values()))
         owners.append(frames.setdefault((record.table_id, tuple(fields)),
                                         first_frame + len(frames)))
     encoded = _TEXT_ENCODER.encode(values)

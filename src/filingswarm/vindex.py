@@ -20,6 +20,7 @@ without one, as written before the checksum existed, still loads.
 from __future__ import annotations
 
 import json
+import operator
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -232,8 +233,9 @@ class MappingEmbedder:
 class FlatIndex:
     """Record ids and their float32 vectors, row i for id i. Immutable: the
     vector block is held without a copy behind a read-only view, with its
-    float64 squared row norms computed once for knn's prefilter, so the
-    array passed in must not be written to afterwards."""
+    float64 squared row norms computed once for knn's prefilter (``select``
+    takes them from its parent), so the array passed in must not be written
+    to afterwards."""
 
     scope: IndexScope
     dim: int
@@ -248,13 +250,16 @@ class FlatIndex:
             raise IndexError_("vectors shape does not match ids and dim")
         if len(set(self.record_ids)) != len(self.record_ids):
             raise IndexError_("duplicate record ids in index")
-        vectors = vectors.view()
-        vectors.flags.writeable = False
         sq_norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
         # a squared norm of float32 values overflows no float64, so it is
         # finite exactly when every component is
         if not np.isfinite(sq_norms).all():
             raise IndexError_("index vectors hold a value that is not finite")
+        self._freeze(vectors, sq_norms)
+
+    def _freeze(self, vectors: np.ndarray, sq_norms: np.ndarray) -> None:
+        vectors = vectors.view()
+        vectors.flags.writeable = False
         sq_norms.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "sq_norms", sq_norms)
@@ -266,10 +271,29 @@ class FlatIndex:
         """The rows at ``positions``, in that order, as an index of
         ``scope``. Embeddings are a pure function of the text, so selecting
         a scope's rows from a wider index gives the ids and vector bytes
-        that embedding the scope's records would."""
-        return FlatIndex(scope=scope, dim=self.dim,
-                         record_ids=[self.record_ids[pos] for pos in positions],
-                         vectors=self.vectors[np.asarray(positions, dtype=np.intp)])
+        that embedding the scope's records would. Each row's squared norm
+        depends on that row alone, so the selected rows' ``sq_norms`` are
+        taken from this index, not computed again. A position that is not
+        an integer, is negative, is past the last row or repeats raises
+        ``IndexError_``."""
+        rows = np.asarray(positions)
+        if rows.size == 0:
+            rows = rows.astype(np.intp)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise IndexError_("positions must be a sequence of integers")
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
+            raise IndexError_(f"positions must lie in [0, {len(self)})")
+        seen = np.zeros(len(self), dtype=bool)
+        seen[rows] = True
+        if np.count_nonzero(seen) != len(rows):
+            raise IndexError_("positions repeat a row")
+        record_ids = self.record_ids
+        selected = object.__new__(FlatIndex)
+        object.__setattr__(selected, "scope", scope)
+        object.__setattr__(selected, "dim", self.dim)
+        object.__setattr__(selected, "record_ids", [record_ids[pos] for pos in rows.tolist()])
+        selected._freeze(self.vectors[rows], self.sq_norms[rows])
+        return selected
 
 
 def scope_positions(view: ReconciledView) -> dict[IndexScope, list[int]]:
@@ -355,17 +379,22 @@ def _prefilter(index: FlatIndex, q32: np.ndarray, dots32: np.ndarray,
     """
     q64 = q32.astype(np.float64)
     qq = float(q64 @ q64)
-    dots, u = dots32.astype(np.float64), _U32
-    if not np.isfinite(dots).all():
+    # -2t', widened and scaled in one pass; both steps are exact, and a
+    # float32 value is finite exactly when its widening is
+    if np.isfinite(dots32).all():
+        dots, u = np.multiply(dots32, -2.0, dtype=np.float64), _U32
+    else:
         dots, u = index.vectors.astype(np.float64) @ q64, _U64
+        dots *= -2.0
     gamma = (index.dim + 2) * u / (1 - (index.dim + 2) * u)
     # in place where possible: each pass is over every row of the index
     approx = index.sq_norms + qq
     slack = approx * (2.0 * gamma)
     slack += (index.dim + 2) * 2.0 * _SUBNORMAL32
-    dots *= -2.0
     approx += dots
-    bound = np.partition(approx + slack, take - 1)[take - 1]
+    upper = np.add(approx, slack, out=dots)
+    upper.partition(take - 1)
+    bound = upper[take - 1]
     approx -= slack
     return np.flatnonzero(approx <= bound)
 
@@ -388,7 +417,8 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
 
     ``query`` is one vector, which gives one hit list, or an (m, dim)
     matrix, which gives a list of m hit lists, one per row. A query that is
-    not finite raises ``IndexError_``. When k covers the index every row
+    not finite, or a k that is not an integer of at least 1, raises
+    ``IndexError_``. When k covers the index every row
     is scored; otherwise a float32 prefilter with a proven rounding bound
     (``_prefilter``) picks each query's candidates, from dot products that
     one GEMM takes for a block of up to ``_KNN_BLOCK`` queries. The bound
@@ -396,6 +426,10 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
     result. Either way the rows are scored with the canonical row-wise
     expression and ranked by (dist, id).
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise IndexError_(f"k must be an integer, not {type(k).__name__}") from None
     if k < 1:
         raise IndexError_("k must be >= 1")
     q32 = np.asarray(query, dtype=np.float32)

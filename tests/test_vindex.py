@@ -96,6 +96,19 @@ def test_knn_guards():
     assert knn(empty, np.zeros(2, dtype=np.float32), k=1) == []
 
 
+def test_knn_refuses_a_k_that_is_not_an_integer():
+    # k = 2 ranks through the prefilter, k = 5 scores every row
+    index = make_index([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])], 2)
+    query = np.zeros(2, dtype=np.float32)
+    for k in (2.5, 5.5, np.float64(2.0), "2"):
+        with pytest.raises(IndexError_, match="k must be an integer"):
+            knn(index, query, k)
+        with pytest.raises(IndexError_, match="k must be an integer"):
+            knn(index, query[None], k)
+    for k in (2, np.int64(2), np.uint8(2), 5, np.int32(5)):
+        assert knn(index, query, k) == naive_knn(index.vectors, index.record_ids, query, int(k))
+
+
 @st.composite
 def _knn_case(draw):
     """An index, a query and k. Rows sit at magnitudes from 1e-30 to 1e25
@@ -170,6 +183,37 @@ def test_knn_of_a_query_matrix_mixes_overflow_and_ordinary_rows():
     empty = FlatIndex(scope=IndexScope.global_(), dim=3)
     assert knn(empty, queries, 2) == [[]] * len(queries)
     assert knn(index, np.zeros((0, 3), dtype=np.float32), 2) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), dim=st.integers(1, 6),
+       m=st.integers(2, vindex._KNN_BLOCK), data=st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_knn_of_a_block_with_one_overflowing_query_is_each_rows_naive_scan(seed, n, dim,
+                                                                           m, data):
+    # one GEMM block: ordinary queries and one whose float32 dot products
+    # overflow against the huge rows, which only it takes in float64. Huge
+    # rows hold +-3e20 in the first and last coordinates, so a dot product
+    # is +inf, -inf or (inf - inf) NaN, and the nearest rows include each
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, dim)).astype(np.float32)
+    huge_rows = rng.choice(n, size=data.draw(st.integers(1, n)), replace=False)
+    for column in (0, -1):
+        vectors[huge_rows, column] = np.float32(3e20) * rng.choice([-1, 1], size=len(huge_rows))
+    index = FlatIndex(scope=IndexScope.global_(), dim=dim,
+                      record_ids=[f"r{i:02d}" for i in rng.permutation(n)], vectors=vectors)
+    queries = rng.standard_normal((m, dim)).astype(np.float32)
+    at = data.draw(st.integers(0, m - 1))
+    queries[at, 0], queries[at, -1] = np.float32(3e20), np.float32(3e20) * rng.choice([-1, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = queries @ vectors.T
+    assert not np.isfinite(dots[at]).all()
+    assert np.isfinite(np.delete(dots, at, axis=0)).all()
+    k = data.draw(st.integers(1, n + 1))
+    got = knn(index, queries, k)
+    assert len(got) == m
+    for row, hits in zip(queries, got):
+        assert hits == naive_knn(index.vectors, index.record_ids, row, k)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -281,6 +325,48 @@ def test_index_rejects_duplicate_ids():
     with pytest.raises(IndexError_):
         FlatIndex(scope=IndexScope.global_(), dim=2, record_ids=["a"],
                   vectors=np.zeros((2, 2), dtype=np.float32))
+
+
+def test_select_refuses_positions_outside_the_index_or_repeated():
+    index = make_index([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])], 2)
+    scope = IndexScope.table("t")
+    for positions in ([-1], [0, -3], [3], [2, 1, 3]):
+        with pytest.raises(IndexError_, match=r"positions must lie in \[0, 3\)"):
+            index.select(scope, positions)
+    for positions in ([1, 1], [0, 2, 0]):
+        with pytest.raises(IndexError_, match="positions repeat a row"):
+            index.select(scope, positions)
+    for positions in ([1.0], [[0, 1]], ["0"]):
+        with pytest.raises(IndexError_, match="positions must be a sequence of integers"):
+            index.select(scope, positions)
+    assert index.select(scope, [2, 0]).record_ids == ["c", "a"]
+    assert index.select(scope, np.array([1], dtype=np.uint32)).record_ids == ["b"]
+    assert len(index.select(scope, [])) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_knn_case(), data=st.data())
+def test_selected_index_equals_an_index_built_from_its_rows(case, data):
+    # the norms come from the parent, at any magnitude; some rows may hold
+    # float32 subnormals, whose squares underflow in float32 but not float64
+    index, _, _ = case
+    vectors = index.vectors.copy()
+    tiny = data.draw(st.lists(st.integers(0, len(index) - 1), max_size=3))
+    vectors[tiny] = np.float32(2.0 ** -149) * np.arange(1, index.dim + 1, dtype=np.float32)
+    index = FlatIndex(scope=index.scope, dim=index.dim, record_ids=index.record_ids,
+                      vectors=vectors)
+    positions = data.draw(st.permutations(range(len(index))).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda m: order[:m])))
+    scope = IndexScope.table("t")
+    selected = index.select(scope, positions)
+    built = FlatIndex(scope=scope, dim=index.dim,
+                      record_ids=[index.record_ids[pos] for pos in positions],
+                      vectors=index.vectors[positions].copy())
+    assert selected.scope == built.scope and selected.dim == built.dim
+    assert selected.record_ids == built.record_ids
+    assert selected.vectors.tobytes() == built.vectors.tobytes()
+    assert selected.sq_norms.tobytes() == built.sq_norms.tobytes()
+    assert not selected.vectors.flags.writeable and not selected.sq_norms.flags.writeable
 
 
 def test_persona_and_table_description_indexes(registry):
