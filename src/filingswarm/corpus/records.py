@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .schema import FilingType, SchemaError, SchemaRegistry, parse_iso_date
 
@@ -237,12 +237,13 @@ def build_store(records: Iterable[FilingRecord], registry: SchemaRegistry) -> Co
 
 
 # json.dumps(..., sort_keys=True) builds an encoder on every call; this one
-# has the same settings and is shared (encode keeps no state between calls).
-_TEXT_ENCODER = json.JSONEncoder(sort_keys=True)
+# has the same settings and is shared, with vindex too (encode keeps no
+# state between calls).
+TEXT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def to_embedding_text(record: FilingRecord) -> str:
-    """Canonical embedding text for one record.
+    """Canonical embedding text for one record: every record vector's.
 
     JSON-style rendering with keys sorted ascending and null-valued fields
     omitted, exactly as ``json.dumps(..., sort_keys=True)`` renders it. The
@@ -250,55 +251,4 @@ def to_embedding_text(record: FilingRecord) -> str:
     the same table always render identically.
     """
     kept = {k: v for k, v in record.fields.items() if v is not None}
-    return _TEXT_ENCODER.encode({"fields": kept, "table": record.table_id})
-
-
-def embedding_text_rows(records: Sequence[FilingRecord],
-                        joiner: str) -> tuple[str, int, list[int]]:
-    """Rows whose tokens add up to each record's ``to_embedding_text``:
-    each record's values, and each distinct key layout once. Returns the
-    rows joined by ``joiner``, their count, and ``owners``.
-
-    Row i < len(records) is record i's non-null field values as a JSON
-    array. The rows after them are one frame per distinct pair of table and
-    non-null keys, in order of first use: ``{"fields": [keys...], "table":
-    table_id}``, which holds the keys and the ``fields``, ``table`` and
-    table-id tokens. ``owners[i]`` is the row of record i's frame. A token
-    is a run of letters and digits, so none spans a quote, a bracket, a
-    brace or ", ", and each key or value renders alike in an array and in
-    an object. So each record's text has exactly the tokens of its value
-    row and its frame row, in another order.
-
-    The value rows come from one encode of all the records' arrays, whose
-    ``], [`` between two records becomes ``]`` + joiner + ``[``. The
-    pattern cannot overlap itself, so when the encoding holds it exactly
-    len(records) - 1 times, those are the record boundaries. Otherwise a
-    value holds it (a string, or two adjacent lists), and the arrays are
-    encoded one by one. ``joiner`` should hold a control character, which
-    JSON escapes, so that no row holds the joiner.
-
-    A value row is built as a tuple, which JSON renders as it renders a
-    list. The cyclic GC stops tracking a tuple of atomic values at its
-    first collection, so a chunk's rows are not promoted to an older
-    generation while they live, and embedding a large corpus triggers no
-    full collection.
-    """
-    first_frame = len(records)
-    values: list[tuple] = []
-    frames: dict[tuple[str, tuple[str, ...]], int] = {}
-    owners: list[int] = []
-    for record in records:
-        fields = record.fields
-        if None in fields.values():
-            fields = {k: v for k, v in fields.items() if v is not None}
-        values.append(tuple(fields.values()))
-        owners.append(frames.setdefault((record.table_id, tuple(fields)),
-                                        first_frame + len(frames)))
-    encoded = _TEXT_ENCODER.encode(values)
-    if encoded.count("], [") == len(values) - 1:
-        body = encoded[1:-1].replace("], [", f"]{joiner}[")
-    else:
-        body = joiner.join(map(_TEXT_ENCODER.encode, values))
-    rows = [body] + [_TEXT_ENCODER.encode({"fields": list(keys), "table": table_id})
-                     for table_id, keys in frames]
-    return joiner.join(rows), first_frame + len(frames), owners
+    return TEXT_ENCODER.encode({"fields": kept, "table": record.table_id})

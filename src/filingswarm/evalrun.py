@@ -30,6 +30,7 @@ from .pipeline import LongTermMemory, run_pipeline
 from .plans import Answer, ListValue, Scalar, TableValue, plan_to_json
 from .questbench import TEMPLATES, QuestionInstance, canonical_plan
 from .routing import (
+    STRATEGIES,
     Route,
     RoutingOutcome,
     RoutingScore,
@@ -123,8 +124,6 @@ class RetrievalUnit:
     """One retrieval measurement: a question aimed at one of its gold
     tables, scored against the relevant records that live in that table."""
     instance_index: int
-    template_id: str
-    difficulty: str
     route: Route
     query_text: str
     relevant: frozenset[str]
@@ -147,8 +146,6 @@ def retrieval_units(instances: list[QuestionInstance],
                 continue
             units.append(RetrievalUnit(
                 instance_index=idx,
-                template_id=instance.template_id,
-                difficulty=TEMPLATES[instance.template_id].difficulty,
                 route=route,
                 query_text=_unit_query_text(instance, route),
                 relevant=relevant))
@@ -291,11 +288,16 @@ def run_routing_ablation(instances: list[QuestionInstance], strategy: str,
                          partial_credit: str = "fractional") -> dict:
     """Route every instance with one strategy; score split by difficulty
     and by templated/variegated. The embedding strategy builds its persona
-    and table-description indexes from ``embedder``."""
+    and table-description indexes from ``embedder``. An unknown strategy, or
+    one without its embedder or provider, raises ``ValueError`` up front."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "embedding":
         if embedder is None:
             raise ValueError("embedding strategy needs an embedder")
         persona_index, table_indexes = build_routing_indexes(registry, embedder)
+    elif provider is None:
+        raise ValueError(f"{strategy} strategy needs a provider")
     outcomes: list[tuple[RoutingOutcome, list[Route]]] = []
     for instance in instances:
         n = len(instance.gold_routes)
@@ -305,11 +307,9 @@ def run_routing_ablation(instances: list[QuestionInstance], strategy: str,
                                           table_indexes, embedder, n_routes=n)
             elif strategy == "generative":
                 outcome = route_generative(instance.text, provider, registry, n_routes=n)
-            elif strategy == "swarm":
+            else:
                 outcome = route_swarm(instance.text, provider, registry,
                                       swarm_config or SwarmConfig(), n_routes=n)
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
         except GatewayError:
             outcome = RoutingOutcome((), strategy, (), unroutable=True)
         outcomes.append((outcome, list(instance.gold_routes)))

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from ..corpus.schema import FilingType
-from ..plans import Aggregate, Filter, Plan, Retrieve, Return, plan_to_json
-from ..questbench import TEMPLATES
+from ..plans import Filter, Plan, plan_to_json
+from ..questbench import TEMPLATES, plan_sum
 from .prompts import CANNOT_PLAN, REFUSAL, Prompt, parse_prompt
 from .types import TAGS, ChatRequest
 
@@ -173,13 +173,10 @@ def _guess_total_assets(slots: dict[str, str]) -> Plan:
     """H3 without the corpus: the annual-report line items are labeled
     inconsistently across filers; a substring guess is the best a rule can
     do here, and it does not survive every label style."""
-    return Plan((
-        Retrieve("r1", FilingType.NCSR, "ncsr_statement_items", (
-            Filter("fund_name", "eq", slots["fund"]),
-            Filter("period", "eq", slots["period"]),
-            Filter("label", "contains", "total assets"))),
-        Aggregate("a1", "r1", "sum", value_field="value_usd"),
-        Return("ret", "a1")))
+    return plan_sum(FilingType.NCSR, "ncsr_statement_items", (
+        Filter("fund_name", "eq", slots["fund"]),
+        Filter("period", "eq", slots["period"]),
+        Filter("label", "contains", "total assets")), "value_usd")
 
 
 @lru_cache(maxsize=64)

@@ -148,8 +148,9 @@ def _solve_sum(view: ReconciledView, slots: dict, table: str, names: _Names,
     return Scalar(_sum(r.fields.get(value_field) for r in rows), ids), ids
 
 
-def _plan_sum(agent: FilingType, table: str, filters: tuple[Filter, ...],
-              value_field: str) -> Plan:
+def plan_sum(agent: FilingType, table: str, filters: tuple[Filter, ...],
+             value_field: str) -> Plan:
+    """Every sum question's plan: retrieve, sum ``value_field``, return."""
     return Plan((
         Retrieve("r1", agent, table, filters),
         Aggregate("a1", "r1", "sum", value_field=value_field),
@@ -165,7 +166,7 @@ def _is_cash(fields: dict) -> bool:
 
 
 def _plan_positions(slots: dict, class_filter: Filter) -> Plan:
-    return _plan_sum(FilingType.THIRTEEN_F, _TF, (
+    return plan_sum(FilingType.THIRTEEN_F, _TF, (
         Filter("manager_name", "eq", slots["manager"]),
         Filter("period", "eq", slots["period"]),
         class_filter), "value_usd")
@@ -369,7 +370,7 @@ def _plan_h3(view: ReconciledView, slots: dict) -> Plan:
     rows = _rows(view, "ncsr_statement_items", slots, _BY_FUND, _is_total_assets)
     # the canonical plan pins the filer's exact wording, read off the corpus
     label = rows[0].fields["label"] if rows else "Total assets"
-    return _plan_sum(FilingType.NCSR, "ncsr_statement_items", (
+    return plan_sum(FilingType.NCSR, "ncsr_statement_items", (
         Filter("fund_name", "eq", slots["fund"]),
         Filter("period", "eq", slots["period"]),
         Filter("statement", "eq", "assets_liabilities"),
@@ -405,7 +406,7 @@ _register(QuestionTemplate(
     "float", (Route(FilingType.ADV, "adv_entity"),),
     lambda view: _distinct_slots(view, "adv_entity", _BY_ADVISOR, _has_aum),
     lambda view, slots: _solve_sum(view, slots, "adv_entity", _BY_ADVISOR, "regulatory_aum"),
-    lambda view, slots: _plan_sum(FilingType.ADV, "adv_entity", (
+    lambda view, slots: plan_sum(FilingType.ADV, "adv_entity", (
         Filter("advisor_name", "eq", slots["advisor"]),
         Filter("period", "eq", slots["period"])), "regulatory_aum")))
 

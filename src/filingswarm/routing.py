@@ -6,7 +6,7 @@ gold routing has, and each later slot sees the routes already assigned.
 
 Strategies:
 - embedding: nearest persona embedding picks the agent, nearest table
-  description within that agent picks the table;
+  description within that agent picks the table, both by knn's distances;
 - generative: two closed-list selection prompts (agent, then table), with
   one reprompt on an unparseable reply before the slot is abandoned;
 - swarm: several generatively routing members propose in rounds, each round
@@ -35,7 +35,7 @@ from .gateway.prompts import build_route_request, build_route_retry, read_candid
 from .gateway.types import ChatRequest, GatewayError
 # knn is no longer called here; perfbench's tracer still wraps routing.knn,
 # so the name stays.
-from .vindex import FlatIndex, IndexError_, knn  # noqa: F401
+from .vindex import FlatIndex, IndexError_, knn, row_distances  # noqa: F401
 
 STRATEGIES = ("embedding", "generative", "swarm")
 
@@ -114,8 +114,8 @@ def route_embedding(query: str, persona_index: FlatIndex,
     (agent, table) pairs ranked by persona distance plus table distance,
     which lets a query land twice in the same filing.
 
-    Every distance is ``knn``'s canonical one, taken for the persona rows
-    and each persona's table rows in one pass, and each ranking is by
+    Every distance comes from ``vindex.row_distances``, over the persona
+    rows and each persona's table rows in one pass, and each ranking is by
     (distance, id), as ``knn`` ranks a whole index. A query that is not
     finite, or a table index whose dim is not the persona index's, raises
     ``IndexError_``."""
@@ -135,8 +135,7 @@ def route_embedding(query: str, persona_index: FlatIndex,
                                   f"{table_index.dim}, not the persona index's "
                                   f"{persona_index.dim}")
             blocks.append((agent_value, table_index))
-    x64 = np.concatenate([index.vectors for _, index in blocks]).astype(np.float64)
-    dists = np.sum((x64 - q32.astype(np.float64)) ** 2, axis=1).tolist()
+    dists = row_distances(np.concatenate([index.vectors for _, index in blocks]), q32)
     # an index holds only finite vectors, so some distance is inf or nan
     # exactly when the query is not finite
     if not math.isfinite(sum(dists)):

@@ -1,14 +1,16 @@
-"""Embedders and the exact k-nearest-neighbor flat index.
+"""Embedders, the exact k-nearest-neighbor flat index, and the distances
+that knn and the embedding route rank by.
 
 Distances are squared L2, which ranks identically to L2 without the square
 root. The canonical distance between a stored vector and a query is defined
 as ``float(np.sum((x64 - q64) ** 2))`` where both operands are the float32
-stored values widened to float64; knn computes exactly this expression for
-every returned entry, so results are bit-identical to a naive all-pairs
-scan. A prefilter only narrows the candidate set: float32 dot products,
-one GEMM per block of queries, expanded with row norms that each index
-caches in float64 when it is built, under a rounding bound relative to
-those norms (see ``_prefilter``).
+stored values widened to float64; ``row_distances`` computes exactly this
+expression for every entry knn returns and every pair the embedding route
+ranks, so results are bit-identical to a naive all-pairs scan. A
+prefilter only narrows the candidate set: float32 dot products, one GEMM
+per block of queries, expanded with row norms that each index caches in
+float64 when it is built, under a rounding bound relative to those norms
+(see ``_prefilter``).
 Candidates are rescored canonically before ranking, and ties break by
 record_id ascending.
 
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus.records import FilingRecord, embedding_text_rows, to_embedding_text
+from .corpus.records import TEXT_ENCODER, FilingRecord, to_embedding_text
 from .corpus.reconcile import ReconciledView
 from .corpus.schema import FilingType
 
@@ -112,7 +114,19 @@ class _TokenCodes(dict):
         return code
 
 
-class HashFeatureEmbedder:
+class _Embedder:
+    """What every embedder shares: one text embeds as a batch of one, and
+    the fingerprint a snapshot records is the subclass's kind and dim."""
+
+    @property
+    def fingerprint(self) -> str:
+        return f"{self.kind}:{self.dim}"
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_batch([text])[0]
+
+
+class HashFeatureEmbedder(_Embedder):
     """Deterministic test embedder: feature-hash tokens into d signed buckets
     and L2-normalize. Pure function of the text."""
 
@@ -124,28 +138,18 @@ class HashFeatureEmbedder:
         self.dim = dim
         self._codes = _TokenCodes(dim)
 
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.kind}:{self.dim}"
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
-
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Signed bucket counts per text, L2-normalized; zero for a text
         without tokens. Counts are exact integers in float64 up to the
         division, so the result does not depend on the batch. A chunk of
         ``build_index``'s record texts is counted from
-        ``embedding_text_rows``: each record's value row plus its frame
-        row, which come already joined, mostly from one encode per chunk.
-        So no record's text is rendered, and keys are tokenized once per
-        frame, not once per record."""
+        ``_embedding_text_rows``, so no record's text is rendered."""
         dim = self.dim
         out = np.empty((len(texts), dim), dtype=np.float32)
         for start in range(0, len(texts), _EMBED_CHUNK):
             chunk = texts[start:start + _EMBED_CHUNK]
             if isinstance(chunk, _RecordTexts):
-                joined, n_rows, owners = embedding_text_rows(chunk.records, _JOINER)
+                joined, n_rows, owners = _embedding_text_rows(chunk.records)
                 counts = self._bucket_counts(joined, n_rows)
                 counts = counts[:len(chunk)] + counts[owners]
             else:
@@ -183,6 +187,55 @@ def _join(texts: Sequence[str]) -> str:
     return joined
 
 
+def _embedding_text_rows(records: Sequence[FilingRecord]) -> tuple[str, int, list[int]]:
+    """Rows whose tokens add up to each record's ``to_embedding_text``:
+    each record's values, and each distinct key layout once, so keys are
+    tokenized once per layout. Returns the rows joined by ``_JOINER``,
+    their count, and ``owners``.
+
+    Row i < len(records) is record i's non-null field values as a JSON
+    array. The rows after them are one frame per distinct pair of table and
+    non-null keys, in order of first use: ``{"fields": [keys...], "table":
+    table_id}``, which holds the keys and the ``fields``, ``table`` and
+    table-id tokens. ``owners[i]`` is the row of record i's frame. A token
+    is a run of letters and digits, so none spans a quote, a bracket, a
+    brace or ", ", and each key or value renders alike in an array and in
+    an object. So each record's text has exactly the tokens of its value
+    row and its frame row, in another order.
+
+    The value rows come from one encode of all the records' arrays, whose
+    ``], [`` between two records becomes ``]`` + joiner + ``[``. The
+    pattern cannot overlap itself, so when the encoding holds it exactly
+    len(records) - 1 times, those are the record boundaries. Otherwise a
+    value holds it (a string, or two adjacent lists), and the arrays are
+    encoded one by one. JSON escapes the separator, so no row holds it.
+
+    A value row is a tuple, which JSON renders as a list and the cyclic GC
+    stops tracking at its first collection (atomic values only), so a
+    chunk's rows are never promoted and a large corpus triggers no full
+    collection.
+    """
+    first_frame = len(records)
+    values: list[tuple] = []
+    frames: dict[tuple[str, tuple[str, ...]], int] = {}
+    owners: list[int] = []
+    for record in records:
+        fields = record.fields
+        if None in fields.values():
+            fields = {k: v for k, v in fields.items() if v is not None}
+        values.append(tuple(fields.values()))
+        owners.append(frames.setdefault((record.table_id, tuple(fields)),
+                                        first_frame + len(frames)))
+    encoded = TEXT_ENCODER.encode(values)
+    if encoded.count("], [") == len(values) - 1:
+        body = encoded[1:-1].replace("], [", f"]{_JOINER}[")
+    else:
+        body = _JOINER.join(map(TEXT_ENCODER.encode, values))
+    rows = [body] + [TEXT_ENCODER.encode({"fields": list(keys), "table": table_id})
+                     for table_id, keys in frames]
+    return _JOINER.join(rows), first_frame + len(frames), owners
+
+
 class _RecordTexts(Sequence):
     """``to_embedding_text`` of each record, rendered only when read."""
 
@@ -198,9 +251,10 @@ class _RecordTexts(Sequence):
         return to_embedding_text(self.records[i])
 
 
-class MappingEmbedder:
+class MappingEmbedder(_Embedder):
     """Oracle embedder for tests and ceilings: exact text-to-vector lookup
-    with an optional default vector for unknown texts."""
+    with an optional default for unknown texts, else ``IndexError_``. A
+    vector is stacked as given, so a wrong shape reaches the dim checks."""
 
     kind = "mapping"
 
@@ -210,23 +264,14 @@ class MappingEmbedder:
         self.mapping = {k: np.asarray(v, dtype=np.float32) for k, v in mapping.items()}
         self.default = default
 
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.kind}:{self.dim}"
-
-    def embed(self, text: str) -> np.ndarray:
-        hit = self.mapping.get(text)
-        if hit is not None:
-            return hit
-        if self.default is None:
-            raise IndexError_(f"no mapping for text: {text[:60]!r}")
-        return np.asarray(self.default, dtype=np.float32)
-
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            out[i] = self.embed(text)
-        return out
+        vectors = []
+        for text in texts:
+            hit = self.mapping.get(text, self.default)
+            if hit is None:
+                raise IndexError_(f"no mapping for text: {text[:60]!r}")
+            vectors.append(hit)
+        return np.array(vectors or np.zeros((0, self.dim)), dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -350,6 +395,12 @@ def canonical_distance(x: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum((x64 - q64) ** 2))
 
 
+def row_distances(rows: np.ndarray, q32: np.ndarray) -> list[float]:
+    """``canonical_distance`` of each float32 row to the float32 query, in
+    row order: every distance ``knn`` and ``route_embedding`` rank by."""
+    return np.sum((rows.astype(np.float64) - q32.astype(np.float64)) ** 2, axis=1).tolist()
+
+
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _U64 = 2.0 ** -53
 _SUBNORMAL32 = 2.0 ** -149  # spacing of float32 near zero
@@ -408,8 +459,8 @@ def _rescore(index: FlatIndex, q32: np.ndarray, positions: np.ndarray | None,
     else:
         rows = index.vectors[positions]
         ids = [index.record_ids[pos] for pos in positions.tolist()]
-    dists = np.sum((rows.astype(np.float64) - q32.astype(np.float64)) ** 2, axis=1).tolist()
-    return [(record_id, dist) for dist, record_id in sorted(zip(dists, ids))[:take]]
+    return [(record_id, dist)
+            for dist, record_id in sorted(zip(row_distances(rows, q32), ids))[:take]]
 
 
 def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:

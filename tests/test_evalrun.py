@@ -126,7 +126,6 @@ def test_retrieval_units_target_one_gold_table_each(bench, small_view):
     by_instance: dict[int, int] = {}
     for unit in units:
         instance = bench[unit.instance_index]
-        assert unit.template_id == instance.template_id
         assert unit.query_text == (
             f"{instance.text} Focus on table {unit.route.table}.")
         assert unit.relevant
@@ -253,6 +252,19 @@ def test_routing_ablation_guards(bench, registry):
         run_routing_ablation(bench[:1], "embedding", registry)
     with pytest.raises(ValueError, match="unknown strategy"):
         run_routing_ablation(bench[:1], "psychic", registry)
+
+
+@pytest.mark.parametrize("n_instances", [0, 1])
+def test_routing_ablation_refuses_bad_arguments_before_routing(bench, registry,
+                                                               n_instances):
+    instances = bench[:n_instances]
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        run_routing_ablation(instances, "bogus", registry, provider=DeterministicProvider())
+    for strategy in ("generative", "swarm"):
+        with pytest.raises(ValueError, match=f"{strategy} strategy needs a provider"):
+            run_routing_ablation(instances, strategy, registry)
+    with pytest.raises(ValueError, match="embedding strategy needs an embedder"):
+        run_routing_ablation(instances, "embedding", registry)
 
 
 def test_routing_ablation_turns_gateway_errors_into_misses(bench, registry):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import filingswarm
 from filingswarm import vindex
 from filingswarm.corpus import records as records_module
-from filingswarm.corpus.records import FilingRecord, embedding_text_rows, to_embedding_text
+from filingswarm.corpus.records import FilingRecord, to_embedding_text
 from filingswarm.corpus.schema import FilingType
 from filingswarm.evalrun import build_routing_indexes
 from filingswarm.vindex import (
@@ -39,7 +39,13 @@ from filingswarm.vindex import (
     save_index,
     scope_positions,
 )
-from perfbench.gates import naive_knn
+
+
+def naive_knn(index: FlatIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """knn's reference: every row ranked by (canonical_distance, id)."""
+    ranked = sorted((canonical_distance(row, query), rid)
+                    for row, rid in zip(index.vectors, index.record_ids))
+    return [(rid, dist) for dist, rid in ranked[:k]]
 
 
 def make_index(ids_vectors, dim, scope=None):
@@ -74,11 +80,7 @@ def test_knn_matches_naive_oracle_with_duplicates():
     index = FlatIndex(scope=IndexScope.global_(), dim=8, record_ids=ids, vectors=vectors)
     for qi in range(20):
         q = vectors[qi * 7 % 200]
-        naive = sorted(
-            ((canonical_distance(vectors[i], q), ids[i]) for i in range(200)),
-            key=lambda pair: (pair[0], pair[1]))
-        got = knn(index, q, k=10)
-        assert [(rid, d) for rid, d in got] == [(rid, d) for d, rid in naive[:10]]
+        assert knn(index, q, k=10) == naive_knn(index, q, 10)
 
 
 def test_knn_k_larger_than_index():
@@ -106,7 +108,7 @@ def test_knn_refuses_a_k_that_is_not_an_integer():
         with pytest.raises(IndexError_, match="k must be an integer"):
             knn(index, query[None], k)
     for k in (2, np.int64(2), np.uint8(2), 5, np.int32(5)):
-        assert knn(index, query, k) == naive_knn(index.vectors, index.record_ids, query, int(k))
+        assert knn(index, query, k) == naive_knn(index, query, int(k))
 
 
 @st.composite
@@ -140,7 +142,7 @@ def _knn_case(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_knn_equals_naive_scan_at_any_magnitude(case):
     index, query, k = case
-    assert knn(index, query, k) == naive_knn(index.vectors, index.record_ids, query, k)
+    assert knn(index, query, k) == naive_knn(index, query, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,7 +160,7 @@ def test_knn_of_a_query_matrix_is_each_rows_knn(case, seed, m):
     assert len(got) == m
     for row, hits in zip(queries, got):
         assert hits == knn(index, row, k)
-        assert hits == naive_knn(index.vectors, index.record_ids, row, k)
+        assert hits == naive_knn(index, row, k)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -179,7 +181,7 @@ def test_knn_of_a_query_matrix_mixes_overflow_and_ordinary_rows():
         got = knn(index, queries, k)
         assert len(got) == len(queries)
         for row, hits in zip(queries, got):
-            assert hits == naive_knn(index.vectors, index.record_ids, row, k)
+            assert hits == naive_knn(index, row, k)
     empty = FlatIndex(scope=IndexScope.global_(), dim=3)
     assert knn(empty, queries, 2) == [[]] * len(queries)
     assert knn(index, np.zeros((0, 3), dtype=np.float32), 2) == []
@@ -213,7 +215,7 @@ def test_knn_of_a_block_with_one_overflowing_query_is_each_rows_naive_scan(seed,
     got = knn(index, queries, k)
     assert len(got) == m
     for row, hits in zip(queries, got):
-        assert hits == naive_knn(index.vectors, index.record_ids, row, k)
+        assert hits == naive_knn(index, row, k)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -260,7 +262,7 @@ def test_knn_float64_fallback_on_float32_overflow():
         assert not np.isfinite(vectors @ query).all()
     result = knn(index, query, 2)
     assert [rid for rid, _ in result] == ["b", "a"]
-    assert result == naive_knn(index.vectors, index.record_ids, query, 2)
+    assert result == naive_knn(index, query, 2)
 
 
 def test_index_is_immutable_with_cached_norms():
@@ -667,7 +669,7 @@ def test_hash_embed_of_records_sharing_key_layouts_is_bit_identical_to_their_tex
 
 def test_embedding_text_rows_are_value_rows_then_one_frame_per_key_layout(small_view):
     records = small_view.records
-    joined, n_rows, owners = embedding_text_rows(records, vindex._JOINER)
+    joined, n_rows, owners = vindex._embedding_text_rows(records)
     rows = joined.split(vindex._JOINER)
     layouts = [(r.table_id, tuple(k for k, v in r.fields.items() if v is not None))
                for r in records]
@@ -690,7 +692,7 @@ def test_embedding_text_rows_are_split_only_at_record_boundaries(values):
     # the joined rows are the same either way
     records = [_record(0, "t1", {"a": 0}), _record(1, "t1", {f"v{i}": v for i, v in enumerate(values)}),
                _record(2, "t2", {"a": [0], "b": None}), _record(3, "t1", {"a": [1]})]
-    joined, n_rows, owners = embedding_text_rows(records, vindex._JOINER)
+    joined, n_rows, owners = vindex._embedding_text_rows(records)
     rows = [json.dumps(list(v for v in r.fields.values() if v is not None))
             for r in records]
     layouts = list(dict.fromkeys(
@@ -744,6 +746,17 @@ def test_mapping_embedder_hits_and_default():
     embedder = MappingEmbedder(3, {"a": base[0]}, default=base[2])
     assert np.array_equal(embedder.embed("a"), base[0])
     assert np.array_equal(embedder.embed("missing"), base[2])
+    batch = embedder.embed_batch(["missing", "a"])
+    assert batch.dtype == np.float32 and np.array_equal(batch, base[[2, 0]])
+    assert embedder.embed_batch([]).shape == (0, 3)
+    assert embedder.fingerprint == "mapping:3"
+
+
+def test_mapping_embedder_without_default_refuses_an_unknown_text():
+    embedder = MappingEmbedder(3, {"a": np.eye(3)[0]})
+    for embed in (embedder.embed, lambda text: embedder.embed_batch(["a", text])):
+        with pytest.raises(IndexError_, match="no mapping for text: 'missing'"):
+            embed("missing")
 
 
 # --- ranking metrics ---------------------------------------------------------
