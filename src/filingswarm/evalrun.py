@@ -6,7 +6,9 @@ scope. The routing ablation scores each strategy's (agent, table)
 assignments. The agentic study runs the full pipeline per question and
 judges the final answer. Reports come out as machine JSON and as markdown
 tables; both are pure functions of their inputs, so reruns are
-byte-identical.
+byte-identical. With a memory and more than one worker, the journal's
+lines follow completion order, and two different texts that screen to one
+text may race for its plan.
 
 GoldProvider answers every prompt perfectly from benchmark gold, which
 makes ceiling fixtures recordable: any run that scores below 100% with
@@ -441,7 +443,9 @@ def _success_cell(records: list[dict]) -> dict:
 def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView,
                 registry: SchemaRegistry, memory: LongTermMemory | None = None,
                 workers: int = 1) -> dict:
-    """Full pipeline per question; errors are failures, never aborts."""
+    """Full pipeline per question; errors are failures, never aborts.
+    With more than one worker, every ask of one memory key runs in one task,
+    in benchmark order, so a repeat finds the plan its earlier ask stored."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
@@ -479,8 +483,14 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
     if workers == 1:
         records = [evaluate(item) for item in items]
     else:
+        asks: dict[str, list[tuple[int, QuestionInstance]]] = {}
+        for item in items:
+            asks.setdefault(LongTermMemory.normalize(item[1].text), []).append(item)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(evaluate, items))
+            groups = pool.map(lambda group: [evaluate(item) for item in group],
+                              asks.values())
+            records = sorted((record for group in groups for record in group),
+                             key=lambda record: record["instance_index"])
 
     splits = _splits(instances, records, _success_cell)
 
@@ -574,9 +584,7 @@ def report_to_markdown(report: dict) -> str:
         parts.append("## Retrieval scope ablation\n\n"
                      + render_retrieval_markdown(report["retrieval"]))
     if "routing" in report:
-        routing = report["routing"]
-        sections = routing if isinstance(routing, list) else [routing]
-        rendered = "\n\n".join(render_routing_markdown(s) for s in sections)
+        rendered = "\n\n".join(render_routing_markdown(s) for s in report["routing"])
         parts.append("## Routing strategies\n\n" + rendered)
     if "agentic" in report:
         parts.append("## Agentic question answering\n\n"

@@ -14,6 +14,7 @@ import logging
 import os
 import re
 import threading
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -110,8 +111,9 @@ class LongTermMemory:
     """Query-text-keyed plan store. Keys are case- and whitespace-insensitive.
     With a path, every store appends a JSON line; loading keeps the last
     entry per key, and compact() rewrites the file to one line per key.
-    The first store opens one append handle, flushed after each line;
-    compact() and close() close it, and the next store opens it again.
+    The first store opens one append handle, flushed after each line. It
+    closes when the memory is dropped, in a reference cycle too, and before
+    compact() renames the new journal over it; the next store opens it again.
 
     A final line without its newline that does not parse is what a crash
     mid-append leaves: loading cuts it from the journal and counts it in
@@ -122,6 +124,7 @@ class LongTermMemory:
         self._plans: dict[str, Plan] = {}
         self._lock = threading.Lock()
         self._journal = None  # the append handle, opened by the first store
+        self._close_journal = None  # its finalizer
         self.torn_lines = 0
         if self.path is not None and self.path.exists():
             self._load()
@@ -169,25 +172,18 @@ class LongTermMemory:
             if self.path is not None:
                 if self._journal is None:
                     self._journal = open(self.path, "a", encoding="utf-8")
+                    self._close_journal = weakref.finalize(self, self._journal.close)
                 self._journal.write(_journal_line(key, plan))
                 self._journal.flush()
-
-    def _close_journal(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
-    def close(self) -> None:
-        """Close the journal's append handle; a later store opens it again."""
-        with self._lock:
-            self._close_journal()
 
     def compact(self) -> None:
         with self._lock:
             if self.path is None:
                 return
             # The next store appends to the file renamed over the journal.
-            self._close_journal()
+            if self._journal is not None:
+                self._close_journal()
+                self._journal = None
             # Written beside the journal and renamed over it, so a crash
             # leaves either the old journal or the new one.
             tmp = self.path.with_name(self.path.name + ".compact")

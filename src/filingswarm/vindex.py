@@ -516,21 +516,6 @@ def r_precision(retrieved: Sequence[str], relevant: Iterable[str]) -> float:
     return len(frozenset(top) & relevant_set) / r
 
 
-def precision_at_k(retrieved: Sequence[str], relevant: Iterable[str], k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    top = frozenset(list(retrieved)[:k])
-    return len(top & frozenset(relevant)) / k
-
-
-def recall_at_k(retrieved: Sequence[str], relevant: Iterable[str], k: int) -> float:
-    relevant_set = frozenset(relevant)
-    if not relevant_set:
-        raise ValueError("relevant set must be non-empty")
-    top = frozenset(list(retrieved)[:k])
-    return len(top & relevant_set) / len(relevant_set)
-
-
 # ---------------------------------------------------------------------------
 # Snapshots
 

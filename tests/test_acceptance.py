@@ -51,9 +51,7 @@ from filingswarm.vindex import (
     build_index,
     knn,
     load_index,
-    precision_at_k,
     r_precision,
-    recall_at_k,
     save_index,
 )
 
@@ -130,8 +128,6 @@ def test_02_metric_identities(capsys):
             rp = r_precision(retrieved, relevant)
             hits = len(set(retrieved[:r]) & set(relevant))
             assert abs(rp - hits / r) <= 1e-12
-            assert abs(rp - precision_at_k(retrieved, relevant, r)) <= 1e-12
-            assert abs(rp - recall_at_k(retrieved, relevant, r)) <= 1e-12
 
         gold = Route(FilingType.THIRTEEN_F, "thirteenf_holdings")
         table_miss = Route(FilingType.THIRTEEN_F, "adv_entity")

@@ -1,6 +1,7 @@
 """Command line chain on a tiny corpus, plus flag and exit-code handling."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -146,6 +147,67 @@ def test_report_combines_all_sections(rundir):
     assert set(doc) == {"retrieval", "routing", "agentic"}
     assert len(doc["routing"]) == 3
 
+
+
+# sha256 of each file the studies write on the rundir inputs: every study with
+# --workers 1, the agentic study with and without --memory, that run's
+# journal, and the report command's markdown and JSON over the retrieval,
+# three routing and memoryless agentic reports. Computed on the code whose
+# LongTermMemory had a close() that the agentic command called.
+GOLDEN_REPORTS_SHA256 = {
+    "retrieval.json": "6b47c4b86efa5714150440a84c91b0ab7c8b828474f1cbbd8197e47d01f3bc4b",
+    "routing_embed.json": "0bdb058a23de8827ef0f7dfbfa998beca1b7967670e10e4a12b22545809244b9",
+    "routing_gen.json": "ea5792b44715e785abf79a8cdb255780869dc3eead03301ea7138849bd7f1953",
+    "routing_swarm.json": "7b8393b9504bee71f348a00e290c2b244fae8e638fcf878dcc09559d498030d5",
+    "agentic.json": "8c16c5b2fe9796772d021c2c4b8a63e7b874690cc6ebdc8eb03001eaa17fa116",
+    "agentic_memory.json": "c68618d6566898bd572b85b449f6dfd9d37627e0a4e181eb7aef9015aa36abe2",
+    "memory.jsonl": "715b67244e7256ac1c031edc36bacc0086923b9c73881e1ecba5156fbe19a3dd",
+    "report.md": "3ebfac712bf4decf4ff42a278672999d8ef858d6cf86c09ae69f1c8e1b9fd624",
+    "report.json": "c6097880e347f33308a87391cf16eb57e13f075b40e94b599dc6bbcc4f2c4331",
+}
+
+
+def _agentic_argv(rundir, out, workers, memory=None):
+    argv = ["agentic", "run", "--corpus", rundir["corpus"], "--bench", rundir["bench"],
+            "--workers", str(workers), "--out", str(out)]
+    return argv + ["--memory", str(memory)] if memory else argv
+
+
+@pytest.fixture(scope="module")
+def golden(rundir):
+    """A directory holding every file GOLDEN_REPORTS_SHA256 names."""
+    root = rundir["root"] / "golden"
+    root.mkdir()
+    assert main(["retrieval", "run", "--corpus", rundir["corpus"],
+                 "--bench", rundir["bench"], "--dim", "32",
+                 "--out", str(root / "retrieval.json")]) == 0
+    routing = [root / f"routing_{flag}.json" for flag in ("embed", "gen", "swarm")]
+    for flag, out in zip(("embed", "gen", "swarm"), routing):
+        assert main(["route", "run", "--bench", rundir["bench"], "--strategy", flag,
+                     "--dim", "32", "--seed", "1", "--out", str(out)]) == 0
+    assert main(_agentic_argv(rundir, root / "agentic.json", 1)) == 0
+    assert main(_agentic_argv(rundir, root / "agentic_memory.json", 1,
+                              root / "memory.jsonl")) == 0
+    assert main(["report", "--retrieval", str(root / "retrieval.json"),
+                 "--routing", *map(str, routing),
+                 "--agentic", str(root / "agentic.json"),
+                 "--out", str(root / "report.md"),
+                 "--json-out", str(root / "report.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS_SHA256))
+def test_study_reports_are_pinned(golden, name):
+    digest = hashlib.sha256((golden / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORTS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["agentic.json", "agentic_memory.json"])
+def test_agentic_run_with_two_workers_writes_the_serial_report(rundir, golden, name):
+    out = golden / f"two_workers_{name}"
+    memory = golden / "two_workers_memory.jsonl" if "memory" in name else None
+    assert main(_agentic_argv(rundir, out, 2, memory)) == 0
+    assert out.read_bytes() == (golden / name).read_bytes()
 
 def test_report_with_no_sections_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit):

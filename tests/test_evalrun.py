@@ -352,24 +352,18 @@ def test_run_agentic_threaded_matches_serial(reps, small_view, registry, gold):
 
 def test_run_agentic_threaded_with_shared_memory_matches_serial(bench, small_view,
                                                                  registry, tmp_path):
-    # Memory hands one plan object to every thread that asks for it. Whether
-    # a repeat hits memory depends on thread timing, so from_memory is not
-    # compared.
-    instances = bench + bench[::3]
+    # Each question is asked twice in a row, so two workers would take both
+    # asks at once if the asks of one text ran in different tasks.
+    instances = [instance for instance in bench for _ in range(2)]
 
     def records(workers):
         memory = LongTermMemory(tmp_path / f"memory-{workers}.jsonl")
-        report = run_agentic(instances, DeterministicProvider(), small_view, registry,
-                             memory=memory, workers=workers)
-        memory.close()
-        return report["records"]
-
-    def outcomes(records):
-        return [(r["status"], r["success"], r["error"]) for r in records]
+        return run_agentic(instances, DeterministicProvider(), small_view, registry,
+                           memory=memory, workers=workers)["records"]
 
     serial = records(1)
     assert any(r["from_memory"] for r in serial) and any(r["success"] for r in serial)
-    assert outcomes(records(3)) == outcomes(serial)
+    assert records(3) == serial
 
 
 def test_run_agentic_records_failures_instead_of_aborting(reps, small_view, registry):

@@ -7,8 +7,10 @@ failure-path guarantees use small scripted providers instead.
 from __future__ import annotations
 
 import ast
+import gc
 import logging
 import re
+import warnings
 from dataclasses import replace
 from datetime import date
 from unittest import mock
@@ -173,7 +175,6 @@ def test_memory_persists_appends_and_compacts(tmp_path):
     memory.store("q", _tiny_plan("adv_entity"))
     memory.store("q", _tiny_plan("adv_brokers"))
     memory.store("other", _tiny_plan())
-    memory.close()
     assert len(path.read_text().splitlines()) == 3
 
     reloaded = LongTermMemory(path)
@@ -190,7 +191,6 @@ def _journal(tmp_path, n=3):
     memory = LongTermMemory(path)
     for i in range(n):
         memory.store(f"q{i}", _tiny_plan())
-    memory.close()
     return path
 
 
@@ -205,7 +205,6 @@ def test_memory_skips_and_cuts_a_torn_final_line(tmp_path, cut):
     assert len(memory) == 2 and memory.lookup("q2") is None
     assert path.read_bytes() == whole[:last_start]
     memory.store("q3", _tiny_plan())
-    memory.close()
     again = LongTermMemory(path)
     assert again.torn_lines == 0
     assert {k for k in ("q0", "q1", "q2", "q3") if again.lookup(k)} == {"q0", "q1", "q3"}
@@ -217,7 +216,6 @@ def test_memory_keeps_a_whole_final_line_without_its_newline(tmp_path):
     memory = LongTermMemory(path)
     assert memory.torn_lines == 0 and len(memory) == 3
     memory.store("q3", _tiny_plan())
-    memory.close()
     assert len(LongTermMemory(path)) == 4
 
 
@@ -280,7 +278,6 @@ def test_memory_store_after_compact_lands_in_the_renamed_journal(tmp_path):
     memory.store("q1", _tiny_plan())
     memory.compact()
     memory.store("q2", _tiny_plan("adv_brokers"))
-    memory.close()
     assert len(path.read_bytes().splitlines()) == 3
     reloaded = LongTermMemory(path)
     assert {k for k in ("q0", "q1", "q2") if reloaded.lookup(k)} == {"q0", "q1", "q2"}
@@ -295,12 +292,22 @@ def test_memory_line_is_readable_when_store_returns(tmp_path):
         memory.store(f"q{i}", _tiny_plan())
         assert path.read_bytes().count(b"\n") == i + 1
         assert LongTermMemory(path).lookup(f"q{i}") is not None
-    memory.close()
-    memory.close()  # closing twice is harmless
-    memory.store("q3", _tiny_plan())  # opens the handle again
-    memory.close()
+    memory.store("q3", _tiny_plan())
     assert len(LongTermMemory(path)) == 4
-    LongTermMemory().close()  # no journal, nothing to close
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_a_dropped_memory_closes_its_journal(tmp_path, cycle):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        memory = LongTermMemory(tmp_path / "memory.jsonl")
+        memory.store("q", _tiny_plan())
+        if cycle:
+            memory.itself = memory
+        del memory
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(LongTermMemory(tmp_path / "memory.jsonl")) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,6 @@ def test_pipeline_wire_bytes_are_pinned(registry, small_view, bench, tmp_path):
         }
         digest.update(json.dumps(row, sort_keys=True).encode("utf-8") + b"\n")
         hits += result.from_memory
-    memory.close()
     journal = path.read_bytes()
     digest.update(journal)
     assert len(journal.splitlines()) == len(provider.replan_digests) > 0
@@ -185,7 +184,6 @@ def test_an_older_journal_line_loads_and_its_hit_answers_alike(registry, small_v
     assert memory.lookup(instance.text).steps == first.final_plan.steps
     hit = run_pipeline(instance.text, DeterministicProvider(), small_view, registry,
                        memory=memory)
-    memory.close()
     assert hit.status == "answered" and hit.from_memory
     assert answer_to_dict(hit.answer) == answer_to_dict(first.answer)
 

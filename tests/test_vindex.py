@@ -33,9 +33,7 @@ from filingswarm.vindex import (
     canonical_distance,
     knn,
     load_index,
-    precision_at_k,
     r_precision,
-    recall_at_k,
     save_index,
     scope_positions,
 )
@@ -762,17 +760,9 @@ def test_metric_hand_values():
     retrieved = ["a", "b", "c", "d"]
     relevant = {"a", "c"}
     assert r_precision(retrieved, relevant) == 0.5          # top-2 has one hit
-    assert precision_at_k(retrieved, relevant, 1) == 1.0
-    assert precision_at_k(retrieved, relevant, 3) == pytest.approx(2 / 3)
-    assert recall_at_k(retrieved, relevant, 3) == 1.0
-    assert recall_at_k(retrieved, relevant, 1) == 0.5
 
 
 def test_metric_guards():
-    with pytest.raises(ValueError):
-        precision_at_k(["a"], {"a"}, 0)
-    with pytest.raises(ValueError):
-        recall_at_k(["a"], set(), 1)
     with pytest.raises(ValueError):
         r_precision(["a"], set())
 
@@ -785,8 +775,9 @@ def test_r_precision_equals_precision_and_recall_at_r(data):
     retrieved = data.draw(st.permutations(universe))
     r = len(relevant)
     rp = r_precision(retrieved, relevant)
-    assert rp == precision_at_k(retrieved, relevant, r)
-    assert rp == recall_at_k(retrieved, relevant, r)
+    hits = len(set(retrieved[:r]) & relevant)
+    assert rp == hits / r              # precision@R: hits over the R ranks read
+    assert rp == hits / len(relevant)  # recall@R: hits over the relevant set
 
 
 def test_importing_vindex_does_not_import_requests():
