@@ -44,6 +44,7 @@ from .routing import (
 )
 from .vindex import (
     FlatIndex,
+    HashFeatureEmbedder,
     IndexScope,
     MappingEmbedder,
     build_index,
@@ -423,16 +424,31 @@ def build_perfect_fixtures(instances: list[QuestionInstance], view: ReconciledVi
     replay them. Returns the recorder; save_fixtures() serializes it."""
     recorder = RecordingProvider(GoldProvider(instances, view))
     config = swarm_config or SwarmConfig()
+    search = _expert_search(view, registry)
     for instance in instances:
         n = len(instance.gold_routes)
         route_generative(instance.text, recorder, registry, n_routes=n)
         route_swarm(instance.text, recorder, registry, config, n_routes=n)
-        run_pipeline(instance.text, recorder, view, registry)
+        run_pipeline(instance.text, recorder, view, registry, **search)
     return recorder
 
 
 # ---------------------------------------------------------------------------
 # Agentic study
+
+def build_expert_indexes(view: ReconciledView, registry: SchemaRegistry,
+                         embedder) -> dict[str, FlatIndex]:
+    """One table-scope index per registered table, keyed by table id."""
+    return {schema.table_id: build_index(view, IndexScope.table(schema.table_id), embedder)
+            for schema in registry.all_tables()}
+
+
+def _expert_search(view: ReconciledView, registry: SchemaRegistry) -> dict:
+    """What the experts of every agentic run search: 64-dim hash table indexes."""
+    embedder = HashFeatureEmbedder()
+    return {"table_indexes": build_expert_indexes(view, registry, embedder),
+            "embedder": embedder}
+
 
 def _success_cell(records: list[dict]) -> dict:
     n = len(records)
@@ -444,10 +460,12 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
                 registry: SchemaRegistry, memory: LongTermMemory | None = None,
                 workers: int = 1) -> dict:
     """Full pipeline per question; errors are failures, never aborts.
+    The experts search the table indexes of ``build_expert_indexes``.
     With more than one worker, every ask of one memory key runs in one task,
     in benchmark order, so a repeat finds the plan its earlier ask stored."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    search = _expert_search(view, registry)
 
     def evaluate(item: tuple[int, QuestionInstance]) -> dict:
         idx, instance = item
@@ -456,7 +474,7 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
         error = None
         from_memory = False
         try:
-            result = run_pipeline(instance.text, gateway, view, registry, memory=memory)
+            result = run_pipeline(instance.text, gateway, view, registry, memory=memory, **search)
             status = result.status
             from_memory = result.from_memory
             error = result.error

@@ -96,6 +96,7 @@ _REGISTRY = "ncen_fund_registry"
 _BY_MANAGER = (("manager", "manager_name"), ("period", "period"))
 _BY_ADVISOR = (("advisor", "advisor_name"), ("period", "period"))
 _BY_FUND = (("fund", "fund_name"), ("period", "period"))
+_BY_FUND_ID = (("fund_id", "fund_id"), ("period", "period"))
 
 _Names = tuple[tuple[str, str], ...]
 _Keep = Callable[[dict], bool]
@@ -268,27 +269,17 @@ def _plan_e6(view: ReconciledView, slots: dict) -> Plan:
         Return("ret", "g1")))
 
 
-def _fund_name_to_id(view: ReconciledView, fund_name: str, period: str) -> tuple[str | None, set]:
-    for r in view.table_records("nport_fund_info"):
-        if r.fields.get("fund_name") == fund_name and r.fields["period"] == period:
-            return r.fields["fund_id"], {r.record_id}
-    return None, set()
-
-
 def _solve_fund_rows(view: ReconciledView, slots: dict, table: str,
                      columns: tuple[str, ...], keep: Callable[[dict, dict], bool]):
     """``columns`` of the named fund's rows of ``table`` for the period that
-    pass ``keep(fields, slots)``."""
-    fund_id, info_ids = _fund_name_to_id(view, slots["fund"], slots["period"])
-    ids = set(info_ids)
-    rows = []
-    for r in view.table_records(table):
-        if (r.fields["fund_id"] == fund_id
-                and r.fields["period"] == slots["period"]
-                and keep(r.fields, slots)):
-            rows.append(tuple(r.fields.get(c) for c in columns))
-            ids.add(r.record_id)
-    return TableValue(columns, tuple(rows), frozenset(ids)), frozenset(ids)
+    pass ``keep(fields, slots)``. The fund is the first ``nport_fund_info``
+    row, in table order, with the fund's name for the period."""
+    info = _rows(view, "nport_fund_info", slots, _BY_FUND)[:1]
+    fund = {"fund_id": info[0].fields["fund_id"] if info else None, "period": slots["period"]}
+    rows = _rows(view, table, fund, _BY_FUND_ID, lambda fields: keep(fields, slots))
+    ids = frozenset(r.record_id for r in info + rows)
+    return TableValue(columns, tuple(tuple(r.fields.get(c) for c in columns) for r in rows),
+                      ids), ids
 
 
 def _plan_fund_rows(slots: dict, table: str, columns: tuple[str, ...],

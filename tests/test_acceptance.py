@@ -23,6 +23,7 @@ from filingswarm.corpus.reconcile import ReconciliationError, reconcile
 from filingswarm.corpus.schema import FilingType
 from filingswarm.corpus.synthetic import SyntheticConfig, generate_synthetic
 from filingswarm.evalrun import (
+    build_expert_indexes,
     build_oracle_route_embedder,
     build_perfect_fixtures,
     judge_success,
@@ -473,9 +474,7 @@ def test_10_indexing_performance_budget(capsys, registry, tmp_path):
         embedder = HashFeatureEmbedder(64)
 
         start = time.monotonic()
-        indexes = {schema.table_id: build_index(
-                       view, IndexScope.table(schema.table_id), embedder)
-                   for schema in registry.all_tables()}
+        indexes = build_expert_indexes(view, registry, embedder)
         table_ids = sorted(tid for tid, ix in indexes.items() if len(ix))
         queries = np.random.default_rng(77).standard_normal((1000, 64)) \
             .astype(np.float32)

@@ -86,12 +86,8 @@ def test_bench_gen_variegates_with_det_provider(rundir):
     assert instances[1].base_text == instances[0].text
 
 
-def test_retrieval_run_covers_every_scope(rundir):
-    out = rundir["root"] / "retrieval.json"
-    assert main(["retrieval", "run", "--corpus", rundir["corpus"],
-                 "--bench", rundir["bench"], "--dim", "32",
-                 "--out", str(out)]) == 0
-    section = json.loads(out.read_text())
+def test_retrieval_run_covers_every_scope(golden):
+    section = json.loads((golden / "retrieval.json").read_text())
     assert set(section["scopes"]) == {"global", "agent", "table"}
     for scope in section["scopes"].values():
         assert 0.0 <= scope["overall"]["r_precision"] <= 1.0
@@ -100,25 +96,17 @@ def test_retrieval_run_covers_every_scope(rundir):
 @pytest.mark.parametrize("flag,name", [("embed", "embedding"),
                                        ("gen", "generative"),
                                        ("swarm", "swarm")])
-def test_route_run_each_strategy(rundir, flag, name):
-    out = rundir["root"] / f"routing_{flag}.json"
-    assert main(["route", "run",
-                 "--bench", rundir["bench"], "--strategy", flag,
-                 "--dim", "32", "--seed", "1", "--out", str(out)]) == 0
-    section = json.loads(out.read_text())
+def test_route_run_each_strategy(golden, flag, name):
+    section = json.loads((golden / f"routing_{flag}.json").read_text())
     assert section["strategy"] == name
     cell = section["splits"]["overall"]["both"]
     assert cell["n_samples"] == 22
     assert 0.0 <= cell["acc_overall"] <= 1.0
 
 
-def test_agentic_run_writes_records_and_memory(rundir):
-    out = rundir["root"] / "agentic.json"
-    memory = rundir["root"] / "memory.jsonl"
-    assert main(["agentic", "run", "--corpus", rundir["corpus"],
-                 "--bench", rundir["bench"], "--workers", "2",
-                 "--memory", str(memory), "--out", str(out)]) == 0
-    section = json.loads(out.read_text())
+def test_agentic_run_writes_records_and_memory(golden):
+    section = json.loads((golden / "agentic_memory.json").read_text())
+    memory = golden / "memory.jsonl"
     assert section["kind"] == "agentic"
     assert section["n_instances"] == 22
     assert len(section["records"]) == 22
@@ -128,25 +116,15 @@ def test_agentic_run_writes_records_and_memory(rundir):
     assert memory.stat().st_size > 0
 
 
-def test_report_combines_all_sections(rundir):
-    root = rundir["root"]
-    report_md = root / "report.md"
-    report_json = root / "report.json"
-    assert main(["report",
-                 "--retrieval", str(root / "retrieval.json"),
-                 "--routing", str(root / "routing_embed.json"),
-                 str(root / "routing_gen.json"), str(root / "routing_swarm.json"),
-                 "--agentic", str(root / "agentic.json"),
-                 "--out", str(report_md), "--json-out", str(report_json)]) == 0
-    text = report_md.read_text()
+def test_report_combines_all_sections(golden):
+    text = (golden / "report.md").read_text()
     assert "## Retrieval scope ablation" in text
     assert "## Routing strategies" in text
     assert "## Agentic question answering" in text
     assert text.count("Strategy:") == 3
-    doc = json.loads(report_json.read_text())
+    doc = json.loads((golden / "report.json").read_text())
     assert set(doc) == {"retrieval", "routing", "agentic"}
     assert len(doc["routing"]) == 3
-
 
 
 # sha256 of each file the studies write on the rundir inputs: every study with

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -348,6 +349,21 @@ def test_run_agentic_threaded_matches_serial(reps, small_view, registry, gold):
     serial = run_agentic(reps[:4], gold, small_view, registry, workers=1)
     threaded = run_agentic(reps[:4], gold, small_view, registry, workers=3)
     assert serial["records"] == threaded["records"]
+
+
+def test_run_agentic_experts_search_their_table_index(reps, small_view, registry):
+    rule, replans = DeterministicProvider(), []
+
+    def complete(request):
+        if request.tag == "replan":
+            replans.append(request.last_user_content())
+        # every plan asks for a security class that no record holds
+        return rule.complete(request).replace('"eq", "COM"]', '"eq", "COMMON"]')
+
+    run_agentic(reps[:1], SimpleNamespace(complete=complete), small_view, registry)
+    (replan,) = replans
+    assert ("13F/thirteenf_holdings step r1: 0 records match; no rows remain after "
+            "security_class eq 'COMMON'; nearest records have security_class 'COM'") in replan
 
 
 def test_run_agentic_threaded_with_shared_memory_matches_serial(bench, small_view,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from filingswarm.corpus.reconcile import reconcile
 from filingswarm.corpus.records import FilingRecord, build_store
 from filingswarm.corpus.schema import FilingType, load_default_registry
-from filingswarm.evalrun import judge_success
+from filingswarm.evalrun import build_expert_indexes, judge_success
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import FixtureMissError, GatewayError
@@ -38,7 +38,7 @@ from filingswarm.pipeline import (
     screen_query,
 )
 from filingswarm.plans import Filter, Plan, PlanError, Retrieve, Return
-from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index
+from filingswarm.vindex import HashFeatureEmbedder
 from perfbench import layers
 from perfbench.spans import Tracer
 from perfbench.workloads import WORKLOADS, Sizes, generate_inputs
@@ -449,11 +449,10 @@ class _CountingEmbedder:
 
 
 @pytest.fixture(scope="module")
-def indexed(small_view):
-    """A 32-dim embedder and a table index over every table of the view."""
+def indexed(small_view, registry):
+    """A 32-dim embedder and the expert indexes it builds over the view."""
     embedder = HashFeatureEmbedder(32)
-    return embedder, {table: build_index(small_view, IndexScope.table(table), embedder)
-                      for table in small_view.by_table}
+    return embedder, build_expert_indexes(small_view, registry, embedder)
 
 
 def _knn_calls(monkeypatch):
@@ -531,8 +530,7 @@ def test_findings_name_the_filter_that_empties_the_selection(registry, small_vie
 def test_findings_of_an_empty_table_name_no_filter(registry, monkeypatch):
     empty = reconcile(build_store([], registry))
     embedder = HashFeatureEmbedder(32)
-    indexes = {"thirteenf_holdings": build_index(
-        empty, IndexScope.table("thirteenf_holdings"), embedder)}
+    indexes = build_expert_indexes(empty, registry, embedder)
     knn_calls = _knn_calls(monkeypatch)
     for filters in ((), _PUTS_Q1):
         assert gather_swarm_intelligence(
@@ -607,8 +605,7 @@ def test_findings_lines_format(registry):
                                   _holding(1, "2023-03-31", None),
                                   _holding(2, "2023-06-30", "CALL")], registry))
     embedder = HashFeatureEmbedder(32)
-    indexes = {"thirteenf_holdings": build_index(
-        view, IndexScope.table("thirteenf_holdings"), embedder)}
+    indexes = build_expert_indexes(view, registry, embedder)
 
     def lines(step, **indexed):
         return gather_swarm_intelligence(Plan((step, Return("ret", step.step_id))),

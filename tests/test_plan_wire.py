@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from filingswarm import pipeline
 from filingswarm.corpus.schema import FilingType
+from filingswarm.evalrun import build_expert_indexes
 from filingswarm.gateway.deterministic import DeterministicProvider
 from filingswarm.gateway.types import request_digest
 from filingswarm.pipeline import (
@@ -38,7 +39,7 @@ from filingswarm.plans import (
     plan_to_json,
     validate_plan,
 )
-from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index
+from filingswarm.vindex import HashFeatureEmbedder
 
 
 class _RecordingProvider:
@@ -69,8 +70,7 @@ GOLDEN_PIPELINE_SHA256 = "6eb917da6eb110a676f0b6c6ef26a9ed1dae6b51294e8fdbf896b6
 
 def test_pipeline_wire_bytes_are_pinned(registry, small_view, bench, tmp_path):
     embedder = HashFeatureEmbedder(32)
-    indexes = {table: build_index(small_view, IndexScope.table(table), embedder)
-               for table in small_view.by_table}
+    indexes = build_expert_indexes(small_view, registry, embedder)
     texts = [instance.text for instance in bench]
     texts += texts[::5]  # a fifth of the questions asked again
     path = tmp_path / "memory.jsonl"
