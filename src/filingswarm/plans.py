@@ -38,7 +38,10 @@ Execution semantics, fixed here because they matter for scoring:
   collisions the left value wins.
 - Return coerces: scalar stays Scalar, a single-column table becomes a
   ListValue, anything else a TableValue.
-- supporting_record_ids is the union of every Retrieve step's matches.
+- supporting_record_ids is the union of every Retrieve step's matches, as
+  a tuple of record ids, sorted, each once. A tuple of strings leaves the
+  cyclic collector's tracking after one collection, while a set's whole
+  hash table is walked on every collection of its generation.
 
 A Retrieve narrows on its eq filters through the view's equality index
 (``ReconciledView.eq_index``) and re-checks every filter, so its matches and
@@ -64,6 +67,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import chain
 from operator import add, is_not
 from typing import Any, Mapping
 
@@ -193,23 +197,27 @@ class Plan:
 # ---------------------------------------------------------------------------
 # Answers
 
+# An answer's supporting_record_ids is sorted and holds each id once: a
+# tuple, not a set, so the cyclic collector stops walking it (see the module
+# docstring). answer_from_dict brings outside input to this form.
+
 @dataclass(frozen=True)
 class Scalar:
     value: float
-    supporting_record_ids: frozenset[str] = frozenset()
+    supporting_record_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class ListValue:
     values: tuple[str, ...]
-    supporting_record_ids: frozenset[str] = frozenset()
+    supporting_record_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class TableValue:
     columns: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
-    supporting_record_ids: frozenset[str] = frozenset()
+    supporting_record_ids: tuple[str, ...] = ()
 
 
 Answer = Scalar | ListValue | TableValue
@@ -225,12 +233,12 @@ def answer_to_dict(answer: Answer) -> dict:
                 "rows": [list(r) for r in answer.rows]}
     else:
         raise TypeError(f"not an Answer: {answer!r}")
-    body["supporting_record_ids"] = sorted(answer.supporting_record_ids)
+    body["supporting_record_ids"] = answer.supporting_record_ids
     return body
 
 
 def answer_from_dict(doc: Mapping[str, Any]) -> Answer:
-    support = frozenset(doc.get("supporting_record_ids", ()))
+    support = tuple(sorted(set(doc.get("supporting_record_ids", ()))))
     kind = doc.get("kind")
     if kind == "scalar":
         return Scalar(float(doc["value"]), support)
@@ -594,9 +602,10 @@ class Selection:
         return index
 
     def record_ids(self) -> tuple[str, ...]:
+        """The matched records' ids, sorted; a table holds each id once."""
         ids = self._record_ids
         if ids is None:
-            ids = self._record_ids = tuple([r.record_id for r in self.records])
+            ids = self._record_ids = tuple(sorted([r.record_id for r in self.records]))
         return ids
 
 
@@ -711,14 +720,14 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
     ``validate_plan`` against this registry object is validated first."""
     order = plan._passed[1] if plan.passed_against(registry) else validate_plan(plan, registry)
     values: dict[str, Any] = {}
-    support: set[str] = set()
+    retrieved: list[tuple[str, tuple[str, ...]]] = []  # (table, sorted ids)
     result: Any = None
 
     for s in order:
         if isinstance(s, Retrieve):
             cols = s.columns if s.columns is not None else registry.table(s.table).field_names
             selected = select_records(view, s)
-            support.update(selected.record_ids())
+            retrieved.append((s.table, selected.record_ids()))
             values[s.step_id] = _Table(tuple(cols), {c: selected.column(c) for c in cols},
                                        selected)
         elif isinstance(s, Aggregate):
@@ -757,10 +766,21 @@ def execute_plan(plan: Plan, view: ReconciledView, registry: SchemaRegistry) -> 
         if isinstance(s, (Aggregate, Arithmetic)) and not _finite(values[s.step_id]):
             raise ExecutionError(f"step {s.step_id}: non-finite result")
 
-    return _coerce_answer(result, frozenset(support))
+    return _coerce_answer(result, _support(retrieved))
 
 
-def _coerce_answer(value: Any, support: frozenset[str]) -> Answer:
+def _support(retrieved: list[tuple[str, tuple[str, ...]]]) -> tuple[str, ...]:
+    """The sorted union of the retrieves' sorted record ids. Record ids are
+    unique in a store, so only a table retrieved twice can repeat one."""
+    if len(retrieved) == 1:
+        return retrieved[0][1]
+    merged = chain.from_iterable(ids for _, ids in retrieved)
+    if len({table for table, _ in retrieved}) < len(retrieved):
+        merged = set(merged)
+    return tuple(sorted(merged))
+
+
+def _coerce_answer(value: Any, support: tuple[str, ...]) -> Answer:
     if isinstance(value, _Table):
         if len(value.columns) == 1:
             col = value.data[value.columns[0]]

@@ -146,7 +146,7 @@ def _solve_sum(view: ReconciledView, slots: dict, table: str, names: _Names,
     """Sum of ``value_field`` over the rows the slots match."""
     rows = _rows(view, table, slots, names, keep)
     ids = frozenset(r.record_id for r in rows)
-    return Scalar(_sum(r.fields.get(value_field) for r in rows), ids), ids
+    return Scalar(_sum(r.fields.get(value_field) for r in rows), tuple(sorted(ids))), ids
 
 
 def plan_sum(agent: FilingType, table: str, filters: tuple[Filter, ...],
@@ -193,7 +193,7 @@ def _solve_advisor_names(view: ReconciledView, slots: dict, table: str,
     names = tuple(str(r.fields[name_field]) for r in rows
                   if r.fields.get(name_field) is not None)
     ids = frozenset(r.record_id for r in rows)
-    return ListValue(names, ids), ids
+    return ListValue(names, tuple(sorted(ids))), ids
 
 
 def _plan_advisor_names(slots: dict, agent: FilingType, table: str,
@@ -239,7 +239,7 @@ def _solve_advisor_split(view: ReconciledView, slots: dict, table: str,
             ids.add(r.record_id)
     rows = tuple((group, _sum(groups[group]))
                  for group in sorted(groups, key=lambda g: (g is not None, g)))
-    return TableValue((group_field, value_field), rows, frozenset(ids)), frozenset(ids)
+    return TableValue((group_field, value_field), rows, tuple(sorted(ids))), frozenset(ids)
 
 
 def _plan_advisor_split(slots: dict, table: str, group_field: str,
@@ -279,7 +279,7 @@ def _solve_fund_rows(view: ReconciledView, slots: dict, table: str,
     rows = _rows(view, table, fund, _BY_FUND_ID, lambda fields: keep(fields, slots))
     ids = frozenset(r.record_id for r in info + rows)
     return TableValue(columns, tuple(tuple(r.fields.get(c) for c in columns) for r in rows),
-                      ids), ids
+                      tuple(sorted(ids))), ids
 
 
 def _plan_fund_rows(slots: dict, table: str, columns: tuple[str, ...],
@@ -297,12 +297,20 @@ def _plan_fund_rows(slots: dict, table: str, columns: tuple[str, ...],
 _H0_COLS = ("fund_id", "issuer_name", "cusip", "country", "value_usd", "shares")
 
 
+def _fund_names(view: ReconciledView) -> dict[tuple, str | None]:
+    """Each (fund_id, period)'s fund name, from its first ``nport_fund_info``
+    row in table order, as ``_solve_fund_rows`` finds the fund's row."""
+    names: dict[tuple, str | None] = {}
+    for r in view.table_records("nport_fund_info"):
+        names.setdefault((r.fields["fund_id"], r.fields["period"]), r.fields.get("fund_name"))
+    return names
+
+
 def _cands_h0(view: ReconciledView) -> list[dict]:
-    names = {r.fields["fund_id"]: r.fields.get("fund_name")
-             for r in view.table_records("nport_fund_info")}
+    names = _fund_names(view)
     seen = set()
     for r in view.table_records("nport_holdings"):
-        name = names.get(r.fields["fund_id"])
+        name = names.get((r.fields["fund_id"], r.fields["period"]))
         if name is not None and r.fields.get("instrument_type") is not None:
             seen.add((name, r.fields.get("instrument_type"), r.fields["period"]))
     return [{"fund": f, "instrument": i, "period": p} for f, i, p in sorted(seen)]
@@ -320,8 +328,7 @@ _H2_OFFSETS = (90, 180, 365)
 def _cands_h2(view: ReconciledView) -> list[dict]:
     from datetime import date, timedelta
 
-    names = {r.fields["fund_id"]: r.fields.get("fund_name")
-             for r in view.table_records("nport_fund_info")}
+    names = _fund_names(view)
     by_fund_period: dict[tuple, list[str]] = {}
     for r in view.table_records("nport_derivatives"):
         if r.fields["derivative_type"] == "custom basket":
@@ -329,7 +336,7 @@ def _cands_h2(view: ReconciledView) -> list[dict]:
             by_fund_period.setdefault(key, []).append(r.fields.get("expiration_date"))
     out = []
     for (fund_id, period), expiries in sorted(by_fund_period.items()):
-        name = names.get(fund_id)
+        name = names.get((fund_id, period))
         if name is None:
             continue
         base = date.fromisoformat(period)

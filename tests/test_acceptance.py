@@ -311,7 +311,7 @@ def test_07_superseded_filings_stay_hidden(capsys, registry):
         assert set(index.record_ids) == visible
 
         answer = execute_plan(aum_plan, view, registry)
-        assert answer.supporting_record_ids <= frozenset(visible)
+        assert frozenset(answer.supporting_record_ids) <= frozenset(visible)
 
         instance = instantiate(TEMPLATES["E2"], view,
                                random.Random(shuffle ^ 0xA5A5))

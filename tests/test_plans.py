@@ -213,8 +213,9 @@ def test_arithmetic_wallet_share(view):
                  Arithmetic(step_id="share", left_step="num", right_step="den", op="div"),
                  Return(step_id="ret", input_step="share"))
     assert answer.value == 500.0 / 3500.75
-    # support covers both branches
-    assert len(answer.supporting_record_ids) == 3
+    # support covers both branches, sorted, each record once
+    assert answer.supporting_record_ids == \
+        ("A13F-MGR0001:0", "A13F-MGR0001:1", "A13F-MGR0001:2")
 
 
 def test_division_by_zero_fails(view):
@@ -364,7 +365,7 @@ def test_an_aggregate_without_a_finite_result_is_an_execution_error(function, au
 def test_every_aggregate_adds_each_value_as_a_float_left_to_right():
     # exact integer addition gives 2**53 + 2; adding one float at a time drops each 1
     view = _adv_view(2**53, 1, 1)
-    support = frozenset({"AADV-0:0", "AADV-1:0", "AADV-2:0"})
+    support = ("AADV-0:0", "AADV-1:0", "AADV-2:0")
     total = 9007199254740992.0
     assert questbench._sum(r.fields["regulatory_aum"]
                            for r in view.table_records("adv_entity")) == total
@@ -376,10 +377,10 @@ def test_every_aggregate_adds_each_value_as_a_float_left_to_right():
 
 
 @pytest.mark.parametrize("function, expected", [
-    ("sum", Scalar(1e308, frozenset({"AADV-0:0"}))),
-    ("mean", Scalar(1e308, frozenset({"AADV-0:0"}))),
+    ("sum", Scalar(1e308, ("AADV-0:0",))),
+    ("mean", Scalar(1e308, ("AADV-0:0",))),
     ("groupby-sum", TableValue(("state", "regulatory_aum"), (("NY", 1e308),),
-                               frozenset({"AADV-0:0"}))),
+                               ("AADV-0:0",))),
 ])
 def test_an_aggregate_keeps_the_largest_finite_values(function, expected):
     assert run(_adv_view(1e308), _ADV, _AUM_AGGREGATES[function],
@@ -701,13 +702,28 @@ def test_a_planner_reply_parses_and_validates_or_raises_plan_error(small_view, s
 
 
 def test_answer_round_trips(view):
+    joined = run(view,
+                 Retrieve(step_id="r1", agent=FilingType.NMFP, table="nmfp_fund_info",
+                          columns=("fund_id", "net_assets")),
+                 Retrieve(step_id="r2", agent=FilingType.NCEN, table="ncen_fund_registry",
+                          columns=("fund_id", "fund_name")),
+                 Join(step_id="j", left_step="r1", right_step="r2", on_fields=("fund_id",)),
+                 Return(step_id="ret", input_step="j"))
+    # the ids of r2, which runs second, sort first
+    assert joined.supporting_record_ids == \
+        ("ANCEN-1:0", "ANCEN-1:1", "ANCEN-1:2", "ANMFP-1:0", "ANMFP-1:1")
     answers = [
-        Scalar(3.5, frozenset({"R1"})),
-        ListValue(("a", "b"), frozenset()),
-        TableValue(("c1", "c2"), (("x", 1.0), ("y", None)), frozenset({"R1", "R2"})),
+        Scalar(3.5, ("R1",)),
+        ListValue(("a", "b"), ()),
+        TableValue(("c1", "c2"), (("x", 1.0), ("y", None)), ("R1", "R2")),
+        joined,
     ]
     for answer in answers:
-        assert answer_from_dict(answer_to_dict(answer)) == answer
+        doc = answer_to_dict(answer)
+        assert answer_from_dict(doc) == answer
+        # outside input loads sorted, each id once
+        ids = list(answer.supporting_record_ids)
+        assert answer_from_dict(dict(doc, supporting_record_ids=ids[::-1] + ids)) == answer
 
 
 # --- property: serialization stability ---------------------------------------
@@ -996,7 +1012,7 @@ def _rowwise_execute(plan, view, registry):
             values[s.step_id] = (tuple(lcols) + tuple(extra), out)
         elif isinstance(s, Return):
             result = values[s.input_step]
-    support = frozenset(support)
+    support = tuple(sorted(support))
     if isinstance(result, tuple):
         cols, rows = result
         if len(cols) == 1:
@@ -1013,12 +1029,13 @@ _KEY_SETS = (("a",), ("b",), ("a", "b"))
 def _executor_cases(draw):
     """Rows of table "t" (a: small numbers, some equal but of other types,
     b: short text, c: numbers; any may be null or missing) and a valid plan
-    over them."""
+    over them. Past ten rows, sorted record ids ("R10" before "R2") differ
+    from table order."""
     rows = draw(st.lists(st.fixed_dictionaries({
         "a": st.sampled_from([_MISSING, None, 0, 1, 2, 1.0, True]),
         "b": st.sampled_from([_MISSING, None, "x", "y"]),
         "c": st.one_of(st.just(None), st.integers(-3, 3),
-                       st.floats(-8, 8, allow_nan=False, width=16))}), max_size=10))
+                       st.floats(-8, 8, allow_nan=False, width=16))}), max_size=12))
     shape = draw(st.sampled_from(["return", "sum", "mean", "count", "groupby-sum"]))
     join_on = draw(st.one_of(st.none(), st.sampled_from(_KEY_SETS)))
     group = draw(st.sampled_from(_KEY_SETS)) if shape == "groupby-sum" else ()

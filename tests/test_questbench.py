@@ -44,11 +44,11 @@ P1 = date(2023, 3, 31)
 ANSWER_CLASSES = {"float": Scalar, "list": ListValue, "dataframe": TableValue}
 
 
-def _rec(table_id, filing_type, acc, no, filer, fields):
+def _rec(table_id, filing_type, acc, no, filer, fields, period=P1):
     return FilingRecord(
         record_id=f"{acc}:{no}", accession_id=acc, filing_type=filing_type,
-        table_id=table_id, filer_id=filer, period=P1, is_amendment=False,
-        amends=None, fields=dict(fields, period=P1.isoformat()))
+        table_id=table_id, filer_id=filer, period=period, is_amendment=False,
+        amends=None, fields=dict(fields, period=period.isoformat()))
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +160,35 @@ def test_canonical_plan_matches_oracle_on_the_micro_corpus(micro_view,
     assert judge_success(executed, instance.gold_answer)
 
 
+def test_a_renamed_fund_is_named_as_in_each_period():
+    # The fund-row oracle finds the fund by its name in the period, so each
+    # H0 and H2 candidate must name the fund as that period's row does.
+    store = CorpusStore(REGISTRY)
+    p2 = date(2023, 6, 30)
+    for period, acc, name in ((P1, "ANPORT-1", "Old Fund"), (p2, "ANPORT-2", "New Fund")):
+        rows = (
+            ("nport_fund_info", {"fund_id": "FND0001", "fund_name": name, "series_id": "S1",
+                                 "total_assets": 10.0, "net_assets": 9.0}),
+            ("nport_holdings", {"fund_id": "FND0001", "issuer_name": "Alpha Industries",
+                                "cusip": "CUS000001", "instrument_type": "equity",
+                                "country": "US", "value_usd": 1.0, "shares": 1.0}),
+            ("nport_derivatives", {"fund_id": "FND0001", "derivative_type": "custom basket",
+                                   "counterparty_name": "Bank", "underlying": "Basket",
+                                   "notional_value": 5.0,
+                                   "expiration_date": period.isoformat()}))
+        for no, (table, fields) in enumerate(rows):
+            store.add(_rec(table, FilingType.NPORT, acc, no, "TR0001", fields, period))
+    view = reconcile(store)
+    for template_id in ("H0", "H2"):
+        template = TEMPLATES[template_id]
+        candidates = template.candidates(view)
+        assert {(slots["fund"], slots["period"]) for slots in candidates} == {
+            ("Old Fund", P1.isoformat()), ("New Fund", p2.isoformat())}
+        for slots in candidates:
+            answer, _ = template.solve(view, slots)
+            assert len(answer.rows) == 1, (template_id, slots)
+
+
 def test_unsatisfiable_templates_raise():
     empty = reconcile(CorpusStore(REGISTRY))
     with pytest.raises(UnsatisfiableTemplateError, match="E0"):
@@ -251,7 +280,8 @@ def test_canonical_plans_match_oracles_across_all_templates(bench, small_view,
                 executed = execute_plan(template.plan(view, slots), view, registry)
                 assert judge_success(executed, answer), (template_id, slots)
                 if len(template.gold_routes) == 1:  # its one retrieve's matches
-                    assert executed.supporting_record_ids == relevant, (template_id, slots)
+                    assert executed.supporting_record_ids == tuple(sorted(relevant)), \
+                        (template_id, slots)
 
 
 # ---------------------------------------------------------------------------
