@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .schema import FilingType, SchemaError, SchemaRegistry, parse_iso_date
 
@@ -83,19 +83,35 @@ def record_to_dict(record: FilingRecord) -> dict:
 def record_from_dict(doc: dict) -> FilingRecord:
     """The record a JSON object describes. A missing key raises KeyError and
     a value of the wrong JSON type raises SchemaError, checked in argument
-    order."""
+    order. ``doc`` is left as it is: the record holds a copy of its
+    ``fields``."""
+    return _record(doc, {}.setdefault)
+
+
+def _record(doc: dict, share: Callable[[Any, Any], Any]) -> FilingRecord:
+    """``record_from_dict``, taking each field key and string field value,
+    the accession, table and filer ids and ``amends`` from ``share`` (a
+    memo's ``setdefault``), so the records built with one memo hold one copy
+    of each repeated string. ``record_id`` is unique, so it is not shared."""
     return FilingRecord(
         record_id=_string(doc, "record_id"),
-        accession_id=_string(doc, "accession_id"),
+        accession_id=_shared(share, _string(doc, "accession_id")),
         filing_type=FilingType.parse(_string(doc, "filing_type")),
-        table_id=_string(doc, "table_id"),
-        filer_id=_string(doc, "filer_id"),
+        table_id=_shared(share, _string(doc, "table_id")),
+        filer_id=_shared(share, _string(doc, "filer_id")),
         period=parse_iso_date(_string(doc, "period")),
         is_amendment=_typed("is_amendment", doc.get("is_amendment", False), bool,
                             "a boolean"),
-        amends=_typed("amends", doc.get("amends"), (str, type(None)), "a string or null"),
-        fields=dict(_typed("fields", doc.get("fields", {}), dict, "an object")),
+        amends=_shared(share, _typed("amends", doc.get("amends"), (str, type(None)),
+                                     "a string or null")),
+        fields={share(k, k): share(v, v) if type(v) is str else v
+                for k, v in _typed("fields", doc.get("fields", {}), dict,
+                                   "an object").items()},
     )
+
+
+def _shared(share: Callable[[Any, Any], Any], value: Any) -> Any:
+    return share(value, value)
 
 
 def _string(doc: dict, name: str) -> str:
@@ -172,10 +188,17 @@ class IngestResult:
 
 
 def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
-    """Load a JSONL corpus file, reporting invalid lines by line number."""
+    """Load a JSONL corpus file, reporting invalid lines by line number.
+
+    The records this call builds share one copy of each repeated string
+    (field names, string field values, accession, table and filer ids and
+    amendment targets) through one memo, which is dropped when the call
+    returns. Each record equals ``record_from_dict`` of its line's object.
+    """
     path = Path(path)
     store = CorpusStore(registry)
     rejections: list[Rejection] = []
+    share = {}.setdefault
     # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate,
     # which valid UTF-8 never yields; only a non-ASCII line can hold one.
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -200,7 +223,7 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
             if line_no == 1 and doc.get("kind") == META_KIND:
                 continue
             try:
-                record = record_from_dict(doc)
+                record = _record(doc, share)
             except (KeyError, ValueError, SchemaError) as exc:
                 msg = str(exc) or exc.__class__.__name__
                 if isinstance(exc, KeyError):

@@ -271,12 +271,15 @@ def _plan_e6(view: ReconciledView, slots: dict) -> Plan:
 
 def _solve_fund_rows(view: ReconciledView, slots: dict, table: str,
                      columns: tuple[str, ...], keep: Callable[[dict, dict], bool]):
-    """``columns`` of the named fund's rows of ``table`` for the period that
-    pass ``keep(fields, slots)``. The fund is the first ``nport_fund_info``
-    row, in table order, with the fund's name for the period."""
-    info = _rows(view, "nport_fund_info", slots, _BY_FUND)[:1]
-    fund = {"fund_id": info[0].fields["fund_id"] if info else None, "period": slots["period"]}
-    rows = _rows(view, table, fund, _BY_FUND_ID, lambda fields: keep(fields, slots))
+    """``columns`` of the rows of ``table`` for the period that pass
+    ``keep(fields, slots)`` and belong to a fund with the fund's name in
+    the period. As in the plan's join, every ``nport_fund_info`` row with
+    that name counts: rows come in info-row order, then table order."""
+    info = _rows(view, "nport_fund_info", slots, _BY_FUND)
+    rows = [r for fund in info
+            for r in _rows(view, table, {"fund_id": fund.fields["fund_id"],
+                                         "period": slots["period"]},
+                           _BY_FUND_ID, lambda fields: keep(fields, slots))]
     ids = frozenset(r.record_id for r in info + rows)
     return TableValue(columns, tuple(tuple(r.fields.get(c) for c in columns) for r in rows),
                       tuple(sorted(ids))), ids
@@ -299,7 +302,7 @@ _H0_COLS = ("fund_id", "issuer_name", "cusip", "country", "value_usd", "shares")
 
 def _fund_names(view: ReconciledView) -> dict[tuple, str | None]:
     """Each (fund_id, period)'s fund name, from its first ``nport_fund_info``
-    row in table order, as ``_solve_fund_rows`` finds the fund's row."""
+    row in table order."""
     names: dict[tuple, str | None] = {}
     for r in view.table_records("nport_fund_info"):
         names.setdefault((r.fields["fund_id"], r.fields["period"]), r.fields.get("fund_name"))

@@ -407,9 +407,11 @@ _SUBNORMAL32 = 2.0 ** -149  # spacing of float32 near zero
 
 
 def _prefilter(index: FlatIndex, q32: np.ndarray, dots32: np.ndarray,
-               take: int) -> np.ndarray:
+               take: int, scratch: np.ndarray) -> np.ndarray:
     """Positions of a superset of the ``take`` rows nearest the query,
     given ``dots32``, the float32 dot products of every row with it.
+    ``scratch`` is a (3, len(index)) float64 buffer that one ``knn`` call
+    passes to each of its queries; its contents on entry are never read.
 
     For a row x and the query q, both finite float32 values, let p = |x|^2,
     r = |q|^2 and t = x.q. A float32 product, whether a GEMV or one column
@@ -430,17 +432,20 @@ def _prefilter(index: FlatIndex, q32: np.ndarray, dots32: np.ndarray,
     """
     q64 = q32.astype(np.float64)
     qq = float(q64 @ q64)
+    dots, approx, slack = scratch
     # -2t', widened and scaled in one pass; both steps are exact, and a
     # float32 value is finite exactly when its widening is
     if np.isfinite(dots32).all():
-        dots, u = np.multiply(dots32, -2.0, dtype=np.float64), _U32
+        np.multiply(dots32, -2.0, out=dots, dtype=np.float64)
+        u = _U32
     else:
-        dots, u = index.vectors.astype(np.float64) @ q64, _U64
+        dots[:] = index.vectors.astype(np.float64) @ q64
         dots *= -2.0
+        u = _U64
     gamma = (index.dim + 2) * u / (1 - (index.dim + 2) * u)
-    # in place where possible: each pass is over every row of the index
-    approx = index.sq_norms + qq
-    slack = approx * (2.0 * gamma)
+    # in place: each pass is over every row of the index
+    np.add(index.sq_norms, qq, out=approx)
+    np.multiply(approx, 2.0 * gamma, out=slack)
     slack += (index.dim + 2) * 2.0 * _SUBNORMAL32
     approx += dots
     upper = np.add(approx, slack, out=dots)
@@ -496,11 +501,12 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
         hits = [_rescore(index, q, None, take) for q in queries]
     else:
         hits = []
+        scratch = np.empty((3, n))
         for start in range(0, len(queries), _KNN_BLOCK):
             block = queries[start:start + _KNN_BLOCK]
             with np.errstate(over="ignore", invalid="ignore"):
                 dots = block @ index.vectors.T
-            hits += [_rescore(index, q, _prefilter(index, q, row, take), take)
+            hits += [_rescore(index, q, _prefilter(index, q, row, take, scratch), take)
                      for q, row in zip(block, dots)]
     return hits[0] if q32.ndim == 1 else hits
 

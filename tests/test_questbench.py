@@ -189,6 +189,37 @@ def test_a_renamed_fund_is_named_as_in_each_period():
             assert len(answer.rows) == 1, (template_id, slots)
 
 
+def test_two_funds_of_one_name_are_both_in_the_fund_row_answers():
+    # The canonical plan joins every nport_fund_info row with the fund's
+    # name in the period, so the oracle must take every such fund's rows.
+    store = CorpusStore(REGISTRY)
+    for fund_id, cusip in (("FND0001", "CUS000001"), ("FND0002", "CUS000002")):
+        acc = f"ANPORT-{fund_id}"
+        rows = (
+            ("nport_fund_info", {"fund_id": fund_id, "fund_name": "Same Fund",
+                                 "series_id": fund_id, "total_assets": 10.0,
+                                 "net_assets": 9.0}),
+            ("nport_holdings", {"fund_id": fund_id, "issuer_name": "Alpha Industries",
+                                "cusip": cusip, "instrument_type": "equity",
+                                "country": "US", "value_usd": 1.0, "shares": 1.0}),
+            ("nport_derivatives", {"fund_id": fund_id, "derivative_type": "custom basket",
+                                   "counterparty_name": "Bank", "underlying": cusip,
+                                   "notional_value": 5.0,
+                                   "expiration_date": P1.isoformat()}))
+        for no, (table, fields) in enumerate(rows):
+            store.add(_rec(table, FilingType.NPORT, acc, no, "TR0001", fields))
+    view = reconcile(store)
+    for template_id in ("H0", "H2"):
+        template = TEMPLATES[template_id]
+        for slots in template.candidates(view):
+            answer, relevant = template.solve(view, slots)
+            assert [row[0] for row in answer.rows] == ["FND0001", "FND0002"], template_id
+            executed = execute_plan(template.plan(view, slots), view, REGISTRY)
+            assert executed.rows == answer.rows
+            assert executed.supporting_record_ids == answer.supporting_record_ids
+            assert len(relevant) == 4 and judge_success(executed, answer)
+
+
 def test_unsatisfiable_templates_raise():
     empty = reconcile(CorpusStore(REGISTRY))
     with pytest.raises(UnsatisfiableTemplateError, match="E0"):

@@ -316,6 +316,45 @@ def test_export_ingest_round_trip_synthetic(registry, small_store, tmp_path):
     assert result.store.records == small_store.records
 
 
+def test_ingested_records_share_one_copy_of_each_repeated_string(registry, tmp_path):
+    docs = [record_to_dict(make_record(record_id=f"R{i}", accession="ACC1"))
+            for i in range(2)]
+    docs.append(record_to_dict(make_record(record_id="R2", accession="ACC2",
+                                           is_amendment=True, amends="ACC1")))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    result = ingest_jsonl(path, registry)
+    assert not result.rejections
+    a, b, c = result.store.records
+    for x, y in zip(a.fields, b.fields):
+        assert x is y
+    assert a.fields["advisor_name"] is b.fields["advisor_name"] is c.fields["advisor_name"]
+    assert a.accession_id is b.accession_id is c.amends
+    assert a.table_id is c.table_id and a.filer_id is c.filer_id
+
+
+def test_each_ingested_record_equals_record_from_dict_of_its_line(registry, small_store,
+                                                                  tmp_path):
+    path = tmp_path / "synthetic.jsonl"
+    export_jsonl(small_store, path)
+    result = ingest_jsonl(path, registry)
+    assert not result.rejections
+    docs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert len(docs) == len(result.store.records)
+    for record, doc in zip(result.store.records, docs):
+        alone = record_from_dict(doc)
+        assert record == alone
+        assert list(record.fields) == list(alone.fields) == list(doc["fields"])
+
+
+def test_record_from_dict_leaves_its_doc_unchanged():
+    doc = record_to_dict(make_record(is_amendment=True, amends="ACC0"))
+    before = json.loads(json.dumps(doc))
+    record = record_from_dict(doc)
+    assert doc == before
+    assert record.fields == doc["fields"] and record.fields is not doc["fields"]
+
+
 def test_embedding_text_sorted_and_null_free():
     record = make_record(fields={"advisor_name": "Zéta", "advisor_id": "A",
                                  "regulatory_aum": None,
