@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -18,13 +19,16 @@ from .schema import FilingType, SchemaError, SchemaRegistry, parse_iso_date
 META_KIND = "corpus_meta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilingRecord:
     """One row of one filing table.
 
     ``record_id`` is globally unique; ``accession_id`` identifies the filing
     document the row came from. Amendment rows carry ``is_amendment=True`` and
     ``amends`` pointing at the superseded accession.
+
+    The attributes live in slots, with no instance ``__dict__``: a corpus
+    holds one record per row, and the dict cost each record about 48 bytes.
     """
 
     record_id: str
@@ -85,21 +89,24 @@ def record_from_dict(doc: dict) -> FilingRecord:
     a value of the wrong JSON type raises SchemaError, checked in argument
     order. ``doc`` is left as it is: the record holds a copy of its
     ``fields``."""
-    return _record(doc, {}.setdefault)
+    return _record(doc, {}.setdefault, parse_iso_date)
 
 
-def _record(doc: dict, share: Callable[[Any, Any], Any]) -> FilingRecord:
+def _record(doc: dict, share: Callable[[Any, Any], Any],
+            period: Callable[[str], date]) -> FilingRecord:
     """``record_from_dict``, taking each field key and string field value,
     the accession, table and filer ids and ``amends`` from ``share`` (a
     memo's ``setdefault``), so the records built with one memo hold one copy
-    of each repeated string. ``record_id`` is unique, so it is not shared."""
+    of each repeated string. ``record_id`` is unique, so it is not shared.
+    ``period`` parses the period string as ``parse_iso_date`` does; a
+    memoized one gives the records of one period string one ``date``."""
     return FilingRecord(
         record_id=_string(doc, "record_id"),
         accession_id=_shared(share, _string(doc, "accession_id")),
         filing_type=FilingType.parse(_string(doc, "filing_type")),
         table_id=_shared(share, _string(doc, "table_id")),
         filer_id=_shared(share, _string(doc, "filer_id")),
-        period=parse_iso_date(_string(doc, "period")),
+        period=period(_string(doc, "period")),
         is_amendment=_typed("is_amendment", doc.get("is_amendment", False), bool,
                             "a boolean"),
         amends=_shared(share, _typed("amends", doc.get("amends"), (str, type(None)),
@@ -192,13 +199,17 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
 
     The records this call builds share one copy of each repeated string
     (field names, string field values, accession, table and filer ids and
-    amendment targets) through one memo, which is dropped when the call
-    returns. Each record equals ``record_from_dict`` of its line's object.
+    amendment targets) through one memo, and one ``date`` per distinct
+    period string, which is parsed once, through another. Both memos are
+    dropped when the call returns. Each record equals ``record_from_dict``
+    of its line's object.
     """
     path = Path(path)
     store = CorpusStore(registry)
     rejections: list[Rejection] = []
     share = {}.setdefault
+    # a string that does not parse raises, so it is never cached
+    period = cache(parse_iso_date)
     # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate,
     # which valid UTF-8 never yields; only a non-ASCII line can hold one.
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -223,7 +234,7 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
             if line_no == 1 and doc.get("kind") == META_KIND:
                 continue
             try:
-                record = _record(doc, share)
+                record = _record(doc, share, period)
             except (KeyError, ValueError, SchemaError) as exc:
                 msg = str(exc) or exc.__class__.__name__
                 if isinstance(exc, KeyError):

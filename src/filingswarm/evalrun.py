@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import numbers
+import threading
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -436,11 +438,45 @@ def build_perfect_fixtures(instances: list[QuestionInstance], view: ReconciledVi
 # ---------------------------------------------------------------------------
 # Agentic study
 
+class _ExpertIndexes(Mapping):
+    """Table id -> the table-scope index of the view's records of that
+    table, for every registered table. A table's index is built on its
+    first lookup, under a lock, so each is built once however many threads
+    ask, and a table that no expert searches is never embedded."""
+
+    def __init__(self, view: ReconciledView, table_ids: list[str], embedder):
+        self._view = view
+        self._embedder = embedder
+        self._table_ids = dict.fromkeys(table_ids)
+        self._built: dict[str, FlatIndex] = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, table_id: str) -> FlatIndex:
+        index = self._built.get(table_id)
+        if index is None:
+            if table_id not in self._table_ids:
+                raise KeyError(table_id)
+            with self._lock:
+                index = self._built.get(table_id)
+                if index is None:
+                    index = build_index(self._view, IndexScope.table(table_id),
+                                        self._embedder)
+                    self._built[table_id] = index
+        return index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table_ids)
+
+    def __len__(self) -> int:
+        return len(self._table_ids)
+
+
 def build_expert_indexes(view: ReconciledView, registry: SchemaRegistry,
-                         embedder) -> dict[str, FlatIndex]:
-    """One table-scope index per registered table, keyed by table id."""
-    return {schema.table_id: build_index(view, IndexScope.table(schema.table_id), embedder)
-            for schema in registry.all_tables()}
+                         embedder) -> Mapping[str, FlatIndex]:
+    """One table-scope index per registered table, keyed by table id: a
+    read-only mapping that builds each index on its first lookup."""
+    return _ExpertIndexes(view, [schema.table_id for schema in registry.all_tables()],
+                          embedder)
 
 
 def _expert_search(view: ReconciledView, registry: SchemaRegistry) -> dict:
@@ -460,7 +496,8 @@ def run_agentic(instances: list[QuestionInstance], gateway, view: ReconciledView
                 registry: SchemaRegistry, memory: LongTermMemory | None = None,
                 workers: int = 1) -> dict:
     """Full pipeline per question; errors are failures, never aborts.
-    The experts search the table indexes of ``build_expert_indexes``.
+    The experts search the table indexes of ``build_expert_indexes``, so
+    only the tables they search are embedded.
     With more than one worker, every ask of one memory key runs in one task,
     in benchmark order, so a repeat finds the plan its earlier ask stored."""
     if workers < 1:

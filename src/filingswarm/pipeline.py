@@ -15,7 +15,7 @@ import os
 import re
 import threading
 import weakref
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -300,7 +300,7 @@ def _neighbor_values(view: ReconciledView, record_ids, field: str) -> tuple[Any,
 def gather_swarm_intelligence(plan: Plan, view: ReconciledView,
                               registry: SchemaRegistry,
                               query_text: str | None = None,
-                              table_indexes: dict[str, FlatIndex] | None = None,
+                              table_indexes: Mapping[str, FlatIndex] | None = None,
                               embedder=None, k: int = 10) -> tuple[str, ...]:
     """Each filing expert named by the plan probes its own tables and
     writes one finding line per retrieve step: the text the reviser reads.
@@ -394,7 +394,7 @@ class PipelineResult:
 def run_pipeline(text: str, gateway, view: ReconciledView,
                  registry: SchemaRegistry,
                  memory: LongTermMemory | None = None,
-                 table_indexes: dict[str, FlatIndex] | None = None,
+                 table_indexes: Mapping[str, FlatIndex] | None = None,
                  embedder=None) -> PipelineResult:
     """Full pass from raw query text to an executed answer."""
     try:

@@ -50,10 +50,13 @@ _SEP = "\x01"
 _JOINER = f" {_SEP} "
 _TOKEN_BYTES = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz\x01" else 0x20
                      for c in range(256))
-# texts embedded per vectorised step; bounds the step's count matrix
-_EMBED_CHUNK = 4096
+# texts embedded per vectorised step. A step's working set (its token list,
+# int64 codes and count matrix and their float64 copies) grows with it, to
+# about 15 MB at 4096 corpus records, so a step of 1024 keeps it to a few
+# MB. Counts are exact integers, so no vector depends on the chunk.
+_EMBED_CHUNK = 1024
 # queries whose dot products knn takes from one GEMM; bounds its
-# (block, n) float32 product
+# (block, n) float32 product, the one buffer that every block of a call fills
 _KNN_BLOCK = 16
 
 _MAGIC = b"FSIDX1\n"
@@ -481,6 +484,10 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
     holds for any summation order, so how the GEMM rounds cannot change a
     result. Either way the rows are scored with the canonical row-wise
     expression and ranked by (dist, id).
+
+    One call allocates one (min(m, ``_KNN_BLOCK``), n) float32 product
+    buffer, which every block's GEMM writes in turn, and one prefilter
+    scratch, so its working set does not grow with the number of queries.
     """
     try:
         k = operator.index(k)
@@ -502,10 +509,12 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
     else:
         hits = []
         scratch = np.empty((3, n))
+        product = np.empty((min(len(queries), _KNN_BLOCK), n), dtype=np.float32)
         for start in range(0, len(queries), _KNN_BLOCK):
             block = queries[start:start + _KNN_BLOCK]
+            dots = product[:len(block)]
             with np.errstate(over="ignore", invalid="ignore"):
-                dots = block @ index.vectors.T
+                np.matmul(block, index.vectors.T, out=dots)
             hits += [_rescore(index, q, _prefilter(index, q, row, take, scratch), take)
                      for q, row in zip(block, dots)]
     return hits[0] if q32.ndim == 1 else hits

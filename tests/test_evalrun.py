@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 
-from filingswarm import vindex
+from filingswarm import evalrun, vindex
 from filingswarm.corpus.reconcile import reconcile
 from filingswarm.corpus.schema import FilingType
 from filingswarm.evalrun import (
@@ -14,6 +17,7 @@ from filingswarm.evalrun import (
     REL_TOL,
     GoldProvider,
     build_oracle_retrieval_embedder,
+    build_expert_indexes,
     build_oracle_route_embedder,
     build_perfect_fixtures,
     judge_success,
@@ -364,6 +368,77 @@ def test_run_agentic_experts_search_their_table_index(reps, small_view, registry
     (replan,) = replans
     assert ("13F/thirteenf_holdings step r1: 0 records match; no rows remain after "
             "security_class eq 'COMMON'; nearest records have security_class 'COM'") in replan
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    """The table of each index ``evalrun`` builds from here on."""
+    built, real = [], evalrun.build_index
+
+    def counting(view, scope, embedder):
+        built.append(scope.key)
+        return real(view, scope, embedder)
+
+    monkeypatch.setattr(evalrun, "build_index", counting)
+    return built
+
+
+def test_expert_indexes_build_each_table_once_on_its_first_lookup(small_view, registry,
+                                                                   monkeypatch):
+    built = _count_builds(monkeypatch)
+    table_ids = [schema.table_id for schema in registry.all_tables()]
+    indexes = build_expert_indexes(small_view, registry, HashFeatureEmbedder(32))
+    assert list(indexes) == table_ids and len(indexes) == len(table_ids)
+    with pytest.raises(KeyError):
+        indexes["no_such_table"]
+    assert indexes.get("no_such_table") is None
+    with pytest.raises(TypeError):
+        indexes["no_such_table"] = None
+    assert built == []
+
+    index = indexes["thirteenf_holdings"]
+    assert indexes["thirteenf_holdings"] is index
+    assert built == ["thirteenf_holdings"]
+    alone = build_index(small_view, IndexScope.table("thirteenf_holdings"),
+                        HashFeatureEmbedder(32))
+    assert index.record_ids == alone.record_ids
+    assert index.vectors.tobytes() == alone.vectors.tobytes()
+
+
+def test_expert_indexes_build_a_table_once_under_concurrent_first_lookups(
+        small_view, registry, monkeypatch):
+    built, real = [], evalrun.build_index
+
+    def slow(view, scope, embedder):
+        built.append(scope.key)
+        time.sleep(0.05)  # the other threads reach the lock meanwhile
+        return real(view, scope, embedder)
+
+    monkeypatch.setattr(evalrun, "build_index", slow)
+    indexes = build_expert_indexes(small_view, registry, HashFeatureEmbedder(32))
+    start = threading.Barrier(4)
+
+    def lookup(_):
+        start.wait()
+        return indexes["nport_holdings"]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lookup, range(4)))
+    assert built == ["nport_holdings"]
+    assert all(index is got[0] for index in got)
+
+
+def test_run_agentic_embeds_only_the_tables_its_experts_search(reps, small_view, registry,
+                                                              gold, monkeypatch):
+    built = _count_builds(monkeypatch)
+    run_agentic(reps, gold, small_view, registry, workers=2)
+    assert built == []  # every gold plan matches records, so no expert searches
+    rule = DeterministicProvider()
+
+    def complete(request):
+        return rule.complete(request).replace('"eq", "COM"]', '"eq", "COMMON"]')
+
+    run_agentic(reps[:1], SimpleNamespace(complete=complete), small_view, registry)
+    assert built == ["thirteenf_holdings"]
 
 
 def test_run_agentic_threaded_with_shared_memory_matches_serial(bench, small_view,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import date
 
@@ -345,6 +346,51 @@ def test_each_ingested_record_equals_record_from_dict_of_its_line(registry, smal
         alone = record_from_dict(doc)
         assert record == alone
         assert list(record.fields) == list(alone.fields) == list(doc["fields"])
+
+
+def test_ingested_records_of_one_period_share_one_date(registry, tmp_path):
+    docs = [record_to_dict(make_record(record_id=f"R{i}")) for i in range(3)]
+    docs[2]["period"] = docs[2]["fields"]["period"] = "2022-12-31"
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    result = ingest_jsonl(path, registry)
+    assert not result.rejections
+    a, b, c = result.store.records
+    assert a.period == b.period == PERIOD and a.period is b.period
+    assert c.period == date(2022, 12, 31)
+
+
+def test_an_ingested_record_holds_no_instance_dict(registry, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record_to_dict(make_record())) + "\n")
+    (record,) = ingest_jsonl(path, registry).store.records
+    assert not hasattr(record, "__dict__")
+    assert record == make_record()
+
+
+def test_a_record_compares_prints_and_stays_frozen_and_unhashable():
+    record = make_record()
+    assert record == make_record()
+    assert record != make_record(record_id="R2")
+    assert record != make_record(fields={"advisor_id": "ADV0001"})
+    assert repr(record) == (
+        "FilingRecord(record_id='R1', accession_id='ACC1', "
+        "filing_type=<FilingType.ADV: 'ADV'>, table_id='adv_entity', filer_id='ADV0001', "
+        "period=datetime.date(2023, 3, 31), is_amendment=False, amends=None, "
+        "fields={'advisor_id': 'ADV0001', 'advisor_name': 'Test Advisors LLC', "
+        "'regulatory_aum': 100.0, 'period': '2023-03-31'})")
+    for name in (f.name for f in dataclasses.fields(FilingRecord)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    # a name that is not a field is refused too: Python 3.11 raises
+    # TypeError for it on a slotted frozen dataclass
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 1
+    assert record == make_record()
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def test_record_from_dict_leaves_its_doc_unchanged():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from datetime import date
 from pathlib import Path
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import filingswarm
 from filingswarm import vindex
 from filingswarm.corpus import records as records_module
-from filingswarm.corpus.records import FilingRecord, to_embedding_text
+from filingswarm.corpus.reconcile import reconcile
+from filingswarm.corpus.records import FilingRecord, build_store, to_embedding_text
 from filingswarm.corpus.schema import FilingType
+from filingswarm.corpus.synthetic import SyntheticConfig, generate_synthetic
 from filingswarm.evalrun import build_routing_indexes
 from filingswarm.vindex import (
     FlatIndex,
@@ -261,6 +264,55 @@ def test_knn_float64_fallback_on_float32_overflow():
     result = knn(index, query, 2)
     assert [rid for rid, _ in result] == ["b", "a"]
     assert result == naive_knn(index, query, 2)
+
+
+def _traced(call):
+    """``call()``, and the traced memory it peaked at and left held, in
+    bytes over what was held before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - before, held - before
+
+
+def test_knn_over_several_query_blocks_holds_one_product_block():
+    rng = np.random.default_rng(3)
+    n, dim = 20_000, 16
+    index = FlatIndex(scope=IndexScope.global_(), dim=dim,
+                      record_ids=[f"r{i:05d}" for i in range(n)],
+                      vectors=rng.standard_normal((n, dim)).astype(np.float32))
+    queries = rng.standard_normal((3 * vindex._KNN_BLOCK + 1, dim)).astype(np.float32)
+    hits, peak, _ = _traced(lambda: knn(index, queries, 5))
+    assert [h[0] for h in hits[-2:]] == [naive_knn(index, q, 5)[0] for q in queries[-2:]]
+    product = vindex._KNN_BLOCK * n * 4  # one block's float32 dot products
+    scratch = 3 * n * 8  # the prefilter's float64 rows
+    # each query's own arrays take a few bytes per row; a second product
+    # block alive at once would take 64
+    assert peak < product + scratch + product // 4
+
+
+def test_build_index_transient_memory_does_not_grow_past_one_chunk(registry):
+    store = generate_synthetic(SyntheticConfig(records_per_table=2000, amendment_fraction=0.0),
+                               seed=3, registry=registry)
+    transients = []
+    for n in (2048, 8192):
+        view = reconcile(build_store(store.records[:n], registry))
+        embedder = HashFeatureEmbedder(64)
+        build_index(view, IndexScope.global_(), embedder)  # its token codes stay held
+        index, peak, held = _traced(lambda: build_index(view, IndexScope.global_(), embedder))
+        assert len(index) == n
+        transients.append(peak - held)
+    # past one chunk, a build's transient is one chunk's working set; the
+    # index itself is held, not transient
+    assert transients[1] < 1.25 * transients[0]
 
 
 def test_index_is_immutable_with_cached_norms():
