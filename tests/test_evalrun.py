@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -404,27 +405,36 @@ def test_expert_indexes_build_each_table_once_on_its_first_lookup(small_view, re
     assert index.vectors.tobytes() == alone.vectors.tobytes()
 
 
-def test_expert_indexes_build_a_table_once_under_concurrent_first_lookups(
+def test_expert_indexes_build_each_table_once_under_concurrent_lookups(
         small_view, registry, monkeypatch):
     built, real = [], evalrun.build_index
 
     def slow(view, scope, embedder):
         built.append(scope.key)
-        time.sleep(0.05)  # the other threads reach the lock meanwhile
+        time.sleep(0.01)  # the other threads reach the lock meanwhile
         return real(view, scope, embedder)
 
     monkeypatch.setattr(evalrun, "build_index", slow)
     indexes = build_expert_indexes(small_view, registry, HashFeatureEmbedder(32))
-    start = threading.Barrier(4)
+    tables = list(indexes)
+    workers = 6
+    start = threading.Barrier(workers, timeout=30)
 
-    def lookup(_):
+    def lookup(offset):
         start.wait()
-        return indexes["nport_holdings"]
+        # each thread walks every table, from its own first table
+        return {table: indexes[table] for table in tables[offset:] + tables[:offset]}
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(lookup, range(4)))
-    assert built == ["nport_holdings"]
-    assert all(index is got[0] for index in got)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            seen = list(pool.map(lookup, range(workers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == sorted(tables)
+    for got in seen:
+        assert all(got[table] is indexes[table] for table in tables)
 
 
 def test_run_agentic_embeds_only_the_tables_its_experts_search(reps, small_view, registry,
