@@ -12,6 +12,7 @@ import threading
 from typing import Any, Callable, Hashable, Sized, TypeVar
 
 from .records import CorpusStore, FilingRecord
+from .schema import SchemaRegistry
 
 
 class ReconciliationError(ValueError):
@@ -24,20 +25,16 @@ _Held = TypeVar("_Held", bound=Sized)
 class ReconciledView:
     """Effective records after amendment reconciliation.
 
-    Immutable; safe for concurrent readers. ``records`` preserves the store's
-    insertion order restricted to visible accessions. Two caches fill on
-    first use and never need invalidating, because the records never
+    Immutable; safe for concurrent readers. ``records`` are the visible
+    records in store order; no store is kept. Two caches fill on first
+    use and never need invalidating, because the records never
     change: the equality posting lists of ``eq_index``, and ``memo``, which
     keeps derived results such as the plan executor's retrieve selections.
     """
 
-    def __init__(self, store: CorpusStore, visible_accessions: set[str]):
-        self.store = store
-        self.registry = store.registry
-        self.visible_accessions = frozenset(visible_accessions)
-        self.records: list[FilingRecord] = [
-            r for r in store.records if r.accession_id in self.visible_accessions
-        ]
+    def __init__(self, registry: SchemaRegistry, records: list[FilingRecord]):
+        self.registry = registry
+        self.records = records
         self.by_record_id = {r.record_id: r for r in self.records}
         self.by_table: dict[str, list[FilingRecord]] = {}
         for r in self.records:
@@ -154,4 +151,5 @@ def reconcile(store: CorpusStore) -> ReconciledView:
         while node in amended_by:
             node = max(amended_by[node])
         visible.add(node)
-    return ReconciledView(store, visible)
+    return ReconciledView(store.registry,
+                          [r for r in store.records if r.accession_id in visible])

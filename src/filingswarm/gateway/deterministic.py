@@ -6,9 +6,9 @@ recognizes get full routing and planning treatment; anything else falls back
 to keyword scoring, and scoreless prompts get a refusal the callers treat as
 a parse failure. The rules are intentionally coupled to the default schema
 registry; this provider is the offline analyst for that corpus domain, not a
-general model. It plans a recognized stem with the question bench's canonical
-plan, except the annual-report stem, whose wording it can only guess at
-without reading the corpus.
+general model. It plans a recognized stem with the question bench's plan
+for that template given no corpus: every template then plans from its slots
+alone, so the annual-report stem gets a guess at the filer's wording.
 """
 from __future__ import annotations
 
@@ -17,9 +17,8 @@ from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from ..corpus.schema import FilingType
-from ..plans import Filter, Plan, plan_to_json
-from ..questbench import TEMPLATES, plan_sum
+from ..plans import plan_to_json
+from ..questbench import TEMPLATES
 from .prompts import CANNOT_PLAN, REFUSAL, Prompt, parse_prompt
 from .types import TAGS, ChatRequest
 
@@ -169,16 +168,6 @@ def _slots(query: str) -> dict[str, str]:
     return out
 
 
-def _guess_total_assets(slots: dict[str, str]) -> Plan:
-    """H3 without the corpus: the annual-report line items are labeled
-    inconsistently across filers; a substring guess is the best a rule can
-    do here, and it does not survive every label style."""
-    return plan_sum(FilingType.NCSR, "ncsr_statement_items", (
-        Filter("fund_name", "eq", slots["fund"]),
-        Filter("period", "eq", slots["period"]),
-        Filter("label", "contains", "total assets")), "value_usd")
-
-
 @lru_cache(maxsize=64)
 def _fold(name: str) -> str:
     """A filing type name upper-cased without hyphens: the form in which
@@ -284,13 +273,9 @@ class DeterministicProvider:
             # the E5 stem names its advisor "manager"
             slots["advisor"] = slots["manager"]
         try:
-            if template_id == "H3":
-                plan = _guess_total_assets(slots)
-            else:
-                plan = TEMPLATES[template_id].plan(None, slots)
+            return plan_to_json(TEMPLATES[template_id].plan(None, slots))
         except KeyError:  # a slot the template needs is not in the text
             return CANNOT_PLAN
-        return plan_to_json(plan)
 
     def _do_replan(self, query: str, prompt: Prompt) -> str:
         return prompt.draft_plan or CANNOT_PLAN

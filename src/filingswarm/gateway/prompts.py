@@ -1,7 +1,8 @@
 """The prompt wire format of every gateway call site, in both directions.
 
 A request is its tag and its messages (see ``types``). A user message is a
-block of lines, each starting with one of these prefixes:
+block of lines, each starting with one of these prefixes (each line break
+inside a value is folded to a space, so a value cannot forge a field):
 
 - ``QUERY: <text>``: the question; a plan prompt has one line per sub-query.
 - ``AGENT: <filing type>``: the agent whose tables a table prompt offers.
@@ -36,8 +37,17 @@ CANNOT_PLAN = "CANNOT PLAN"
 REFUSAL = "none of these"
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each line boundary made a space; the "." keeps a final one."""
+    return " ".join((text + ".").splitlines())[:-1]
+
+
+# a question's ~18 route prompts arrive back to back, from short fixed lists
+_route_value = lru_cache(maxsize=64)(_one_line)
+
+
 def _request(tag: str, lines: list[str]) -> ChatRequest:
-    return ChatRequest(tag, (("user", "\n".join(lines)),))
+    return ChatRequest(tag, (("user", "\n".join(map(_one_line, lines))),))
 
 
 def build_classify_request(query: str) -> ChatRequest:
@@ -58,10 +68,11 @@ def build_route_request(query: str, candidates: Sequence[str],
                         history: Sequence[str] = ()) -> ChatRequest:
     """An agent route prompt, or a table route prompt when ``agent`` is
     given: the tables offered are that agent's."""
-    head = f"PERSONA: {persona}\nQUERY: {query}" if persona else f"QUERY: {query}"
+    head = (f"PERSONA: {_route_value(persona)}\nQUERY: {_route_value(query)}" if persona
+            else f"QUERY: {_route_value(query)}")
     if agent is not None:
-        head += f"\nAGENT: {agent}"
-    already = "".join([f"\nALREADY: agent={a} table={t}"
+        head += f"\nAGENT: {_route_value(agent)}"
+    already = "".join([f"\nALREADY: agent={_route_value(a)} table={_route_value(t)}"
                        for a, t in covered]) if covered else ""
     content = (f"{head}\n{_candidates_line(tuple(candidates))}{already}"
                f"{_history_block(tuple(history))}")
@@ -72,7 +83,7 @@ def build_route_request(query: str, candidates: Sequence[str],
 @lru_cache(maxsize=32)
 def _candidates_line(candidates: tuple[str, ...]) -> str:
     """The CANDIDATES line; routing offers a few distinct lists."""
-    return f"CANDIDATES: {CANDIDATE_SEP.join(candidates)}"
+    return f"CANDIDATES: {_one_line(CANDIDATE_SEP.join(candidates))}"
 
 
 @lru_cache(maxsize=32)
@@ -81,7 +92,7 @@ def _history_block(history: tuple[str, ...]) -> str:
     member of a swarm round reads the same history."""
     if not history:
         return ""
-    return "\nHISTORY:" + "".join(f"\n- {entry}" for entry in history)
+    return "\nHISTORY:" + "".join(f"\n- {_one_line(entry)}" for entry in history)
 
 
 def build_plan_request(subquery_texts: Sequence[str]) -> ChatRequest:

@@ -423,6 +423,9 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
     returns = [s for s in plan.steps if isinstance(s, Return)]
     if len(returns) != 1:
         raise PlanError(f"plan must have exactly one return step, found {len(returns)}")
+    consumed = {ref for s in plan.steps for ref in s.inputs}
+    if returns[0].step_id in consumed:
+        raise PlanError("return step cannot feed another step")
 
     out_type: dict[str, str] = {}
     out_cols: dict[str, dict[str, str]] = {}  # a table step's column kinds
@@ -497,14 +500,10 @@ def validate_plan(plan: Plan, registry: SchemaRegistry) -> tuple[PlanStep, ...]:
         elif isinstance(s, Return):
             out_type[s.step_id] = out_type[s.input_step]
 
-    ret = returns[0]
-    consumed = {ref for s in plan.steps for ref in s.inputs}
     dangling = [s.step_id for s in plan.steps
                 if not isinstance(s, Return) and s.step_id not in consumed]
     if dangling:
         raise PlanError(f"unconsumed steps: {', '.join(sorted(dangling))}")
-    if ret.step_id in consumed:
-        raise PlanError("return step cannot feed another step")
     object.__setattr__(plan, "_passed", (registry, order))
     return order
 

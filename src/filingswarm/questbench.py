@@ -63,8 +63,7 @@ class QuestionTemplate:
     gold_routes: tuple[Route, ...]
     candidates: Callable[[ReconciledView], list[dict]]
     solve: Callable[[ReconciledView, dict], tuple[Answer, frozenset[str]]]
-    # Only H3 reads the view, for the filer's label wording; the other
-    # templates plan from the slots alone and accept None.
+    # Given None, each template plans from its slots alone; H3 given a view pins the label.
     plan: Callable[[ReconciledView | None, dict], Plan]
 
 
@@ -149,8 +148,8 @@ def _solve_sum(view: ReconciledView, slots: dict, table: str, names: _Names,
     return Scalar(_sum(r.fields.get(value_field) for r in rows), tuple(sorted(ids))), ids
 
 
-def plan_sum(agent: FilingType, table: str, filters: tuple[Filter, ...],
-             value_field: str) -> Plan:
+def _plan_sum(agent: FilingType, table: str, filters: tuple[Filter, ...],
+              value_field: str) -> Plan:
     """Every sum question's plan: retrieve, sum ``value_field``, return."""
     return Plan((
         Retrieve("r1", agent, table, filters),
@@ -167,7 +166,7 @@ def _is_cash(fields: dict) -> bool:
 
 
 def _plan_positions(slots: dict, class_filter: Filter) -> Plan:
-    return plan_sum(FilingType.THIRTEEN_F, _TF, (
+    return _plan_sum(FilingType.THIRTEEN_F, _TF, (
         Filter("manager_name", "eq", slots["manager"]),
         Filter("period", "eq", slots["period"]),
         class_filter), "value_usd")
@@ -367,15 +366,17 @@ def _is_total_assets(fields: dict) -> bool:
             and fields.get("label") in _TOTAL_ASSETS_LABELS)
 
 
-def _plan_h3(view: ReconciledView, slots: dict) -> Plan:
-    rows = _rows(view, "ncsr_statement_items", slots, _BY_FUND, _is_total_assets)
-    # the canonical plan pins the filer's exact wording, read off the corpus
-    label = rows[0].fields["label"] if rows else "Total assets"
-    return plan_sum(FilingType.NCSR, "ncsr_statement_items", (
+def _plan_h3(view: ReconciledView | None, slots: dict) -> Plan:
+    if view is None:  # filers word the line item differently: a guess
+        line_item = (Filter("label", "contains", "total assets"),)
+    else:  # the canonical plan pins the filer's exact wording
+        rows = _rows(view, "ncsr_statement_items", slots, _BY_FUND, _is_total_assets)
+        label = rows[0].fields["label"] if rows else "Total assets"
+        line_item = (Filter("statement", "eq", "assets_liabilities"),
+                     Filter("label", "eq", label))
+    return _plan_sum(FilingType.NCSR, "ncsr_statement_items", (
         Filter("fund_name", "eq", slots["fund"]),
-        Filter("period", "eq", slots["period"]),
-        Filter("statement", "eq", "assets_liabilities"),
-        Filter("label", "eq", label)), "value_usd")
+        Filter("period", "eq", slots["period"])) + line_item, "value_usd")
 
 
 TEMPLATES: dict[str, QuestionTemplate] = {}
@@ -407,7 +408,7 @@ _register(QuestionTemplate(
     "float", (Route(FilingType.ADV, "adv_entity"),),
     lambda view: _distinct_slots(view, "adv_entity", _BY_ADVISOR, _has_aum),
     lambda view, slots: _solve_sum(view, slots, "adv_entity", _BY_ADVISOR, "regulatory_aum"),
-    lambda view, slots: plan_sum(FilingType.ADV, "adv_entity", (
+    lambda view, slots: _plan_sum(FilingType.ADV, "adv_entity", (
         Filter("advisor_name", "eq", slots["advisor"]),
         Filter("period", "eq", slots["period"])), "regulatory_aum")))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import json
 import logging
 import re
 import warnings
@@ -939,6 +940,37 @@ def test_a_plan_that_sums_a_text_column_is_refused_before_execution(registry, sm
     result = run_pipeline(AUM_QUERY, _PlansWith(plan=sums_names), small_view, registry)
     assert result.status == "answered"
     assert (result.attempts, result.fallback) == (2, True)
+
+
+# A sum over the Return step: validation must refuse it as a PlanError, so
+# the planner is asked again, the draft falls back and the reviser is refused.
+_SUMS_THE_RETURN = (
+    '{"steps": [{"id": "r1", "kind": "retrieve", "agent": "ADV", '
+    '"table": "adv_entity"}, '
+    '{"id": "ret", "kind": "return", "input": "r1"}, '
+    '{"id": "a1", "kind": "aggregate", "input": "ret", "function": "sum", '
+    '"value_field": "regulatory_aum"}]}')
+
+
+def test_a_plan_that_reads_the_return_step_is_retried_then_falls_back(registry,
+                                                                       small_view):
+    provider = _PlansWith(plan=_SUMS_THE_RETURN, replan=_SUMS_THE_RETURN)
+    result = run_pipeline(AUM_QUERY, provider, small_view, registry)
+    assert result.status == "answered"
+    assert (result.attempts, result.fallback) == (2, True)
+    assert result.final_plan is result.draft
+
+
+def test_a_journaled_plan_that_reads_the_return_step_is_planned_again(registry,
+                                                                      small_view,
+                                                                      tmp_path):
+    path = tmp_path / "memory.jsonl"
+    path.write_text(json.dumps({"key": LongTermMemory.normalize(AUM_QUERY),
+                                "plan": json.loads(_SUMS_THE_RETURN)}) + "\n")
+    result = run_pipeline(AUM_QUERY, DeterministicProvider(), small_view, registry,
+                          memory=LongTermMemory(path))
+    assert result.status == "answered"
+    assert not result.from_memory and not result.fallback
 
 
 def test_pipeline_fixture_miss_propagates(registry, small_view):

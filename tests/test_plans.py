@@ -11,7 +11,6 @@ from dataclasses import replace
 from datetime import date
 from functools import reduce
 from operator import add
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -559,6 +558,23 @@ def test_return_feeding_another_step_rejected():
                             Return(step_id="ret2", input_step="after"))), REGISTRY)
 
 
+# A step that reads the Return step: the typing pass gives the return step a
+# type but no columns, so these must be refused before it runs.
+_READS_THE_RETURN = {
+    "aggregate": (Aggregate(step_id="a1", input_step="ret", function="sum",
+                            value_field="value_usd"),),
+    "join": (retrieve_13f("r2"),
+             Join(step_id="j", left_step="ret", right_step="r2", on_fields=("cusip",))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_READS_THE_RETURN))
+def test_a_step_that_reads_the_return_step_is_a_plan_error(shape):
+    plan = Plan((retrieve_13f(), ret(), *_READS_THE_RETURN[shape]))
+    with pytest.raises(PlanError, match="return step cannot feed another step"):
+        validate_plan(plan, REGISTRY)
+
+
 def test_step_constructor_guards():
     with pytest.raises(PlanError):
         Filter("f", "startswith", "x")
@@ -701,6 +717,110 @@ def test_a_planner_reply_parses_and_validates_or_raises_plan_error(small_view, s
         pass
 
 
+# --- property: plan intake raises only its own errors --------------------------
+# Plan documents over a small alphabet: step ids r1, r2, a and ret, every kind
+# and a bogus one, inputs among those ids, two real tables and a bogus one,
+# real and bogus field names. Repeats in a list weight a draw toward what a
+# plan that passes would hold, so that some documents validate and run.
+
+_DOC_IDS = ("r1", "r2", "a", "ret")
+_DOC_KINDS = ("retrieve", "aggregate", "arithmetic", "join", "return", "bogus")
+_DOC_MIDDLE_KINDS = _DOC_KINDS + ("retrieve", "aggregate", "aggregate", "join")
+# each table with the fields a retrieve of it draws from
+_DOC_TABLES = (
+    ("13F", "thirteenf_holdings", ("period", "manager_id", "value_usd", "shares")),
+    ("13F", "thirteenf_holdings", ("period", "manager_id", "value_usd", "shares")),
+    ("NCEN", "ncen_fund_registry", ("period", "fund_id", "fund_name", "advisor_name")),
+    ("ADV", "no_such_table", ("period",)))
+_DOC_FIELDS = ("period", "manager_id", "value_usd", "shares", "fund_id", "fund_name",
+               "advisor_name", "bogus")
+_doc_fields = st.lists(st.sampled_from(_DOC_FIELDS), max_size=2)
+_doc_values = st.sampled_from(("value_usd", "value_usd", "shares") + _DOC_FIELDS)
+_doc_scalars = st.sampled_from([None, 0, 1.5, "MGR0001", "Growth Fund", "2023-03-31"])
+
+
+def _doc_filter(fields):
+    names = st.sampled_from(fields + ("bogus",))
+    scalar_filter = st.tuples(names, st.sampled_from(["eq", "eq", "contains"]), _doc_scalars)
+    return st.one_of(
+        scalar_filter, scalar_filter,
+        st.tuples(names, st.just("range"),
+                  st.lists(st.sampled_from([None, 0, 1000.0, "A"]), min_size=2,
+                           max_size=2)),
+        st.tuples(names, st.sampled_from(["range", "bogus"]), _doc_scalars),
+    ).map(list)
+
+
+def _mostly(draw, likely: bool) -> bool:
+    """``likely`` three times in four, a coin flip otherwise."""
+    return likely if draw(st.integers(0, 3)) else draw(st.booleans())
+
+
+def _doc_step(draw, step_id, kind, earlier):
+    doc = {"id": step_id, "kind": kind}
+    inputs = st.sampled_from(earlier if earlier and _mostly(draw, True) else _DOC_IDS)
+    if kind == "retrieve":
+        doc["agent"], doc["table"], fields = draw(st.sampled_from(_DOC_TABLES))
+        doc["filters"] = draw(st.lists(_doc_filter(fields), max_size=2))
+        if not _mostly(draw, False):
+            doc["columns"] = draw(st.lists(st.sampled_from(fields + ("bogus",)),
+                                           min_size=_mostly(draw, True), max_size=3))
+    elif kind == "aggregate":
+        function = draw(st.sampled_from(["sum", "mean", "count", "groupby-sum", "bogus"]))
+        doc.update(input=draw(inputs), function=function)
+        if _mostly(draw, function == "groupby-sum"):
+            doc["group_fields"] = draw(_doc_fields)
+        if _mostly(draw, function != "count"):
+            doc["value_field"] = draw(_doc_values)
+    elif kind == "arithmetic":
+        doc.update(left=draw(inputs), right=draw(inputs),
+                   op=draw(st.sampled_from(["add", "div", "bogus"])))
+    elif kind == "join":
+        doc.update(left=draw(inputs), right=draw(inputs), on=draw(st.lists(
+            st.sampled_from(_DOC_FIELDS), min_size=_mostly(draw, True), max_size=2)))
+    elif kind == "return":
+        doc["input"] = earlier[-1] if earlier and _mostly(draw, True) else draw(inputs)
+    return doc
+
+
+@st.composite
+def _plan_docs(draw):
+    """Half the time any steps; otherwise distinct ids, a retrieve first and
+    a return last."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        ids = [draw(st.sampled_from(_DOC_IDS)) for _ in range(n)]
+        kinds = [draw(st.sampled_from(_DOC_KINDS)) for _ in range(n)]
+    else:
+        ids = list(draw(st.permutations(_DOC_IDS)))[:draw(st.integers(2, 4))]
+        kinds = (["retrieve"] + [draw(st.sampled_from(_DOC_MIDDLE_KINDS)) for _ in ids[2:]]
+                 + ["return"])
+    return {"steps": [_doc_step(draw, step_id, kind, ids[:i])
+                      for i, (step_id, kind) in enumerate(zip(ids, kinds))]}
+
+
+_RETURN_FEEDS_A_SUM = {"steps": [
+    {"id": "r1", "kind": "retrieve", "agent": "13F", "table": "thirteenf_holdings"},
+    {"id": "ret", "kind": "return", "input": "r1"},
+    {"id": "a", "kind": "aggregate", "input": "ret", "function": "sum",
+     "value_field": "value_usd"}]}
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_plan_docs())
+@example(doc=_RETURN_FEEDS_A_SUM)
+def test_plan_intake_raises_only_its_own_errors(view, doc):
+    try:
+        plan = plans.plan_from_dict(doc)
+        validate_plan(plan, REGISTRY)
+    except PlanError:
+        return
+    try:
+        execute_plan(plan, view, REGISTRY)
+    except ExecutionError:
+        pass
+
+
 def test_answer_round_trips(view):
     joined = run(view,
                  Retrieve(step_id="r1", agent=FilingType.NMFP, table="nmfp_fund_info",
@@ -800,8 +920,7 @@ def _free_view(rows, cls=ReconciledView):
                                 filing_type=FilingType.NCEN, table_id="u", filer_id="F",
                                 period=P1, is_amendment=False, amends=None,
                                 fields={"a": 1}))
-    store = SimpleNamespace(registry=REGISTRY, records=records)
-    return cls(store, {"ACC"})
+    return cls(REGISTRY, records)
 
 
 _filters = st.one_of(  # eq listed twice, so most steps use the index

@@ -2,7 +2,9 @@
 and rejection of malformed chains."""
 from __future__ import annotations
 
+import gc
 import re
+import weakref
 from datetime import date
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filingswarm.corpus.reconcile import ReconciliationError, reconcile
-from filingswarm.corpus.records import CorpusStore
+from filingswarm.corpus.records import CorpusStore, export_jsonl, ingest_jsonl
 from filingswarm.corpus.records import FilingRecord
 from filingswarm.corpus.schema import FilingType, load_default_registry
 
@@ -149,7 +151,20 @@ def test_reconcile_is_deterministic():
     a = reconcile(build(records))
     b = reconcile(build(records))
     assert [r.record_id for r in a.records] == [r.record_id for r in b.records]
-    assert a.visible_accessions == b.visible_accessions
+
+
+def test_the_view_keeps_no_reference_to_the_store(tmp_path):
+    # an amended accession, so the store holds a record the view does not
+    path = tmp_path / "corpus.jsonl"
+    export_jsonl(build([adv_record("R1", "ACC1"), adv_record("R2", "ACC2", amends="ACC1"),
+                        adv_record("R3", "ACC3")]), path)
+    result = ingest_jsonl(path, REGISTRY)
+    view = reconcile(result.store)
+    store = weakref.ref(result.store)
+    del result
+    gc.collect()
+    assert store() is None
+    assert [r.record_id for r in view.records] == ["R2", "R3"]
 
 
 # --- property: random amends maps with self-links, branches and cycles -------
