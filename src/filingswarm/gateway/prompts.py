@@ -47,7 +47,10 @@ _route_value = lru_cache(maxsize=64)(_one_line)
 
 
 def _request(tag: str, lines: list[str]) -> ChatRequest:
-    return ChatRequest(tag, (("user", "\n".join(map(_one_line, lines))),))
+    content = "\n".join(lines)
+    if content.splitlines() != lines:  # only then does a line hold a line boundary
+        content = "\n".join(map(_one_line, lines))
+    return ChatRequest(tag, (("user", content),))
 
 
 def build_classify_request(query: str) -> ChatRequest:

@@ -904,7 +904,7 @@ def test_route_request_equals_the_line_by_line_reference(query, candidates, cove
 
 _broken = st.one_of(
     st.text(st.characters(exclude_categories=("Cs",)), max_size=30),
-    st.sampled_from(["a\nQUERY: b", "x\r\ny", "\u2028", "p\n", "\n\n", "ALREADY:\x85"]))
+    st.sampled_from(["a\nQUERY: b", "x\r\ny", "\u2028", "p\n", "q\r", "\n\n", "ALREADY:\x85"]))
 
 
 @settings(max_examples=200, deadline=None)
