@@ -42,10 +42,10 @@ class FilingRecord:
     fields: dict[str, Any]
 
     def __post_init__(self) -> None:
-        if self.is_amendment != (self.amends is not None):
-            raise SchemaError(
-                f"record {self.record_id}: amends must be present iff is_amendment is true"
-            )
+        if self.is_amendment and self.amends is None:
+            raise SchemaError("amendment without target")
+        if not self.is_amendment and self.amends is not None:
+            raise SchemaError(f"amends {self.amends!r} on a record that is not an amendment")
 
 
 def validate_record(record: FilingRecord, registry: SchemaRegistry) -> None:
@@ -138,7 +138,9 @@ class CorpusStore:
     """Immutable-after-load collection of filing records plus the registry.
 
     Lookups are deterministic: records keep insertion order and every index
-    is derived from that order. Safe for concurrent readers once built.
+    is derived from that order. The records of one accession share its
+    filing type and amendment target. Safe for concurrent readers once
+    built.
     """
 
     def __init__(self, registry: SchemaRegistry):
@@ -151,9 +153,14 @@ class CorpusStore:
         validate_record(record, self.registry)
         if record.record_id in self.by_record_id:
             raise SchemaError(f"duplicate record_id: {record.record_id}")
+        peers = self.by_accession.setdefault(record.accession_id, [])
+        if peers and (peers[0].filing_type is not record.filing_type
+                      or peers[0].amends != record.amends):
+            raise SchemaError(f"record {record.record_id}: filing_type or amends differs "
+                              f"from the first record of accession {record.accession_id}")
         self.records.append(record)
         self.by_record_id[record.record_id] = record
-        self.by_accession.setdefault(record.accession_id, []).append(record)
+        peers.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -239,9 +246,6 @@ def ingest_jsonl(path: str | Path, registry: SchemaRegistry) -> IngestResult:
                 msg = str(exc) or exc.__class__.__name__
                 if isinstance(exc, KeyError):
                     msg = f"missing field {exc}"
-                if isinstance(exc, SchemaError) and "amends must be present" in msg:
-                    msg = ("amendment without target" if doc.get("is_amendment")
-                           else f"amends {doc['amends']!r} on a record that is not an amendment")
                 rejections.append(Rejection(line_no, msg))
                 continue
             try:

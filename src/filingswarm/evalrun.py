@@ -49,6 +49,7 @@ from .vindex import (
     HashFeatureEmbedder,
     IndexScope,
     MappingEmbedder,
+    SCOPE_KINDS,
     build_index,
     build_text_index,
     knn,
@@ -57,7 +58,6 @@ from .vindex import (
     to_embedding_text,
 )
 
-SCOPE_KINDS = ("global", "agent", "table")
 DIFFICULTIES = ("easy", "hard", "overall")
 VARIANTS = ("templated", "variegated", "both")
 

@@ -168,13 +168,6 @@ def _slots(query: str) -> dict[str, str]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _fold(name: str) -> str:
-    """A filing type name upper-cased without hyphens: the form in which
-    ``_do_route_agent`` matches a candidate to the gold agent."""
-    return name.upper().replace("-", "")
-
-
 class DeterministicProvider:
     """One ``_do_<tag>`` rule per request tag, dispatched through ``_RULES``."""
 
@@ -244,10 +237,9 @@ class DeterministicProvider:
         if reading.template_id:
             routes = TEMPLATES[reading.template_id].gold_routes
             if prompt.covered < len(routes):
-                agent = _fold(routes[prompt.covered].agent.value)
-                for cand in prompt.candidates:
-                    if _fold(cand) == agent:
-                        return cand
+                agent = routes[prompt.covered].agent.value
+                if agent in prompt.candidates:
+                    return agent
         scored = _score(reading.agent_totals, prompt.candidates)
         return self._ranked_with_persona(scored, prompt.covered, prompt.persona)
 

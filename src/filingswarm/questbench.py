@@ -595,13 +595,18 @@ def instance_to_dict(instance: QuestionInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> QuestionInstance:
+    """A line with no gold route raises ValueError: routing scores every
+    question against at least one."""
+    gold_routes = tuple(Route(FilingType.parse(a), t) for a, t in doc["gold_routes"])
+    if not gold_routes:
+        raise ValueError("gold_routes is empty")
     return QuestionInstance(
         template_id=doc["template_id"],
         text=doc["text"],
         base_text=doc.get("base_text", doc["text"]),
         variant=doc["variant"],
         slot_values=dict(doc["slot_values"]),
-        gold_routes=tuple(Route(FilingType.parse(a), t) for a, t in doc["gold_routes"]),
+        gold_routes=gold_routes,
         gold_answer=answer_from_dict(doc["gold_answer"]),
         relevant_record_ids=frozenset(doc["relevant_record_ids"]))
 

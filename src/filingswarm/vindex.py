@@ -66,13 +66,16 @@ class IndexError_(ValueError):
     """Index construction or query contract violation."""
 
 
+SCOPE_KINDS = ("global", "agent", "table")
+
+
 @dataclass(frozen=True)
 class IndexScope:
-    kind: str  # global | agent | table
+    kind: str  # one of SCOPE_KINDS
     key: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("global", "agent", "table"):
+        if self.kind not in SCOPE_KINDS:
             raise IndexError_(f"unknown scope kind {self.kind!r}")
         if self.kind == "global" and self.key:
             raise IndexError_("global scope takes no key")
@@ -431,7 +434,8 @@ def _prefilter(index: FlatIndex, q32: np.ndarray, dots32: np.ndarray,
     The ``take`` rows with the smallest a + s have dist <= a + s <= B, the
     take-th smallest a + s, so the take-th smallest dist is at most B.
     Every row that belongs in the answer, ties included, then has
-    a - s <= dist <= B.
+    a - s <= dist <= B. When ``take`` is the index length, B is the largest
+    a + s, so every row passes and is rescored.
     """
     q64 = q32.astype(np.float64)
     qq = float(q64 @ q64)
@@ -458,15 +462,12 @@ def _prefilter(index: FlatIndex, q32: np.ndarray, dots32: np.ndarray,
     return np.flatnonzero(approx <= bound)
 
 
-def _rescore(index: FlatIndex, q32: np.ndarray, positions: np.ndarray | None,
+def _rescore(index: FlatIndex, q32: np.ndarray, positions: np.ndarray,
              take: int) -> list[tuple[str, float]]:
-    """The ``take`` nearest of the rows at ``positions`` (every row when
-    None), by the canonical row-wise distance, then record id."""
-    if positions is None:
-        rows, ids = index.vectors, index.record_ids
-    else:
-        rows = index.vectors[positions]
-        ids = [index.record_ids[pos] for pos in positions.tolist()]
+    """The ``take`` nearest of the rows at ``positions``, by the canonical
+    row-wise distance, then record id."""
+    rows = index.vectors[positions]
+    ids = [index.record_ids[pos] for pos in positions.tolist()]
     return [(record_id, dist)
             for dist, record_id in sorted(zip(row_distances(rows, q32), ids))[:take]]
 
@@ -477,13 +478,13 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
     ``query`` is one vector, which gives one hit list, or an (m, dim)
     matrix, which gives a list of m hit lists, one per row. A query that is
     not finite, or a k that is not an integer of at least 1, raises
-    ``IndexError_``. When k covers the index every row
-    is scored; otherwise a float32 prefilter with a proven rounding bound
+    ``IndexError_``. A float32 prefilter with a proven rounding bound
     (``_prefilter``) picks each query's candidates, from dot products that
     one GEMM takes for a block of up to ``_KNN_BLOCK`` queries. The bound
     holds for any summation order, so how the GEMM rounds cannot change a
-    result. Either way the rows are scored with the canonical row-wise
-    expression and ranked by (dist, id).
+    result. The candidates are scored with the canonical row-wise
+    expression and ranked by (dist, id). An empty index gives an empty hit
+    list per query.
 
     One call allocates one (min(m, ``_KNN_BLOCK``), n) float32 product
     buffer, which every block's GEMM writes in turn, and one prefilter
@@ -503,20 +504,19 @@ def knn(index: FlatIndex, query: np.ndarray, k: int) -> list:
     if not finite.all():
         raise IndexError_(f"query row {int(np.argmin(finite))} is not finite")
     n = len(index)
+    if n == 0:
+        return [] if q32.ndim == 1 else [[] for _ in queries]
     take = min(n, k)
-    if take == n:
-        hits = [_rescore(index, q, None, take) for q in queries]
-    else:
-        hits = []
-        scratch = np.empty((3, n))
-        product = np.empty((min(len(queries), _KNN_BLOCK), n), dtype=np.float32)
-        for start in range(0, len(queries), _KNN_BLOCK):
-            block = queries[start:start + _KNN_BLOCK]
-            dots = product[:len(block)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(block, index.vectors.T, out=dots)
-            hits += [_rescore(index, q, _prefilter(index, q, row, take, scratch), take)
-                     for q, row in zip(block, dots)]
+    hits = []
+    scratch = np.empty((3, n))
+    product = np.empty((min(len(queries), _KNN_BLOCK), n), dtype=np.float32)
+    for start in range(0, len(queries), _KNN_BLOCK):
+        block = queries[start:start + _KNN_BLOCK]
+        dots = product[:len(block)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(block, index.vectors.T, out=dots)
+        hits += [_rescore(index, q, _prefilter(index, q, row, take, scratch), take)
+                 for q, row in zip(block, dots)]
     return hits[0] if q32.ndim == 1 else hits
 
 

@@ -37,7 +37,7 @@ from filingswarm.gateway.providers import ScriptedProvider
 from filingswarm.gateway.types import FixtureMissError, GatewayError
 from filingswarm.pipeline import LongTermMemory
 from filingswarm.plans import ListValue, Scalar, TableValue
-from filingswarm.routing import route_generative
+from filingswarm.routing import Route, route_generative
 from filingswarm.vindex import HashFeatureEmbedder, IndexScope, build_index, scope_positions
 
 
@@ -125,6 +125,19 @@ def test_judge_table_tolerates_none_cells_and_float_noise():
 
 # ---------------------------------------------------------------------------
 # Retrieval ablation
+
+def test_retrieval_units_skip_a_gold_route_whose_table_holds_no_relevant_record(
+        bench, small_view):
+    instance = bench[0]
+    empty = Route(FilingType.ADV, "adv_brokers")
+    assert all(small_view.by_record_id[rid].table_id != empty.table
+               for rid in instance.relevant_record_ids)
+    widened = dataclasses.replace(instance, gold_routes=instance.gold_routes + (empty,))
+    units = retrieval_units([widened], small_view)
+    assert [unit.route for unit in units] == [
+        unit.route for unit in retrieval_units([instance], small_view)]
+    assert empty not in [unit.route for unit in units]
+
 
 def test_retrieval_units_target_one_gold_table_each(bench, small_view):
     units = retrieval_units(bench, small_view)

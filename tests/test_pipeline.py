@@ -187,6 +187,15 @@ def test_memory_persists_appends_and_compacts(tmp_path):
     assert LongTermMemory(path).lookup("q").steps[0].table == "adv_brokers"
 
 
+def test_memory_without_a_path_compacts_to_nothing_and_keeps_its_plans():
+    memory = LongTermMemory()
+    plan = _tiny_plan()
+    memory.store("q", plan)
+    memory.compact()
+    assert len(memory) == 1
+    assert memory.lookup("q") == plan
+
+
 def _journal(tmp_path, n=3):
     path = tmp_path / "memory.jsonl"
     memory = LongTermMemory(path)

@@ -5,6 +5,7 @@ All expected numbers are computed by hand from the micro corpus below.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -460,6 +461,11 @@ def test_aggregate_validation():
                             Aggregate(step_id="b", input_step="a", function="count"),
                             ret("b"))), REGISTRY)
     for function in ("sum", "mean"):
+        with pytest.raises(PlanError, match=f"^step a: {function} takes no group fields$"):
+            validate_plan(Plan((base, Aggregate(step_id="a", input_step="r1",
+                                                function=function, group_fields=("cusip",),
+                                                value_field="value_usd"),
+                                ret("a"))), REGISTRY)
         with pytest.raises(PlanError, match=f"{function} needs a number column, "
                                             "'issuer_name' is text"):
             validate_plan(Plan((base, Aggregate(step_id="a", input_step="r1",
@@ -639,6 +645,17 @@ def test_plan_from_json_rejects_garbage():
 ])
 def test_plan_from_json_names_a_malformed_step(step):
     with pytest.raises(PlanError, match=f"^step {step['id']}: malformed"):
+        plan_from_json(json.dumps({"steps": [step]}))
+
+
+@pytest.mark.parametrize("step, error", [
+    (5, "each step must be an object"),
+    (["r1", "retrieve"], "each step must be an object"),
+    ({"kind": "retrieve", "agent": "ADV", "table": "adv_entity"}, "step missing 'id'"),
+    ({"id": "r1", "agent": "ADV", "table": "adv_entity"}, "step missing 'kind'"),
+])
+def test_plan_from_json_refuses_a_step_it_cannot_read(step, error):
+    with pytest.raises(PlanError, match=f"^{re.escape(error)}$"):
         plan_from_json(json.dumps({"steps": [step]}))
 
 
@@ -844,6 +861,12 @@ def test_answer_round_trips(view):
         # outside input loads sorted, each id once
         ids = list(answer.supporting_record_ids)
         assert answer_from_dict(dict(doc, supporting_record_ids=ids[::-1] + ids)) == answer
+
+
+@pytest.mark.parametrize("kind", [None, "matrix", "Scalar"])
+def test_an_answer_of_an_unknown_kind_is_refused(kind):
+    with pytest.raises(ValueError, match=f"^unknown answer kind {re.escape(repr(kind))}$"):
+        answer_from_dict({"kind": kind, "value": 1.0, "supporting_record_ids": []})
 
 
 # --- property: serialization stability ---------------------------------------

@@ -371,6 +371,8 @@ def test_benchmark_file_round_trip(tmp_path, bench):
 @pytest.mark.parametrize("damage, error", [
     (lambda line: line[:-5], "JSONDecodeError"),
     (lambda line: line.replace('"text"', '"txet"'), "KeyError('text')"),
+    (lambda line: json.dumps({**json.loads(line), "gold_routes": []}),
+     "ValueError('gold_routes is empty')"),
 ])
 def test_a_damaged_benchmark_line_names_the_file_and_line(tmp_path, bench, damage, error):
     path = tmp_path / "bench.jsonl"

@@ -55,6 +55,17 @@ def test_amends_present_iff_amendment():
     assert record.amends == "ACC0"
 
 
+@pytest.mark.parametrize("is_amendment, amends, error", [
+    (True, None, "amendment without target"),
+    (False, "ACC0", "amends 'ACC0' on a record that is not an amendment"),
+])
+def test_a_record_words_its_own_amendment_error(is_amendment, amends, error):
+    doc = record_to_dict(make_record())
+    doc.update(is_amendment=is_amendment, amends=amends)
+    with pytest.raises(SchemaError, match=f"^{error}$"):
+        record_from_dict(doc)
+
+
 def test_validate_rejects_unknown_field(registry):
     record = make_record(fields={"advisor_id": "A", "bogus": 1,
                                  "period": PERIOD.isoformat()})
@@ -217,6 +228,35 @@ def test_ingest_checks_amendment_links(registry, tmp_path, case):
     path.write_text("\n".join([first, *lines]) + "\n")
     result = ingest_jsonl(path, registry)
     assert [(r.line_no, r.reason) for r in result.rejections] == rejections
+
+
+# Two lines of accession ACCA that follow R1 of ACC0, and disagree with
+# each other on what ACCA is.
+_SPLIT_ACCESSIONS = {
+    "amends": (_with(record_id="R2", accession_id="ACCA"),
+               _with(record_id="R3", accession_id="ACCA", is_amendment=True, amends="ACC0")),
+    "filing_type": (_with(record_id="R2", accession_id="ACCA"),
+                    _with(record_id="R3", accession_id="ACCA", filing_type="NCEN",
+                          table_id="ncen_fund_registry", fields=_NCEN_FIELDS)),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["in-order", "swapped"])
+@pytest.mark.parametrize("case", list(_SPLIT_ACCESSIONS))
+def test_an_accession_whose_records_disagree_is_refused_in_either_order(
+        registry, tmp_path, case, swap):
+    pair = _SPLIT_ACCESSIONS[case]
+    second, third = pair[::-1] if swap else pair
+    path = tmp_path / "corpus.jsonl"
+    first = json.dumps(record_to_dict(make_record(record_id="R1", accession="ACC0")))
+    path.write_text("\n".join([first, second, third]) + "\n")
+    result = ingest_jsonl(path, registry)
+    late = json.loads(third)["record_id"]
+    assert [(r.line_no, r.reason) for r in result.rejections] == [
+        (3, f"record {late}: filing_type or amends differs from the first record "
+            "of accession ACCA")]
+    assert [r.record_id for r in result.store.by_accession["ACCA"]] == [
+        json.loads(second)["record_id"]]
 
 
 _JSON = st.recursive(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_embedding_refuses_a_query_that_is_not_finite(bad):
     personas, tables, _ = _embedding_fixture()
     embedder = MappingEmbedder(4, {}, default=np.array([bad, 0, 0, 0]))
     with pytest.raises(IndexError_, match="query is not finite"):
+        route_embedding("unknown question", personas, tables, embedder)
+
+
+@pytest.mark.parametrize("strategy", ["embedding", "swarm"])
+def test_embedding_and_swarm_refuse_fewer_than_one_route(registry, strategy):
+    personas, tables, embedder = _embedding_fixture()
+    with pytest.raises(ValueError, match="^n_routes must be >= 1$"):
+        if strategy == "embedding":
+            route_embedding("equity question", personas, tables, embedder, n_routes=0)
+        else:
+            route_swarm(EQUITY_QUERY, DeterministicProvider(), registry, SwarmConfig(),
+                        n_routes=0)
+
+
+def test_embedding_refuses_a_query_of_another_dim():
+    personas, tables, _ = _embedding_fixture()
+    embedder = MappingEmbedder(3, {}, default=np.ones(3))
+    with pytest.raises(IndexError_, match=re.escape("query dim (3,) does not match index dim 4")):
         route_embedding("unknown question", personas, tables, embedder)
 
 

@@ -236,6 +236,14 @@ def test_a_damaged_registry_document_is_a_schema_error(damage, message):
         registry_from_dict(doc)
 
 
+def test_a_profile_whose_tables_disagree_with_the_registry_is_a_schema_error():
+    registry = registry_from_dict(_default_doc())
+    adv = registry.profiles[FilingType.ADV]
+    registry.profiles[FilingType.ADV] = replace(adv, table_ids=adv.table_ids[:1])
+    with pytest.raises(SchemaError, match="^ADV: profile tables disagree with registry$"):
+        registry.validate()
+
+
 def test_default_registry_is_cached_per_call():
     a = load_default_registry()
     b = load_default_registry()

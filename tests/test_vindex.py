@@ -100,7 +100,7 @@ def test_knn_guards():
 
 
 def test_knn_refuses_a_k_that_is_not_an_integer():
-    # k = 2 ranks through the prefilter, k = 5 scores every row
+    # k = 5 is past the index length
     index = make_index([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])], 2)
     query = np.zeros(2, dtype=np.float32)
     for k in (2.5, 5.5, np.float64(2.0), "2"):
@@ -428,6 +428,12 @@ def test_persona_and_table_description_indexes(registry):
     tables = table_indexes[FilingType.NPORT.value]
     assert sorted(tables.record_ids) == [
         "nport_derivatives", "nport_fund_info", "nport_holdings"]
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_hash_embedder_refuses_a_dim_below_one(dim):
+    with pytest.raises(IndexError_, match="^dim must be >= 1$"):
+        HashFeatureEmbedder(dim)
 
 
 def test_build_text_index_empty_is_empty():
